@@ -21,3 +21,19 @@ from .pomc import (INCONCLUSIVE, AtomicMonitor, CompositeMonitor, Verdict,
                    build_pomc_monitor)
 
 __version__ = "0.1.0"
+
+__all__ = [
+    "DeltaBudget", "baseline_union_interval", "ci_mc_pointwise",
+    "ci_mc_uniform", "ci_pomc_pointwise", "ci_pomc_uniform",
+    "naive_uniform_lift", "split_delta",
+    "ConfigError", "EvaluationError", "FairmonError", "ModelError",
+    "SpecSyntaxError", "SpecValidationError",
+    "UNBOUNDED", "UNIT", "Interval", "interval_combine",
+    "MixingBound", "ObservationModel", "StationaryDistribution",
+    "mixing_time_bound", "simulate", "simulate_states",
+    "stationary_distribution", "truth_value", "truth_value_bse",
+    "truth_value_pse",
+    "DivisionMonitor", "MCMonitorDivFree", "build_mc_monitor",
+    "INCONCLUSIVE", "AtomicMonitor", "CompositeMonitor", "Verdict",
+    "build_pomc_monitor",
+]

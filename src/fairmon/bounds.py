@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import List, Sequence, Tuple
 
 from .errors import ConfigError
-from .intervals import Interval, interval_combine
-from .speclang.ast import (Add, Atom, Const, Expr, Inv, Mul, SeqProb, Sub,
-                           TransVar, pretty_print)
+from .intervals import Interval
+from .speclang.ast import (ARITHMETIC, Atom, Const, Expr, Inv, SeqProb,
+                           TransVar, count_atoms, fold)
 
 _PI = math.pi
 
@@ -30,12 +30,8 @@ def _check_delta(delta: float):
         raise ConfigError(f"confidence parameter must be in (0,1), got {delta}")
 
 
-def ci_pomc_pointwise(delta: float, t: int, n: int, a: float, b: float,
-                      tau_mix: float) -> float:
-    """Half-width for the windowed estimator of an arity-n atom at time t.
-
-    sqrt( ln(2/delta) * t * n^2 * (b-a)^2 * 9 * tau_mix / (2 (t-(n-1))^2) )
-    """
+def _ci_pomc(delta: float, t: int, n: int, a: float, b: float, tau_mix: float,
+             uniform: bool) -> float:
     _check_delta(delta)
     if n < 1 or t < n:
         raise ConfigError(f"need t >= n >= 1, got t={t}, n={n}")
@@ -46,7 +42,17 @@ def ci_pomc_pointwise(delta: float, t: int, n: int, a: float, b: float,
     if b == a:
         return 0.0
     kernel = t * n * n * (b - a) ** 2 * 9.0 * tau_mix / (2.0 * (t - (n - 1)) ** 2)
-    return math.sqrt(math.log(2.0 / delta) * kernel)
+    log_term = math.log(_PI * _PI * t * t / (3.0 * delta)) if uniform else math.log(2.0 / delta)
+    return math.sqrt(log_term * kernel)
+
+
+def ci_pomc_pointwise(delta: float, t: int, n: int, a: float, b: float,
+                      tau_mix: float) -> float:
+    """Half-width for the windowed estimator of an arity-n atom at time t.
+
+    sqrt( ln(2/delta) * t * n^2 * (b-a)^2 * 9 * tau_mix / (2 (t-(n-1))^2) )
+    """
+    return _ci_pomc(delta, t, n, a, b, tau_mix, False)
 
 
 def ci_pomc_uniform(delta: float, t: int, n: int, a: float, b: float,
@@ -56,17 +62,7 @@ def ci_pomc_uniform(delta: float, t: int, n: int, a: float, b: float,
     Same kernel with ln(pi^2 t^2 / (3 delta)); valid simultaneously for all
     t by a union bound with the summable schedule delta_t = 6 delta/(pi t)^2.
     """
-    _check_delta(delta)
-    if n < 1 or t < n:
-        raise ConfigError(f"need t >= n >= 1, got t={t}, n={n}")
-    if b < a:
-        raise ConfigError(f"invalid atom range [{a}, {b}]")
-    if tau_mix < 1.0:
-        raise ConfigError(f"mixing-time bound must be >= 1, got {tau_mix}")
-    if b == a:
-        return 0.0
-    kernel = t * n * n * (b - a) ** 2 * 9.0 * tau_mix / (2.0 * (t - (n - 1)) ** 2)
-    return math.sqrt(math.log(_PI * _PI * t * t / (3.0 * delta)) * kernel)
+    return _ci_pomc(delta, t, n, a, b, tau_mix, True)
 
 
 def ci_mc_pointwise(t: int, delta: float, sigma_sq: float) -> float:
@@ -129,26 +125,10 @@ class DeltaBudget:
     """Confidence budget split across the atomic estimators of an expression."""
 
     total: float
-    allocation: Dict[str, float]
+    allocation: Tuple[float, ...]  # one share per atomic leaf, in leaves() order
 
-    def shares(self) -> Sequence[float]:
-        return list(self.allocation.values())
-
-
-def _leaf_keys(expr: Expr):
-    keys = []
-
-    def walk(node):
-        if isinstance(node, (Atom, SeqProb, TransVar)):
-            keys.append(f"{len(keys)}:{pretty_print(node)}")
-        elif isinstance(node, (Add, Sub, Mul)):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, Inv):
-            walk(node.child)
-
-    walk(expr)
-    return keys
+    def shares(self) -> List[float]:
+        return list(self.allocation)
 
 
 def split_delta(total: float, expr: Expr) -> DeltaBudget:
@@ -158,11 +138,10 @@ def split_delta(total: float, expr: Expr) -> DeltaBudget:
     bound, so the shares must add up to the total.
     """
     _check_delta(total)
-    keys = _leaf_keys(expr)
-    if not keys:
+    k = count_atoms(expr)
+    if not k:
         raise ConfigError("expression has no atomic leaves; no budget needed")
-    share = total / len(keys)
-    return DeltaBudget(total=total, allocation={k: share for k in keys})
+    return DeltaBudget(total=total, allocation=(total / k,) * k)
 
 
 def baseline_union_interval(variable_cis: Sequence[Interval], structure: Expr) -> Interval:
@@ -173,29 +152,16 @@ def baseline_union_interval(variable_cis: Sequence[Interval], structure: Expr) -
     arithmetic.
     """
     cis = list(variable_cis)
-    pos = 0
+    k = count_atoms(structure)
+    if k != len(cis):
+        raise ConfigError(f"{len(cis)} intervals for {k} atomic leaves")
+    consume = iter(cis)
 
-    def walk(node) -> Interval:
-        nonlocal pos
-        if isinstance(node, (Atom, SeqProb, TransVar)):
-            if pos >= len(cis):
-                raise ConfigError("fewer intervals than atomic leaves")
-            iv = cis[pos]
-            pos += 1
-            return iv
-        if isinstance(node, Const):
-            return Interval.point(node.value)
-        if isinstance(node, Add):
-            return interval_combine(walk(node.left), walk(node.right), "+")
-        if isinstance(node, Sub):
-            return interval_combine(walk(node.left), walk(node.right), "-")
-        if isinstance(node, Mul):
-            return interval_combine(walk(node.left), walk(node.right), "*")
-        if isinstance(node, Inv):
-            return Interval.point(1.0) / walk(node.child)
-        raise TypeError(f"unknown node {node!r}")
+    def leaf(_) -> Interval:
+        return next(consume)
 
-    result = walk(structure)
-    if pos != len(cis):
-        raise ConfigError(f"{len(cis)} intervals for {pos} atomic leaves")
-    return result
+    return fold(structure, {
+        **ARITHMETIC, Atom: leaf, SeqProb: leaf, TransVar: leaf,
+        Const: lambda n: Interval.point(n.value),
+        Inv: lambda _, c: Interval.point(1.0) / c,
+    })

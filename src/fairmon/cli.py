@@ -58,6 +58,8 @@ def cmd_monitor(args) -> int:
         raise ConfigError(f"--delta must be in (0,1), got {args.delta}")
     if args.stride < 1:
         raise ConfigError("--stride must be positive")
+    if args.intersect and args.engine != "pomc":
+        raise ConfigError("--intersect needs --engine pomc")
 
     if args.engine == "pomc":
         tau = args.tau_mix
@@ -98,6 +100,8 @@ def cmd_monitor(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.steps < 0:
+        raise ConfigError(f"--steps must be nonnegative, got {args.steps}")
     model = _load_model(args.model)
     out = sys.stdout
     for symbol in simulate(model, args.steps, args.seed, start=args.start):
@@ -183,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--intersect", action="store_true",
-                   help="intersect successive verdicts (uniform mode only)")
+                   help="intersect successive verdicts (pomc engine, uniform mode only)")
     p.add_argument("--events", help="event file (default: stdin)")
     p.set_defaults(func=cmd_monitor)
 

@@ -27,8 +27,9 @@ from ..intervals import Interval
 from ..markov import (ObservationModel, mixing_time_bound, simulate_states,
                       truth_value)
 from ..mc import build_mc_monitor
+from ..pomc import atom_window
 from ..speclang.ast import (Add, Atom, Const, Expr, Inv, Mul, SeqProb, Sub,
-                            TransVar, expression_size)
+                            TransVar, expression_size, fold, leaves)
 from ..speclang.ranges import bse_range
 from . import models
 
@@ -37,24 +38,6 @@ _INF = math.inf
 
 # ---------------------------------------------------------------------------
 # vectorized windowed-monitor evaluation (partially observed engine)
-
-def _collect_atom_leaves(expr: Expr) -> List:
-    out = []
-
-    def walk(node):
-        if isinstance(node, (Atom, SeqProb)):
-            out.append(node)
-        elif isinstance(node, TransVar):
-            raise ConfigError("transition variables need the fully-observed engine")
-        elif isinstance(node, (Add, Sub, Mul)):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, Inv):
-            walk(node.child)
-
-    walk(expr)
-    return out
-
 
 def _atom_eval_series(leaf, codes: np.ndarray, alpha_index: Dict[str, int]) -> np.ndarray:
     """Window evaluations x_1..x_{T-n+1} of one atom along a coded stream."""
@@ -105,6 +88,20 @@ def _iv_inv(lo, hi):
     return nlo, nhi
 
 
+def _recip(p):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return 1.0 / p
+
+
+# (lo, hi, point) array triples, the vectorized twin of CompositeMonitor's algebra
+_SERIES = {
+    Add: lambda _, a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2]),
+    Sub: lambda _, a, b: (a[0] - b[1], a[1] - b[0], a[2] - b[2]),
+    Mul: lambda _, a, b: (*_iv_mul(a[0], a[1], b[0], b[1]), _prod_arr(a[2], b[2])),
+    Inv: lambda _, c: (*_iv_inv(c[0], c[1]), _recip(c[2])),
+}
+
+
 class PomcSeriesEvaluator:
     """Per-run composite-interval series for a windowed expression.
 
@@ -120,19 +117,13 @@ class PomcSeriesEvaluator:
         self.horizon = horizon
         self.mode = mode
         self.root_range = bse_range(expr)
-        self.leaves = _collect_atom_leaves(expr)
-        if self.leaves:
-            shares = split_delta(delta, expr).shares()
-        else:
-            shares = []
+        self.leaves = leaves(expr)
+        shares = split_delta(delta, expr).shares() if self.leaves else []
         ci = ci_pomc_pointwise if mode == "pointwise" else ci_pomc_uniform
         self._eps: List[np.ndarray] = []
         self._meta = []
         for leaf, share in zip(self.leaves, shares):
-            if isinstance(leaf, SeqProb):
-                n, low, high = leaf.arity, 0.0, 1.0
-            else:
-                n, low, high = leaf.ref.arity, leaf.ref.low, leaf.ref.high
+            _, n, low, high = atom_window(leaf)
             eps = np.full(horizon + 1, np.nan)
             for t in range(n, horizon + 1):
                 eps[t] = ci(share, t, n, low, high, tau_mix)
@@ -144,49 +135,26 @@ class PomcSeriesEvaluator:
         """Return (lo, hi, point) arrays indexed by t = 1..horizon (index 0 unused)."""
         t_len = codes.shape[0]
         ts = np.arange(t_len + 1, dtype=float)
-        atom_lo, atom_hi, atom_pt = [], [], []
+        series = []
         for leaf, eps, (n, low, high) in zip(self.leaves, self._eps, self._meta):
             x = _atom_eval_series(leaf, codes, self.alpha_index)
             means = np.full(t_len + 1, np.nan)
             means[n:] = np.cumsum(x) / np.maximum(ts[n:] - (n - 1), 1.0)
             lo = np.maximum(means - eps[:t_len + 1], low)
             hi = np.minimum(means + eps[:t_len + 1], high)
-            atom_lo.append(lo)
-            atom_hi.append(hi)
-            atom_pt.append(means)
-        it = iter(range(len(self.leaves)))
-        lo, hi, pt = self._fold(self.expr, it, atom_lo, atom_hi, atom_pt, t_len)
+            series.append((lo, hi, means))
+        atoms = iter(series)
+
+        def const(node):
+            c = np.full(t_len + 1, node.value)
+            return c, c.copy(), c.copy()
+
+        lo, hi, pt = fold(self.expr, {**_SERIES, Const: const,
+                                      Atom: lambda _: next(atoms),
+                                      SeqProb: lambda _: next(atoms)})
         lo = np.maximum(lo, self.root_range.lo)
         hi = np.minimum(hi, self.root_range.hi)
         return lo, hi, pt
-
-    def _fold(self, node, it, alo, ahi, apt, t_len):
-        if isinstance(node, (Atom, SeqProb)):
-            i = next(it)
-            return alo[i], ahi[i], apt[i]
-        if isinstance(node, Const):
-            c = np.full(t_len + 1, node.value)
-            return c, c.copy(), c.copy()
-        if isinstance(node, Add):
-            l1, h1, p1 = self._fold(node.left, it, alo, ahi, apt, t_len)
-            l2, h2, p2 = self._fold(node.right, it, alo, ahi, apt, t_len)
-            return l1 + l2, h1 + h2, p1 + p2
-        if isinstance(node, Sub):
-            l1, h1, p1 = self._fold(node.left, it, alo, ahi, apt, t_len)
-            l2, h2, p2 = self._fold(node.right, it, alo, ahi, apt, t_len)
-            return l1 - h2, h1 - l2, p1 - p2
-        if isinstance(node, Mul):
-            l1, h1, p1 = self._fold(node.left, it, alo, ahi, apt, t_len)
-            l2, h2, p2 = self._fold(node.right, it, alo, ahi, apt, t_len)
-            lo, hi = _iv_mul(l1, h1, l2, h2)
-            return lo, hi, _prod_arr(p1, p2)
-        if isinstance(node, Inv):
-            l1, h1, p1 = self._fold(node.child, it, alo, ahi, apt, t_len)
-            lo, hi = _iv_inv(l1, h1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                pt = 1.0 / p1
-            return lo, hi, pt
-        raise ConfigError(f"unknown node {node!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -370,14 +338,13 @@ def fig3_ratio_series(n_max: int = 10, delta: float = 0.05, t: int = 10_000) -> 
     the direct per-round outcome stays in [0, 1] while the baseline pays both
     the delta split and the interval-arithmetic sum.
     """
-    from ..speclang.labeled import assign_labels
     from ..speclang.ranges import expr_range
     rows = []
     for n in range(1, n_max + 1):
         expr = TransVar("1", "2")
         for i in range(1, n):
             expr = Add(expr, TransVar("1", str(i + 2)))
-        sigma_sq = expr_range(assign_labels(expr)).width ** 2
+        sigma_sq = expr_range(expr).width ** 2
         ours = ci_mc_pointwise(t, delta, sigma_sq)
         per_var = ci_mc_pointwise(t, delta / n, 1.0)
         point = 0.5 / n

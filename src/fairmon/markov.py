@@ -17,8 +17,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import EvaluationError, ModelError
-from .speclang.ast import (Add, Atom, Const, Expr, Inv, Mul, SeqProb, Sub,
-                           TransVar)
+from .speclang.ast import (ARITHMETIC, Atom, Const, Expr, Inv, SeqProb,
+                           TransVar, const_value, fold, reject)
 
 _ROW_TOL = 1e-9
 _FIXPOINT_TOL = 1e-10
@@ -258,6 +258,16 @@ def simulate_states(model: ObservationModel, steps: int, runs: int, seed: int,
     return out
 
 
+def _reciprocal(_, v: float) -> float:
+    if v == 0.0:
+        raise EvaluationError("division by zero in model-based evaluation")
+    return 1.0 / v
+
+
+# real arithmetic shared by both oracles; each adds its own leaves
+_REALS = {**ARITHMETIC, Const: const_value, Inv: _reciprocal}
+
+
 def truth_value_pse(model: ObservationModel, expr: Expr) -> float:
     """Exact value of a PSE: each transition variable is a matrix entry."""
     if not model.is_fully_observed:
@@ -266,30 +276,16 @@ def truth_value_pse(model: ObservationModel, expr: Expr) -> float:
         raise ModelError("PSE evaluation needs an irreducible chain")
     obs_to_state = {model.labels[s]: s for s in model.states}
 
-    def walk(node: Expr) -> float:
-        if isinstance(node, Const):
-            return node.value
-        if isinstance(node, TransVar):
-            for name in (node.source, node.target):
-                if name not in obs_to_state:
-                    raise EvaluationError(f"unknown state {name!r} in transition variable")
-            i = model.state_index(obs_to_state[node.source])
-            j = model.state_index(obs_to_state[node.target])
-            return float(model.transitions[i, j])
-        if isinstance(node, Add):
-            return walk(node.left) + walk(node.right)
-        if isinstance(node, Sub):
-            return walk(node.left) - walk(node.right)
-        if isinstance(node, Mul):
-            return walk(node.left) * walk(node.right)
-        if isinstance(node, Inv):
-            v = walk(node.child)
-            if v == 0.0:
-                raise EvaluationError("division by zero in model-based evaluation")
-            return 1.0 / v
-        raise EvaluationError(f"{type(node).__name__} node is not part of a PSE")
+    def entry(node: TransVar) -> float:
+        for name in (node.source, node.target):
+            if name not in obs_to_state:
+                raise EvaluationError(f"unknown state {name!r} in transition variable")
+        i = model.state_index(obs_to_state[node.source])
+        j = model.state_index(obs_to_state[node.target])
+        return float(model.transitions[i, j])
 
-    return walk(expr)
+    not_pse = reject(EvaluationError, "{node} node is not part of a PSE")
+    return fold(expr, {**_REALS, TransVar: entry, Atom: not_pse, SeqProb: not_pse})
 
 
 def _atom_expectation(model: ObservationModel, fn, arity: int,
@@ -343,30 +339,13 @@ def truth_value_bse(model: ObservationModel, expr: Expr,
             raise EvaluationError("observation-word enumeration too large")
         return _atom_expectation(model, fn, arity, pi)
 
-    def walk(node: Expr) -> float:
-        if isinstance(node, Const):
-            return node.value
-        if isinstance(node, Atom):
-            return atom_value(node.ref.evaluate, node.ref.arity)
-        if isinstance(node, SeqProb):
-            return atom_value(node.indicator, node.arity)
-        if isinstance(node, Add):
-            return walk(node.left) + walk(node.right)
-        if isinstance(node, Sub):
-            return walk(node.left) - walk(node.right)
-        if isinstance(node, Mul):
-            return walk(node.left) * walk(node.right)
-        if isinstance(node, Inv):
-            v = walk(node.child)
-            if v == 0.0:
-                raise EvaluationError("division by zero in model-based evaluation")
-            return 1.0 / v
-        if isinstance(node, TransVar):
-            raise EvaluationError(
-                "transition variables are evaluated with the fully-observed oracle")
-        raise EvaluationError(f"unknown node {node!r}")
-
-    return walk(expr)
+    return fold(expr, {
+        **_REALS,
+        Atom: lambda n: atom_value(n.ref.evaluate, n.ref.arity),
+        SeqProb: lambda n: atom_value(n.indicator, n.arity),
+        TransVar: reject(EvaluationError, "transition variables are evaluated "
+                         "with the fully-observed oracle"),
+    })
 
 
 def truth_value(model: ObservationModel, expr: Expr, window_cap: int = 6) -> float:

@@ -3,11 +3,12 @@
 Per relevant source state the monitor keeps visit and edge counters; when an
 evaluation round needs the outcome of a transition variable it draws, without
 replacement, a recorded successor from those counters (or "none of the
-relevant ones") into a per-state shuffled buffer.  Variable occurrences read
-fixed positions of those buffers, laid out so that factors of a product never
-share a visit.  Every completed round contributes one i.i.d. outcome whose
-mean is the value of the expression; a Hoeffding or stitched half-width
-around the running mean gives the verdict.
+relevant ones") into a per-state shuffled buffer.  Variable occurrences
+(each identified by its index in ``leaves(expr)``) read fixed positions of
+those buffers, laid out so that factors of a product never share a visit.
+Every completed round contributes one i.i.d. outcome whose mean is the value
+of the expression; a Hoeffding or stitched half-width around the running
+mean gives the verdict.
 
 Expressions with division are first normalized to ``phi_a + phi_b / phi_c``
 (all parts division free) and monitored by three sub-monitors, each carrying
@@ -24,16 +25,12 @@ from .bounds import ci_mc_pointwise, ci_mc_uniform
 from .errors import ConfigError, SpecValidationError
 from .intervals import Interval
 from .pomc import INCONCLUSIVE, Verdict
-from .speclang.ast import (Expr, contains_division, expression_size,
-                           is_pse)
-from .speclang.labeled import (LAdd, LConst, LExpr, LMul, LSub, LVar,
-                               assign_labels)
+from .speclang.ast import (Add, Const, Expr, Mul, Sub, TransVar,
+                           contains_division, expression_size, fold, is_pse)
 from .speclang.normal_form import decompose_division, to_polynomial
-from .speclang.ranges import assign_slots, expr_range
+from .speclang.ranges import TOP, assign_slots, expr_range
 
 _CI = {"pointwise": ci_mc_pointwise, "uniform": ci_mc_uniform}
-
-TOP = "⊤"  # drawn visit led to no relevant successor
 
 _OP_CONST = 0
 _OP_VAR = 1
@@ -60,7 +57,7 @@ class _UniformPool:
         return self._buf[i]
 
 
-def _compile(lexpr: LExpr, slots) -> Tuple[list, list]:
+def _compile(expr: Expr, slots) -> Tuple[list, list]:
     """Flatten to postfix; variable reads go through a per-occurrence cache.
 
     A full postfix pass evaluates every leaf even when a sibling is still
@@ -68,30 +65,19 @@ def _compile(lexpr: LExpr, slots) -> Tuple[list, list]:
     possible; completed reads are cached until the round is reset.
     """
     prog: list = []
-    var_info: list = []  # (source, target, slot)
+    var_info: list = []  # (source, target, slot) per occurrence
 
-    def walk(node: LExpr):
-        if isinstance(node, LConst):
-            prog.append((_OP_CONST, node.value))
-        elif isinstance(node, LVar):
-            var_info.append((node.source, node.target, slots[node]))
-            prog.append((_OP_VAR, len(var_info) - 1))
-        elif isinstance(node, LAdd):
-            walk(node.left)
-            walk(node.right)
-            prog.append((_OP_ADD, 0))
-        elif isinstance(node, LSub):
-            walk(node.left)
-            walk(node.right)
-            prog.append((_OP_SUB, 0))
-        elif isinstance(node, LMul):
-            walk(node.left)
-            walk(node.right)
-            prog.append((_OP_MUL, 0))
-        else:
-            raise SpecValidationError("monitor requires a division-free expression")
+    def var(node: TransVar):
+        var_info.append((node.source, node.target, slots[len(var_info)][1]))
+        prog.append((_OP_VAR, len(var_info) - 1))
 
-    walk(lexpr)
+    def emit(op):
+        return lambda *_: prog.append((op, 0))
+
+    fold(expr, {
+        Const: lambda n: prog.append((_OP_CONST, n.value)), TransVar: var,
+        Add: emit(_OP_ADD), Sub: emit(_OP_SUB), Mul: emit(_OP_MUL),
+    })
     return prog, var_info
 
 
@@ -110,11 +96,10 @@ class MCMonitorDivFree:
         if contains_division(expr):
             raise SpecValidationError("expression must be division free here")
         self._expr = expr
-        self._labeled = assign_labels(expr)
-        layout = assign_slots(self._labeled)
+        layout = assign_slots(expr)
         self._layout = layout
-        self._prog, self._vars = _compile(self._labeled, layout.slots)
-        self._range = value_range if value_range is not None else expr_range(self._labeled)
+        self._prog, self._vars = _compile(expr, layout.slots)
+        self._range = value_range if value_range is not None else expr_range(expr)
         self.sigma_sq = self._range.width ** 2
         self._delta = delta
         self._mode = mode

@@ -2,23 +2,24 @@
 
 One atomic monitor per window function keeps a length-n ring buffer and the
 running mean of the window evaluations; after warm-up it emits the mean
-plus/minus a mixing-time-scaled half-width.  A composite monitor mirrors the
-expression tree and folds the atomic verdicts with interval arithmetic,
+plus/minus a mixing-time-scaled half-width.  A composite monitor folds the
+atomic verdicts through the expression tree with interval arithmetic,
 spending an equal confidence share per atom.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from .bounds import ci_pomc_pointwise, ci_pomc_uniform, split_delta
 from .errors import ConfigError
 from .intervals import Interval
 from .speclang.ast import (Add, Atom, Const, Expr, Inv, Mul, SeqProb, Sub,
-                           TransVar, count_atoms)
+                           TransVar, fold, leaves, reject)
 from .speclang.ranges import bse_range
 
 _CI = {"pointwise": ci_pomc_pointwise, "uniform": ci_pomc_uniform}
@@ -90,14 +91,16 @@ class AtomicMonitor:
         return Verdict(interval=clipped, point=self._mean)
 
 
-class ConstMonitor:
-    """Degenerate monitor for a constant leaf: a zero-width verdict from step one."""
+_WINDOWS = {
+    Atom: lambda n: (n.ref.evaluate, n.ref.arity, n.ref.low, n.ref.high),
+    SeqProb: lambda n: (n.indicator, n.arity, 0.0, 1.0),
+    TransVar: reject(ConfigError, "transition variables need the fully-observed engine"),
+}
 
-    def __init__(self, value: float):
-        self._verdict = Verdict(interval=Interval.point(value), point=value)
 
-    def next(self, symbol: str) -> Verdict:
-        return self._verdict
+def atom_window(leaf: Expr) -> Tuple[Callable, int, float, float]:
+    """Window function, arity and value range of an atomic leaf."""
+    return fold(leaf, _WINDOWS)
 
 
 class CompositeMonitor:
@@ -106,53 +109,37 @@ class CompositeMonitor:
     Any warmed-up-not-yet child makes the composite inconclusive; division
     through an interval containing zero propagates as an unbounded verdict.
     The folded interval is clipped to the a-priori range of the expression,
-    which is sound because the true value certainly lies there.
+    which is sound because the true value certainly lies there.  Running
+    intersection of the verdicts is only sound for time-uniform intervals.
     """
 
     def __init__(self, expr: Expr, delta: float, mode: str, tau_mix: float,
                  alphabet: Optional[Sequence[str]] = None,
                  intersect_verdicts: bool = False):
+        if intersect_verdicts and mode != "uniform":
+            raise ConfigError("intersecting verdicts over time needs uniform mode")
         self._expr = expr
         self._range = bse_range(expr)
-        self._leaves: List = []
-        k = count_atoms(expr)
-        if k > 0:
-            budget = split_delta(delta, expr)
-            shares = budget.shares()
-        else:
-            shares = []
-        pos = 0
+        atoms = leaves(expr)
+        shares = split_delta(delta, expr).shares() if atoms else []
+        self._atoms = [AtomicMonitor(*atom_window(leaf), share, mode, tau_mix, alphabet)
+                       for leaf, share in zip(atoms, shares)]
+        self._verdicts = iter(())
 
-        def build(node: Expr):
-            nonlocal pos
-            if isinstance(node, Const):
-                self._leaves.append(ConstMonitor(node.value))
-                return
-            if isinstance(node, Atom):
-                ref = node.ref
-                self._leaves.append(AtomicMonitor(
-                    ref.evaluate, ref.arity, ref.low, ref.high,
-                    shares[pos], mode, tau_mix, alphabet))
-                pos += 1
-                return
-            if isinstance(node, SeqProb):
-                self._leaves.append(AtomicMonitor(
-                    node.indicator, node.arity, 0.0, 1.0,
-                    shares[pos], mode, tau_mix, alphabet))
-                pos += 1
-                return
-            if isinstance(node, TransVar):
-                raise ConfigError("transition variables need the fully-observed engine")
-            if isinstance(node, (Add, Sub, Mul)):
-                build(node.left)
-                build(node.right)
-                return
-            if isinstance(node, Inv):
-                build(node.child)
-                return
-            raise ConfigError(f"unknown node {node!r}")
+        def atom(_) -> Tuple[Interval, Optional[float]]:
+            v = next(self._verdicts)
+            return v.interval, v.point
 
-        build(expr)
+        # (interval, point) pairs; atoms read this event's verdicts in leaf order
+        self._algebra = {
+            Atom: atom, SeqProb: atom,
+            Const: lambda n: (Interval.point(n.value), n.value),
+            Add: lambda _, a, b: (a[0] + b[0], _pt(a[1], b[1], operator.add)),
+            Sub: lambda _, a, b: (a[0] - b[0], _pt(a[1], b[1], operator.sub)),
+            Mul: lambda _, a, b: (a[0] * b[0], _pt(a[1], b[1], operator.mul)),
+            Inv: lambda _, c: (c[0].inverse(),
+                               None if c[1] is None or c[1] == 0.0 else 1.0 / c[1]),
+        }
         self._intersect = intersect_verdicts
         self._running: Optional[Interval] = None
 
@@ -161,38 +148,16 @@ class CompositeMonitor:
         return self._range
 
     def next(self, symbol: str) -> Verdict:
-        verdicts = [m.next(symbol) for m in self._leaves]
+        verdicts = [m.next(symbol) for m in self._atoms]
         if any(v.is_inconclusive for v in verdicts):
             return INCONCLUSIVE
-        it = iter(verdicts)
-        interval, point = self._fold(self._expr, it)
+        self._verdicts = iter(verdicts)
+        interval, point = fold(self._expr, self._algebra)
         clipped = interval.intersect(self._range)
         if self._intersect:
             self._running = clipped if self._running is None else self._running.intersect(clipped)
             clipped = self._running
         return Verdict(interval=clipped, point=point)
-
-    def _fold(self, node: Expr, it) -> Tuple[Interval, Optional[float]]:
-        if isinstance(node, (Const, Atom, SeqProb)):
-            v = next(it)
-            return v.interval, v.point
-        if isinstance(node, Add):
-            li, lp = self._fold(node.left, it)
-            ri, rp = self._fold(node.right, it)
-            return li + ri, _pt(lp, rp, lambda a, b: a + b)
-        if isinstance(node, Sub):
-            li, lp = self._fold(node.left, it)
-            ri, rp = self._fold(node.right, it)
-            return li - ri, _pt(lp, rp, lambda a, b: a - b)
-        if isinstance(node, Mul):
-            li, lp = self._fold(node.left, it)
-            ri, rp = self._fold(node.right, it)
-            return li * ri, _pt(lp, rp, lambda a, b: a * b)
-        if isinstance(node, Inv):
-            ci, cp = self._fold(node.child, it)
-            inv_p = None if cp is None or cp == 0.0 else 1.0 / cp
-            return ci.inverse(), inv_p
-        raise ConfigError(f"unknown node {node!r}")
 
 
 def _pt(a: Optional[float], b: Optional[float], op) -> Optional[float]:

@@ -1,10 +1,13 @@
+"""Specification language: syntax trees, parser, normal forms and ranges.
+
+Every evaluation of a tree goes through ``fold(expr, algebra)``; a variable
+occurrence is identified by its index in ``leaves(expr)``.
+"""
+
 from .ast import (Add, Atom, AtomDef, Const, Expr, Inv, Mul, SeqProb, Sub,
                   TransVar, contains_division, count_atoms, eval_pse,
-                  expand_transition_vars, expression_size, is_pse, leaves,
-                  max_arity, pretty_print)
-from .labeled import (LAdd, LConst, LExpr, LInv, LMul, LSub, LVar,
-                      assign_labels, erase_labels, is_division_free,
-                      labeled_vars)
+                  expand_transition_vars, expression_size, fold, is_pse,
+                  leaves, max_arity, pretty_print)
 from .normal_form import (DivisionDecomposition, Monomial, PolynomialForm,
                           decompose_division, polynomial_to_expression,
                           to_polynomial)
@@ -14,10 +17,8 @@ from .ranges import SlotLayout, assign_slots, bse_range, expr_range
 __all__ = [
     "Add", "Atom", "AtomDef", "Const", "Expr", "Inv", "Mul", "SeqProb",
     "Sub", "TransVar", "contains_division", "count_atoms", "eval_pse",
-    "expand_transition_vars", "expression_size", "is_pse", "leaves",
+    "expand_transition_vars", "expression_size", "fold", "is_pse", "leaves",
     "max_arity", "pretty_print",
-    "LAdd", "LConst", "LExpr", "LInv", "LMul", "LSub", "LVar",
-    "assign_labels", "erase_labels", "is_division_free", "labeled_vars",
     "DivisionDecomposition", "Monomial", "PolynomialForm",
     "decompose_division", "polynomial_to_expression", "to_polynomial",
     "SpecDocument", "parse", "parse_spec_file",

@@ -8,7 +8,7 @@ connectives ``+ - *`` and reciprocal.  ``a / b`` is sugar for ``a * (1/b)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import List, Tuple
 
 from ..errors import SpecValidationError
 
@@ -123,49 +123,113 @@ class Inv(Expr):
 _BINARY = {Add: "+", Sub: "-", Mul: "*"}
 
 
-def leaves(expr: Expr) -> Iterator[Expr]:
-    """Atom, SeqProb and TransVar leaves in left-to-right order."""
-    if isinstance(expr, (Atom, SeqProb, TransVar)):
-        yield expr
-    elif isinstance(expr, (Add, Sub, Mul)):
-        yield from leaves(expr.left)
-        yield from leaves(expr.right)
-    elif isinstance(expr, Inv):
-        yield from leaves(expr.child)
+_OPERATORS = frozenset(_BINARY)
+
+
+def fold(expr: Expr, alg):
+    """Evaluate ``expr`` in the algebra ``alg``, a map from node class to handler.
+
+    The walk is post-order, left child before right.  A leaf handler gets the
+    node; an operator handler gets the node followed by its folded children.
+    """
+    kind = type(expr)
+    if kind in _OPERATORS:
+        return alg[kind](expr, fold(expr.left, alg), fold(expr.right, alg))
+    if kind is Inv:
+        return alg[Inv](expr, fold(expr.child, alg))
+    return alg[kind](expr)
+
+
+# Sums, differences and products of the children, for any number type.
+ARITHMETIC = {
+    Add: lambda _, a, b: a + b,
+    Sub: lambda _, a, b: a - b,
+    Mul: lambda _, a, b: a * b,
+}
+
+
+def const_value(node: Const) -> float:
+    return node.value
+
+
+def reject(error, message: str):
+    """Handler raising ``error`` for nodes an algebra does not support."""
+
+    def handler(node, *_):
+        raise error(message.format(node=type(node).__name__))
+
+    return handler
+
+
+def _both(_, a, b):
+    return a and b
+
+
+def _either(_, a, b):
+    return a or b
+
+
+def _concat(_, a, b):
+    return a + b
+
+
+def _first(_, c):
+    return c
+
+
+_LEAVES = {
+    Const: lambda _: [], Atom: lambda n: [n], SeqProb: lambda n: [n],
+    TransVar: lambda n: [n], Add: _concat, Sub: _concat, Mul: _concat, Inv: _first,
+}
+
+
+def leaves(expr: Expr) -> List[Expr]:
+    """Atom, SeqProb and TransVar leaves in left-to-right order.
+
+    An occurrence of a leaf is identified by its index in this list.
+    """
+    return fold(expr, _LEAVES)
 
 
 def count_atoms(expr: Expr) -> int:
     """Number of atomic leaves (constants do not count)."""
-    return sum(1 for _ in leaves(expr))
+    return len(leaves(expr))
+
+
+_SIZE = {
+    Const: lambda _: 0, Atom: lambda _: 0, SeqProb: lambda _: 0, TransVar: lambda _: 0,
+    Add: lambda _, a, b: 1 + a + b, Sub: lambda _, a, b: 1 + a + b,
+    Mul: lambda _, a, b: 1 + a + b, Inv: lambda _, c: 1 + c,
+}
 
 
 def expression_size(expr: Expr) -> int:
     """Total number of operators, the size measure used for register bounds."""
-    if isinstance(expr, (Add, Sub, Mul)):
-        return 1 + expression_size(expr.left) + expression_size(expr.right)
-    if isinstance(expr, Inv):
-        return 1 + expression_size(expr.child)
-    return 0
+    return fold(expr, _SIZE)
+
+
+_IS_PSE = {
+    Const: lambda _: True, TransVar: lambda _: True,
+    Atom: lambda _: False, SeqProb: lambda _: False,
+    Add: _both, Sub: _both, Mul: _both, Inv: _first,
+}
 
 
 def is_pse(expr: Expr) -> bool:
     """True when the expression only uses constants and transition variables."""
-    if isinstance(expr, (Const, TransVar)):
-        return True
-    if isinstance(expr, (Add, Sub, Mul)):
-        return is_pse(expr.left) and is_pse(expr.right)
-    if isinstance(expr, Inv):
-        return is_pse(expr.child)
-    return False
+    return fold(expr, _IS_PSE)
+
+
+_HAS_DIVISION = {
+    Const: lambda _: False, Atom: lambda _: False, SeqProb: lambda _: False,
+    TransVar: lambda _: False, Add: _either, Sub: _either, Mul: _either,
+    Inv: lambda node, c: not isinstance(node.child, Const) or c,
+}
 
 
 def contains_division(expr: Expr) -> bool:
     """True when some reciprocal applies to a non-constant subexpression."""
-    if isinstance(expr, Inv):
-        return not isinstance(expr.child, Const) or contains_division(expr.child)
-    if isinstance(expr, (Add, Sub, Mul)):
-        return contains_division(expr.left) or contains_division(expr.right)
-    return False
+    return fold(expr, _HAS_DIVISION)
 
 
 def max_arity(expr: Expr) -> int:
@@ -182,19 +246,23 @@ def max_arity(expr: Expr) -> int:
 
 def eval_pse(expr: Expr, valuation) -> float:
     """Evaluate a PSE under a ``(source, target) -> value`` valuation."""
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, TransVar):
-        return valuation[(expr.source, expr.target)]
-    if isinstance(expr, Add):
-        return eval_pse(expr.left, valuation) + eval_pse(expr.right, valuation)
-    if isinstance(expr, Sub):
-        return eval_pse(expr.left, valuation) - eval_pse(expr.right, valuation)
-    if isinstance(expr, Mul):
-        return eval_pse(expr.left, valuation) * eval_pse(expr.right, valuation)
-    if isinstance(expr, Inv):
-        return 1.0 / eval_pse(expr.child, valuation)
-    raise SpecValidationError(f"{type(expr).__name__} node is not part of a PSE")
+    not_pse = reject(SpecValidationError, "{node} node is not part of a PSE")
+    return fold(expr, {
+        **ARITHMETIC, Const: const_value, Atom: not_pse, SeqProb: not_pse,
+        TransVar: lambda n: valuation[(n.source, n.target)],
+        Inv: lambda _, c: 1.0 / c,
+    })
+
+
+def _expand(node: TransVar) -> Expr:
+    return Mul(SeqProb(((node.source, node.target),)), Inv(SeqProb(((node.source,),))))
+
+
+_EXPAND = {
+    Const: lambda n: n, Atom: lambda n: n, SeqProb: lambda n: n, TransVar: _expand,
+    Add: lambda _, a, b: Add(a, b), Sub: lambda _, a, b: Sub(a, b),
+    Mul: lambda _, a, b: Mul(a, b), Inv: lambda _, c: Inv(c),
+}
 
 
 def expand_transition_vars(expr: Expr) -> Expr:
@@ -203,15 +271,7 @@ def expand_transition_vars(expr: Expr) -> Expr:
     ``T[q->r]`` becomes ``P[q r] / P[q]``, which has the same long-run value
     on a fully observed chain and lets the windowed monitors handle a PSE.
     """
-    if isinstance(expr, TransVar):
-        num = SeqProb(((expr.source, expr.target),))
-        den = SeqProb(((expr.source,),))
-        return Mul(num, Inv(den))
-    if isinstance(expr, (Add, Sub, Mul)):
-        return type(expr)(expand_transition_vars(expr.left), expand_transition_vars(expr.right))
-    if isinstance(expr, Inv):
-        return Inv(expand_transition_vars(expr.child))
-    return expr
+    return fold(expr, _EXPAND)
 
 
 def _fmt_number(v: float) -> str:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from ..errors import SpecValidationError
-from .ast import Add, Const, Expr, Inv, Mul, Sub, TransVar
+from .ast import (Add, Atom, Const, Expr, Inv, Mul, SeqProb, Sub, TransVar,
+                  fold, reject)
 
 VarKey = Tuple[str, str]
 Powers = Tuple[Tuple[VarKey, int], ...]
@@ -76,53 +77,59 @@ def _mul_powers(a: Powers, b: Powers) -> Powers:
     return tuple(sorted(acc.items()))
 
 
+def _add_terms(left: Dict[Powers, float], right: Dict[Powers, float],
+               sign: float) -> Dict[Powers, float]:
+    for p, c in right.items():
+        left[p] = left.get(p, 0.0) + sign * c
+        if left[p] == 0.0:
+            del left[p]
+    return left
+
+
+def _mul_terms(_, left: Dict[Powers, float], right: Dict[Powers, float]) -> Dict[Powers, float]:
+    out: Dict[Powers, float] = {}
+    for pa, ca in left.items():
+        for pb, cb in right.items():
+            p = _mul_powers(pa, pb)
+            out[p] = out.get(p, 0.0) + ca * cb
+            if out[p] == 0.0:
+                del out[p]
+    return out
+
+
+def _inv_terms(node: Inv, _) -> Dict[Powers, float]:
+    child = node.child
+    if isinstance(child, TransVar):
+        return {(((child.source, child.target), -1),): 1.0}
+    if isinstance(child, Const):
+        if child.value == 0.0:
+            raise SpecValidationError("reciprocal of the constant 0")
+        return {(): 1.0 / child.value}
+    raise SpecValidationError(
+        "unsupported nested division: reciprocals must apply to a "
+        "single transition variable")
+
+
+_not_pse = reject(SpecValidationError, "{node} node is not part of a PSE")
+
+_POLYNOMIAL = {
+    Const: lambda n: {(): n.value} if n.value != 0.0 else {},
+    TransVar: lambda n: {(((n.source, n.target), 1),): 1.0},
+    Atom: _not_pse, SeqProb: _not_pse,
+    Add: lambda _, a, b: _add_terms(a, b, 1.0),
+    Sub: lambda _, a, b: _add_terms(a, b, -1.0),
+    Mul: _mul_terms,
+    Inv: _inv_terms,
+}
+
+
 def to_polynomial(expr: Expr) -> PolynomialForm:
     """Rewrite a PSE into polynomial normal form.
 
     Reciprocals must apply to single transition variables (or constants);
     anything else raises, since nested division has no monomial form.
     """
-
-    def walk(node: Expr) -> Dict[Powers, float]:
-        if isinstance(node, Const):
-            return {(): node.value} if node.value != 0.0 else {}
-        if isinstance(node, TransVar):
-            return {(((node.source, node.target), 1),): 1.0}
-        if isinstance(node, Inv):
-            child = node.child
-            if isinstance(child, TransVar):
-                return {(((child.source, child.target), -1),): 1.0}
-            if isinstance(child, Const):
-                if child.value == 0.0:
-                    raise SpecValidationError("reciprocal of the constant 0")
-                return {(): 1.0 / child.value}
-            raise SpecValidationError(
-                "unsupported nested division: reciprocals must apply to a "
-                "single transition variable")
-        if isinstance(node, (Add, Sub)):
-            left = walk(node.left)
-            right = walk(node.right)
-            sign = 1.0 if isinstance(node, Add) else -1.0
-            for p, c in right.items():
-                left[p] = left.get(p, 0.0) + sign * c
-                if left[p] == 0.0:
-                    del left[p]
-            return left
-        if isinstance(node, Mul):
-            left = walk(node.left)
-            right = walk(node.right)
-            out: Dict[Powers, float] = {}
-            for pa, ca in left.items():
-                for pb, cb in right.items():
-                    p = _mul_powers(pa, pb)
-                    out[p] = out.get(p, 0.0) + ca * cb
-                    if out[p] == 0.0:
-                        del out[p]
-            return out
-        raise SpecValidationError(
-            f"{type(node).__name__} node is not part of a PSE")
-
-    return _merge(walk(expr))
+    return _merge(fold(expr, _POLYNOMIAL))
 
 
 def polynomial_to_expression(poly: PolynomialForm) -> Expr:

@@ -4,9 +4,11 @@ The fully-observed monitor reads, per evaluation round, a shuffled sequence
 of recorded successors for every relevant source state.  Which position of
 that sequence a variable occurrence reads is static: products whose factors
 share a source state shift the right factor past every slot the left factor
-uses, so that the two factors consume distinct visits.  The slot layout
-determines the exact range of the per-round outcome, which in turn sets the
-width scale of the confidence intervals.
+uses, so that the two factors consume distinct visits.  An occurrence is
+identified by its index in ``leaves(expr)``, so duplicate uses of the same
+transition variable get slots of their own.  The slot layout determines the
+exact range of the per-round outcome, which in turn sets the width scale of
+the confidence intervals.
 """
 
 from __future__ import annotations
@@ -17,23 +19,24 @@ from typing import Dict, Tuple
 
 from ..errors import SpecValidationError
 from ..intervals import UNIT, Interval
-from .ast import Add, Atom, Const, Expr, Inv, Mul, SeqProb, Sub, TransVar
-from .labeled import LAdd, LConst, LExpr, LInv, LMul, LSub, LVar
+from .ast import (ARITHMETIC, Add, Atom, Const, Expr, Inv, Mul, SeqProb, Sub,
+                  TransVar, const_value, fold, reject)
+
+TOP = "⊤"  # drawn visit led to no relevant successor
 
 
 @dataclass(frozen=True)
 class SlotLayout:
-    slots: Dict[LVar, int]          # 1-based read position per occurrence
-    demand: Dict[str, int]          # slots needed per source state
+    slots: Dict[int, Tuple[str, int]]    # (source, 1-based read position) per occurrence
+    demand: Dict[str, int]               # slots needed per source state
     targets: Dict[str, Tuple[str, ...]]  # relevant successors per source
 
     @property
     def draw_slots(self) -> Tuple[Tuple[str, int], ...]:
-        out = {(v.source, s) for v, s in self.slots.items()}
-        return tuple(sorted(out))
+        return tuple(sorted(set(self.slots.values())))
 
 
-def assign_slots(lexpr: LExpr) -> SlotLayout:
+def assign_slots(expr: Expr) -> SlotLayout:
     """Static read positions implementing the temporal shift of products.
 
     For a product whose factors depend on a common source state, every
@@ -41,77 +44,49 @@ def assign_slots(lexpr: LExpr) -> SlotLayout:
     demands for that state, so the sample counts add up; sums and
     differences share slots freely.
     """
-    slots: Dict[LVar, int] = {}
+    slots: Dict[int, Tuple[str, int]] = {}
     targets: Dict[str, set] = {}
 
-    def walk(node: LExpr) -> Dict[str, int]:
-        if isinstance(node, LConst):
-            return {}
-        if isinstance(node, LVar):
-            slots[node] = 1
-            targets.setdefault(node.source, set()).add(node.target)
-            return {node.source: 1}
-        if isinstance(node, (LAdd, LSub)):
-            left = walk(node.left)
-            right = walk(node.right)
-            return {s: max(left.get(s, 0), right.get(s, 0)) for s in left.keys() | right.keys()}
-        if isinstance(node, LMul):
-            left = walk(node.left)
-            right_nodes_before = set(slots)
-            right = walk(node.right)
-            shared = left.keys() & right.keys()
-            if shared:
-                for var in set(slots) - right_nodes_before:
-                    if var.source in shared:
-                        slots[var] += left[var.source]
-            out = {}
-            for s in left.keys() | right.keys():
-                if s in shared:
-                    out[s] = left[s] + right[s]
-                else:
-                    out[s] = max(left.get(s, 0), right.get(s, 0))
-            return out
-        if isinstance(node, LInv):
-            raise SpecValidationError("slot layout requires a division-free expression")
-        raise TypeError(f"unknown labeled node {node!r}")
+    # each handler returns (demand per source, occurrence indices below the node)
+    def var(node: TransVar):
+        i = len(slots)
+        slots[i] = (node.source, 1)
+        targets.setdefault(node.source, set()).add(node.target)
+        return {node.source: 1}, (i,)
 
-    demand = walk(lexpr)
+    def shared(_, left, right):
+        (ld, lv), (rd, rv) = left, right
+        return {s: max(ld.get(s, 0), rd.get(s, 0)) for s in ld.keys() | rd.keys()}, lv + rv
+
+    def product(_, left, right):
+        (ld, lv), (rd, rv) = left, right
+        for i in rv:
+            source, slot = slots[i]
+            if source in ld:
+                slots[i] = (source, slot + ld[source])
+        return {s: ld.get(s, 0) + rd.get(s, 0) for s in ld.keys() | rd.keys()}, lv + rv
+
+    only_pse = reject(SpecValidationError,
+                      "{node} node has no slot; only PSEs have slot layouts")
+    demand, _ = fold(expr, {
+        Const: lambda _: ({}, ()), TransVar: var, Atom: only_pse, SeqProb: only_pse,
+        Add: shared, Sub: shared, Mul: product,
+        Inv: reject(SpecValidationError, "slot layout requires a division-free expression"),
+    })
     return SlotLayout(slots=slots, demand=demand,
                       targets={s: tuple(sorted(t)) for s, t in targets.items()})
 
 
-TOP = "<none>"  # drawn visit led to an irrelevant successor
+def _eval_assignment(expr: Expr, layout: SlotLayout, assignment) -> float:
+    occurrence = itertools.count()
+
+    def var(node: TransVar) -> float:
+        return 1.0 if assignment[layout.slots[next(occurrence)]] == node.target else 0.0
+
+    return fold(expr, {**ARITHMETIC, Const: const_value, TransVar: var})
 
 
-def _eval_assignment(lexpr: LExpr, layout: SlotLayout, assignment) -> float:
-    if isinstance(lexpr, LConst):
-        return lexpr.value
-    if isinstance(lexpr, LVar):
-        return 1.0 if assignment[(lexpr.source, layout.slots[lexpr])] == lexpr.target else 0.0
-    if isinstance(lexpr, LAdd):
-        return _eval_assignment(lexpr.left, layout, assignment) + _eval_assignment(lexpr.right, layout, assignment)
-    if isinstance(lexpr, LSub):
-        return _eval_assignment(lexpr.left, layout, assignment) - _eval_assignment(lexpr.right, layout, assignment)
-    if isinstance(lexpr, LMul):
-        return _eval_assignment(lexpr.left, layout, assignment) * _eval_assignment(lexpr.right, layout, assignment)
-    raise TypeError(f"unknown labeled node {lexpr!r}")
-
-
-def _interval_eval(lexpr: LExpr) -> Interval:
-    if isinstance(lexpr, LConst):
-        return Interval.point(lexpr.value)
-    if isinstance(lexpr, LVar):
-        return UNIT
-    if isinstance(lexpr, LAdd):
-        return _interval_eval(lexpr.left) + _interval_eval(lexpr.right)
-    if isinstance(lexpr, LSub):
-        return _interval_eval(lexpr.left) - _interval_eval(lexpr.right)
-    if isinstance(lexpr, LMul):
-        return _interval_eval(lexpr.left) * _interval_eval(lexpr.right)
-    raise SpecValidationError("range computation requires a division-free expression")
-
-
-def expr_range(lexpr: LExpr, slot_limit: int = 16) -> Interval:
+def expr_range(expr: Expr, slot_limit: int = 16) -> Interval:
     """Exact min/max of the per-round outcome over all joint draw results.
 
     Each draw slot independently takes one of the relevant successors of its
@@ -120,18 +95,16 @@ def expr_range(lexpr: LExpr, slot_limit: int = 16) -> Interval:
     enumeration is replaced by per-occurrence interval arithmetic, which is
     an enclosure rather than exact.
     """
-    layout = assign_slots(lexpr)
+    layout = assign_slots(expr)
     slots = layout.draw_slots
-    if not slots:
-        return _interval_eval(lexpr)
-    if len(slots) > slot_limit:
-        return _interval_eval(lexpr)
+    if not slots or len(slots) > slot_limit:
+        return bse_range(expr)
 
     domains = [layout.targets[src] + (TOP,) for src, _ in slots]
     lo = hi = None
     for combo in itertools.product(*domains):
         assignment = dict(zip(slots, combo))
-        v = _eval_assignment(lexpr, layout, assignment)
+        v = _eval_assignment(expr, layout, assignment)
         lo = v if lo is None or v < lo else lo
         hi = v if hi is None or v > hi else hi
     return Interval(lo, hi)
@@ -148,28 +121,25 @@ def _is_unit_ratio(num: Expr, den: Expr) -> bool:
     return True
 
 
+def _bse_product(node: Mul, left: Interval, right: Interval) -> Interval:
+    if isinstance(node.right, Inv) and _is_unit_ratio(node.left, node.right.child):
+        return UNIT
+    return left * right
+
+
+_BSE = {
+    **ARITHMETIC, Mul: _bse_product,
+    Const: lambda n: Interval.point(n.value),
+    Atom: lambda n: Interval(n.ref.low, n.ref.high),
+    SeqProb: lambda _: UNIT, TransVar: lambda _: UNIT,
+    Inv: lambda _, c: c.inverse(),
+}
+
+
 def bse_range(expr: Expr) -> Interval:
-    """A-priori range of a windowed expression by interval propagation.
+    """A-priori range of an expression by interval propagation.
 
     Conditional-probability ratios produced by ``P[v | u]`` are recognized
     structurally and refined to [0, 1].
     """
-    if isinstance(expr, Const):
-        return Interval.point(expr.value)
-    if isinstance(expr, Atom):
-        return Interval(expr.ref.low, expr.ref.high)
-    if isinstance(expr, SeqProb):
-        return UNIT
-    if isinstance(expr, TransVar):
-        return UNIT
-    if isinstance(expr, Add):
-        return bse_range(expr.left) + bse_range(expr.right)
-    if isinstance(expr, Sub):
-        return bse_range(expr.left) - bse_range(expr.right)
-    if isinstance(expr, Mul):
-        if isinstance(expr.right, Inv) and _is_unit_ratio(expr.left, expr.right.child):
-            return UNIT
-        return bse_range(expr.left) * bse_range(expr.right)
-    if isinstance(expr, Inv):
-        return bse_range(expr.child).inverse()
-    raise TypeError(f"unknown node {expr!r}")
+    return fold(expr, _BSE)

@@ -68,6 +68,21 @@ class TestSimulate:
         assert "error" in err
 
 
+    def test_negative_steps_exits_2(self, capsys, hypercube_files):
+        model, _ = hypercube_files
+        code, out, err = run_cli(capsys, "simulate", "--model", str(model),
+                                 "--steps", "-3")
+        assert code == 2
+        assert out == ""
+        assert "--steps" in err
+
+    def test_zero_steps_prints_nothing(self, capsys, hypercube_files):
+        model, _ = hypercube_files
+        code, out, _ = run_cli(capsys, "simulate", "--model", str(model),
+                               "--steps", "0")
+        assert (code, out) == (0, "")
+
+
 class TestTruth:
     def test_lending_truth(self, capsys, lending_files):
         model, spec = lending_files
@@ -154,6 +169,41 @@ class TestMonitor:
         records = [json.loads(line) for line in out.splitlines()]
         assert records[0]["verdict"] == "inconclusive"
         assert records[-1]["verdict"] == "ok"
+
+    def test_intersect_pointwise_pomc_exits_2(self, capsys, hypercube_files, tmp_path):
+        _, spec = hypercube_files
+        events = tmp_path / "events.txt"
+        events.write_text("a\nb\n")
+        code, out, err = run_cli(capsys, "monitor", "--spec", str(spec),
+                                 "--engine", "pomc", "--tau-mix", "7.45",
+                                 "--mode", "pointwise", "--intersect",
+                                 "--events", str(events))
+        assert code == 2
+        assert out == ""
+        assert "uniform" in err
+
+    def test_intersect_uniform_pomc_accepted(self, capsys, hypercube_files, tmp_path):
+        _, spec = hypercube_files
+        events = tmp_path / "events.txt"
+        events.write_text("a\nb\na\n")
+        code, out, _ = run_cli(capsys, "monitor", "--spec", str(spec),
+                               "--engine", "pomc", "--tau-mix", "7.45",
+                               "--mode", "uniform", "--intersect",
+                               "--events", str(events))
+        assert code == 0
+        assert len(out.splitlines()) == 3
+
+    def test_intersect_with_mc_engine_exits_2(self, capsys, lending_files, tmp_path):
+        _, spec = lending_files
+        events = tmp_path / "events.txt"
+        events.write_text("init\ng\n")
+        for mode in ("pointwise", "uniform"):
+            code, out, err = run_cli(capsys, "monitor", "--spec", str(spec),
+                                     "--engine", "mc", "--mode", mode,
+                                     "--intersect", "--events", str(events))
+            assert code == 2
+            assert out == ""
+            assert "--intersect" in err
 
     def test_transvar_under_pomc_engine_is_config_error(self, capsys,
                                                         lending_files, tmp_path):

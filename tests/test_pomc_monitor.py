@@ -113,6 +113,11 @@ class TestCompositeMonitor:
         assert all(b <= a + 1e-15 for a, b in zip(inter, inter[1:]))
         assert inter[-1] <= widths[-1] + 1e-15
 
+    def test_running_intersection_needs_uniform_mode(self):
+        expr = parse("P[A]", ALPHA)
+        with pytest.raises(ConfigError):
+            build_pomc_monitor(expr, 0.05, "pointwise", 1.0, intersect_verdicts=True)
+
     def test_transvar_rejected(self):
         with pytest.raises(ConfigError):
             build_pomc_monitor(parse("T[A->Y]", ALPHA), 0.05, "pointwise", 1.0)

@@ -5,12 +5,11 @@ import pytest
 
 from fairmon.errors import SpecSyntaxError, SpecValidationError
 from fairmon.speclang import (Add, AtomDef, Const, Inv, Mul, SeqProb,
-                              Sub, TransVar, assign_labels, assign_slots,
-                              bse_range, contains_division, count_atoms,
-                              decompose_division, erase_labels, eval_pse,
-                              expr_range, expression_size, labeled_vars,
-                              parse, parse_spec_file, pretty_print,
-                              to_polynomial)
+                              Sub, TransVar, assign_slots, bse_range,
+                              contains_division, count_atoms,
+                              decompose_division, eval_pse, expr_range,
+                              expression_size, leaves, parse,
+                              parse_spec_file, pretty_print, to_polynomial)
 
 ALPHA = ["A", "B", "Y", "N", "1", "2", "3", "4"]
 
@@ -184,34 +183,27 @@ class TestRoundTrip:
 
 
 class TestLabeling:
+    # an occurrence is its index in leaves(expr); the slot layout keys on it
     def test_duplicate_occurrences_get_distinct_labels(self):
         e = parse("T[1->2] + T[1->2]", ALPHA)
-        labels = [v.label for v in labeled_vars(assign_labels(e))]
-        assert labels == [1, 2]
+        assert list(assign_slots(e).slots) == [0, 1]
 
-    def test_distinct_variables_keep_index_one(self):
+    def test_occurrence_index_is_position_in_leaves(self):
         e = parse("T[1->2] * T[1->3]", ALPHA)
-        labels = [(v.target, v.label) for v in labeled_vars(assign_labels(e))]
-        assert labels == [("2", 1), ("3", 1)]
+        occ = leaves(e)
+        assert [occ[i] for i in assign_slots(e).slots] == [TransVar("1", "2"),
+                                                          TransVar("1", "3")]
 
     def test_single_variable_identity(self):
         e = parse("T[1->2]", ALPHA)
-        lab = assign_labels(e)
-        assert [v.label for v in labeled_vars(lab)] == [1]
-        assert erase_labels(lab) == e
-
-    def test_erase_recovers_original(self):
-        rng = random.Random(11)
-        for _ in range(100):
-            e = _random_pse(rng, rng.randint(0, 8))
-            assert erase_labels(assign_labels(e)) == e
+        assert assign_slots(e).slots == {0: ("1", 1)}
 
     def test_label_count_matches_occurrences(self):
         e = parse("T[1->2] * T[1->2] * T[1->3] + T[1->2]", ALPHA)
-        lab = assign_labels(e)
-        occ = list(labeled_vars(lab))
-        assert len(occ) == 4
-        assert len(set(occ)) == 4
+        layout = assign_slots(e)
+        assert len(layout.slots) == count_atoms(e) == 4
+        # the three factors of the product read three distinct visits
+        assert len({layout.slots[i] for i in range(3)}) == 3
 
 
 class TestPolynomial:
@@ -313,20 +305,20 @@ class TestDivisionDecomposition:
 
 class TestRanges:
     def test_exclusive_sum_single_slot(self):
-        rng = expr_range(assign_labels(parse("T[1->2] + T[1->3]", ALPHA)))
+        rng = expr_range(parse("T[1->2] + T[1->3]", ALPHA))
         assert (rng.lo, rng.hi) == (0.0, 1.0)
 
     def test_product_two_slots(self):
-        rng = expr_range(assign_labels(parse("T[1->2] * T[1->3]", ALPHA)))
+        rng = expr_range(parse("T[1->2] * T[1->3]", ALPHA))
         assert (rng.lo, rng.hi) == (0.0, 1.0)
 
     def test_constant(self):
-        rng = expr_range(assign_labels(Const(0.5)))
+        rng = expr_range(Const(0.5))
         assert (rng.lo, rng.hi) == (0.5, 0.5)
 
     def test_weighted_sum(self):
         e = parse("1 * T[1->2] + 2 * T[1->3] - 3 * T[1->4]", ALPHA)
-        rng = expr_range(assign_labels(e))
+        rng = expr_range(e)
         assert (rng.lo, rng.hi) == (-3.0, 2.0)
 
     def test_every_assignment_stays_inside_and_endpoints_attained(self):
@@ -337,16 +329,15 @@ class TestRanges:
             e = _random_pse(rng_, rng_.randint(0, 5))
             if contains_division(e):
                 continue
-            lab = assign_labels(e)
-            layout = assign_slots(lab)
-            iv = expr_range(lab)
+            layout = assign_slots(e)
+            iv = expr_range(e)
             slots = layout.draw_slots
             if not slots or len(slots) > 8:
                 continue
             domains = [layout.targets[s] + (TOP,) for s, _ in slots]
             values = []
             for combo in itertools.product(*domains):
-                v = _eval_assignment(lab, layout, dict(zip(slots, combo)))
+                v = _eval_assignment(e, layout, dict(zip(slots, combo)))
                 assert iv.lo - 1e-12 <= v <= iv.hi + 1e-12
                 values.append(v)
             assert min(values) == pytest.approx(iv.lo)
@@ -357,19 +348,19 @@ class TestRanges:
         for i in range(20):
             term = TransVar("1", str(i + 2))
             e = term if e is None else Mul(e, term)
-        iv = expr_range(assign_labels(e), slot_limit=16)
+        iv = expr_range(e, slot_limit=16)
         assert (iv.lo, iv.hi) == (0.0, 1.0)
 
     def test_dependent_product_shifts_left_nested(self):
         e = parse("T[1->2] * T[1->2] * T[1->2]", ALPHA)
-        layout = assign_slots(assign_labels(e))
-        assert sorted(layout.slots.values()) == [1, 2, 3]
+        layout = assign_slots(e)
+        assert sorted(layout.slots.values()) == [("1", 1), ("1", 2), ("1", 3)]
         assert layout.demand == {"1": 3}
 
     def test_independent_product_shares_no_shift(self):
         e = parse("T[1->2] * T[2->3]", ALPHA)
-        layout = assign_slots(assign_labels(e))
-        assert sorted(layout.slots.values()) == [1, 1]
+        layout = assign_slots(e)
+        assert sorted(layout.slots.values()) == [("1", 1), ("2", 1)]
 
     def test_bse_range_conditional_refinement(self):
         e = parse("P[Y | A] - P[Y | B]", ALPHA)
