@@ -1,12 +1,12 @@
 """Experiment drivers: coverage studies, bound comparisons, timing, soak.
 
 Coverage over partially observed models is evaluated with a vectorized
-re-implementation of the windowed monitors (same running means, same
-half-width formulas; equivalence with the streaming classes is covered by
-tests), which keeps hundred-run studies at interactive speed.  Fully
-observed monitors are inherently sequential because of the reshuffling
-draws, so those runs stream through the real monitor and record the
-estimate trajectory.
+re-implementation of the windowed monitors, which keeps hundred-run studies
+at interactive speed.  Its point estimates divide cumulative sums where the
+streaming monitors keep a running mean, so the two agree to rounding, not bit
+for bit; recorded coverage reports pin this arithmetic, so it stays.  Fully
+observed monitors are sequential (reshuffling draws), so those runs stream
+through the real monitor and record the estimate trajectory.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from ..bounds import (baseline_union_interval, ci_mc_pointwise, ci_mc_uniform,
                       split_delta)
 from ..errors import ConfigError
 from ..intervals import Interval
-from ..markov import (ObservationModel, mixing_time_bound, simulate_states,
-                      truth_value)
+from ..markov import (ObservationModel, mixing_time_bound, simulate,
+                      simulate_states, truth_value)
 from ..mc import build_mc_monitor
 from ..pomc import atom_window
 from ..speclang.ast import (Add, Atom, Const, Expr, Inv, Mul, SeqProb, Sub,
@@ -120,23 +120,23 @@ class PomcSeriesEvaluator:
         self.leaves = leaves(expr)
         shares = split_delta(delta, expr).shares() if self.leaves else []
         ci = ci_pomc_pointwise if mode == "pointwise" else ci_pomc_uniform
-        self._eps: List[np.ndarray] = []
-        self._meta = []
+        self._atoms: List[Tuple[np.ndarray, int, float, float]] = []
+        tables: Dict[Tuple, np.ndarray] = {}  # one per distinct (share, n, low, high)
         for leaf, share in zip(self.leaves, shares):
             _, n, low, high = atom_window(leaf)
-            eps = np.full(horizon + 1, np.nan)
-            for t in range(n, horizon + 1):
-                eps[t] = ci(share, t, n, low, high, tau_mix)
-            self._eps.append(eps)
-            self._meta.append((n, low, high))
-        self.warmup = max((m[0] for m in self._meta), default=1)
+            if (share, n, low, high) not in tables:
+                eps = tables[share, n, low, high] = np.full(horizon + 1, np.nan)
+                for t in range(n, horizon + 1):
+                    eps[t] = ci(share, t, n, low, high, tau_mix)
+            self._atoms.append((tables[share, n, low, high], n, low, high))
+        self.warmup = max((a[1] for a in self._atoms), default=1)
 
     def run(self, codes: np.ndarray):
         """Return (lo, hi, point) arrays indexed by t = 1..horizon (index 0 unused)."""
         t_len = codes.shape[0]
         ts = np.arange(t_len + 1, dtype=float)
         series = []
-        for leaf, eps, (n, low, high) in zip(self.leaves, self._eps, self._meta):
+        for leaf, (eps, n, low, high) in zip(self.leaves, self._atoms):
             x = _atom_eval_series(leaf, codes, self.alpha_index)
             means = np.full(t_len + 1, np.nan)
             means[n:] = np.cumsum(x) / np.maximum(ts[n:] - (n - 1), 1.0)
@@ -403,13 +403,6 @@ def nonconvergent_block_stream(t_max: int):
 # ---------------------------------------------------------------------------
 # timing and memory
 
-def _stream_symbols(model: ObservationModel, events: int, seed: int,
-                    start: str = "stationary") -> List[str]:
-    codes = simulate_states(model, events, 1, seed, start=start)[0]
-    names = list(model.states)
-    return [names[c] for c in codes]
-
-
 def timing_table(entries=None, events: int = 1_000_000, seed: int = 0,
                  chunk: int = 100_000, delta: float = 0.05) -> List[Dict]:
     """Mean/min/max per-event update cost of the fully-observed monitor.
@@ -432,7 +425,7 @@ def timing_table(entries=None, events: int = 1_000_000, seed: int = 0,
         alphabet = tuple(model.labels[s] for s in model.states)
         expr = parse(text, alphabet)
         monitor = build_mc_monitor(expr, delta, "pointwise", seed=seed)
-        symbols = _stream_symbols(model, events, seed)
+        symbols = list(simulate(model, events, seed, start="stationary"))
         per_event = []
         for i in range(0, events, chunk):
             block = symbols[i:i + chunk]
@@ -464,12 +457,9 @@ def soak_registers(model: ObservationModel, text: str, events: int = 10_000_000,
     chunk = max(1, events // snapshots)
     out = []
     done = 0
-    chunk_seed = seed
     while done < events:
         step = min(chunk, events - done)
-        symbols = _stream_symbols(model, step, chunk_seed)
-        chunk_seed += 1
-        monitor.feed(symbols)
+        monitor.feed(simulate(model, step, seed + len(out), start="stationary"))
         done += step
         out.append({"events": done, "registers": monitor.register_count(),
                     "peak_buffer": monitor.peak_buffer,

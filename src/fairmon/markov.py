@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -22,6 +23,7 @@ from .speclang.ast import (ARITHMETIC, Atom, Const, Expr, Inv, SeqProb,
 
 _ROW_TOL = 1e-9
 _FIXPOINT_TOL = 1e-10
+_BLOCK = 4096  # uniforms the sampler draws at a time
 
 
 @dataclass(frozen=True)
@@ -226,35 +228,42 @@ def _start_distribution(model: ObservationModel, start: str) -> np.ndarray:
     raise ModelError(f"unknown start mode {start!r} (use 'initial' or 'stationary')")
 
 
+def _sample(model: ObservationModel, steps: int, runs: int, seed: int,
+            start: str) -> Iterator[List[List[int]]]:
+    """Yield ``runs`` inverse-CDF trajectories in blocks, a state list per run;
+    uniforms are drawn step-major, after one per run for the start state."""
+    cum0 = np.cumsum(_start_distribution(model, start))[:-1].tolist()
+    rows = np.cumsum(model.transitions, axis=1)[:, :-1].tolist()  # u past all: last state
+    rng = np.random.default_rng(seed)
+    states = [bisect_right(cum0, u) for u in rng.random(runs).tolist()]
+    k = max(1, _BLOCK // max(runs, 1))
+    for t in range(0, steps, k):
+        block = rng.random((min(k, steps - t), runs)).T.tolist()
+        for r, path in enumerate(block):
+            s = states[r]
+            for i, u in enumerate(path):
+                path[i], s = s, bisect_right(rows[s], u)
+            states[r] = s
+        yield block
+
+
 def simulate(model: ObservationModel, steps: int, seed: int,
              start: str = "initial") -> Iterator[str]:
     """Lazily yield the observation sequence of one sampled trajectory."""
-    p0 = _start_distribution(model, start)
-    rng = np.random.default_rng(seed)
-    cum = np.cumsum(model.transitions, axis=1)
-    cum0 = np.cumsum(p0)
     labels = [model.labels[s] for s in model.states]
-    last = model.n_states - 1
-    s = min(int(np.searchsorted(cum0, rng.random(), side="right")), last)
-    for _ in range(steps):
-        yield labels[s]
-        s = min(int(np.searchsorted(cum[s], rng.random(), side="right")), last)
+    for (path,) in _sample(model, steps, 1, seed, start):
+        yield from map(labels.__getitem__, path)
 
 
 def simulate_states(model: ObservationModel, steps: int, runs: int, seed: int,
                     start: str = "initial") -> np.ndarray:
     """State-index trajectories for several runs at once, shape (runs, steps)."""
-    p0 = _start_distribution(model, start)
-    rng = np.random.default_rng(seed)
-    cum = np.cumsum(model.transitions, axis=1)
     out = np.empty((runs, steps), dtype=np.int64)
-    s = np.searchsorted(np.cumsum(p0), rng.random(runs), side="right")
-    np.clip(s, 0, model.n_states - 1, out=s)
-    for t in range(steps):
-        out[:, t] = s
-        u = rng.random(runs)
-        s = (cum[s] <= u[:, None]).sum(axis=1)
-        np.clip(s, 0, model.n_states - 1, out=s)
+    t = 0
+    for block in _sample(model, steps, runs, seed, start):
+        block = np.array(block, dtype=np.int64)
+        out[:, t:t + block.shape[-1]] = block
+        t += block.shape[-1]
     return out
 
 

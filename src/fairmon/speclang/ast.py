@@ -223,12 +223,12 @@ def is_pse(expr: Expr) -> bool:
 _HAS_DIVISION = {
     Const: lambda _: False, Atom: lambda _: False, SeqProb: lambda _: False,
     TransVar: lambda _: False, Add: _either, Sub: _either, Mul: _either,
-    Inv: lambda node, c: not isinstance(node.child, Const) or c,
+    Inv: lambda *_: True,
 }
 
 
 def contains_division(expr: Expr) -> bool:
-    """True when some reciprocal applies to a non-constant subexpression."""
+    """True when the expression takes a reciprocal anywhere."""
     return fold(expr, _HAS_DIVISION)
 
 

@@ -251,6 +251,30 @@ class TestMonitor:
             outs.append(out)
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("mode", ["pointwise", "uniform"])
+    def test_mc_constant_divisor_same_as_product(self, capsys, tmp_path, mode):
+        model = tmp_path / "three.json"
+        model.write_text(json.dumps({
+            "states": ["1", "2", "3"],
+            "transitions": [[0.2, 0.5, 0.3], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+            "initial": [1.0, 0.0, 0.0],
+            "labels": {"1": "1", "2": "2", "3": "3"}}))
+        _, stream, _ = run_cli(capsys, "simulate", "--model", str(model),
+                               "--steps", "2000", "--seed", "4")
+        events = tmp_path / "events.txt"
+        events.write_text(stream)
+        outs = []
+        for prop in ("T[1->2] / 2", "0.5 * T[1->2]"):
+            spec = tmp_path / "half.spec"
+            spec.write_text(f"alphabet: 1 2 3\nproperty: {prop}\n")
+            code, out, err = run_cli(capsys, "monitor", "--spec", str(spec),
+                                     "--engine", "mc", "--mode", mode,
+                                     "--seed", "3", "--events", str(events))
+            assert code == 0, err
+            outs.append(out)
+        assert len(outs[0].splitlines()) == 2000
+        assert outs[0] == outs[1]
+
 
 class TestCompareBounds:
     def test_header_and_rows(self, capsys):

@@ -12,7 +12,8 @@ from fairmon.experiments import (admission_mc, fig3_ratio_series,
                                  hypercube_pomc, lending_mc, lending_pomc,
                                  nonconvergent_block_stream, run_coverage,
                                  run_named_experiment, run_nonconvergent,
-                                 social_burden_text, timing_table)
+                                 social_burden_text, timing_table,
+                                 two_state)
 
 
 class TestGenerators:
@@ -167,6 +168,13 @@ class TestTimingTable:
             assert row["mean_us"] > 0
             assert row["registers"] > 0
             assert row["outcomes"] > 0
+
+    def test_stream_is_labels_not_state_names(self):
+        # the monitor's alphabet comes from the labels, so must its stream
+        model = two_state(labels={"s0": "x", "s1": "y"})
+        rows = timing_table(entries=[("relabelled", model, "T[x->y]")],
+                            events=20_000, chunk=10_000)
+        assert rows[0]["outcomes"] > 0
 
 
 class TestNamedExperiments:

@@ -156,6 +156,32 @@ class TestSimulation:
         runs = simulate_states(model, 100, 3, seed=5)
         assert not np.array_equal(runs[0], runs[1])
 
+    def test_pinned_state_runs(self):
+        runs = simulate_states(lending_pomc(), 30, 3, seed=5, start="stationary")
+        assert runs.tolist() == [
+            [5, 0, 2, 6, 0, 4, 5, 0, 3, 6, 0, 2, 6, 0, 1,
+             6, 0, 4, 5, 0, 3, 6, 0, 1, 6, 0, 4, 6, 0, 2],
+            [5, 0, 0, 3, 6, 0, 1, 6, 0, 4, 5, 0, 1, 6, 0,
+             2, 6, 0, 4, 6, 0, 1, 6, 0, 3, 6, 0, 2, 6, 0],
+            [3, 6, 0, 1, 6, 0, 3, 5, 0, 0, 2, 5, 0, 4, 6,
+             0, 1, 6, 0, 3, 5, 0, 4, 6, 0, 3, 6, 0, 1, 6]]
+
+    def test_pinned_label_stream(self):
+        assert list(simulate(lending_mc(), 30, seed=0)) == [
+            "init", "g", "gy", "z", "init", "gbar", "ybar", "init", "gbar",
+            "ybar", "init", "g", "ybar", "init", "gbar", "gbary", "zbar",
+            "init", "g", "gy", "z", "init", "gbar", "ybar", "init", "g",
+            "ybar", "init", "gbar", "ybar"]
+
+    @pytest.mark.parametrize("start", ["initial", "stationary"])
+    def test_simulate_labels_its_single_run(self, start):
+        # 10^4 steps span several blocks of drawn uniforms
+        model = lending_pomc()
+        states = simulate_states(model, 10_000, 1, seed=9, start=start)[0]
+        assert states[4090:4102].tolist() == [5, 0, 4, 6, 0, 2, 5, 0, 3, 6, 0, 3]
+        labels = [model.labels[model.states[s]] for s in states]
+        assert list(simulate(model, 10_000, seed=9, start=start)) == labels
+
 
 class TestOracles:
     def test_pse_direct_entry(self):

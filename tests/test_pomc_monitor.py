@@ -124,6 +124,14 @@ class TestCompositeMonitor:
 
 
 class TestAgainstVectorizedEvaluator:
+    """The coverage evaluator tracks the streaming monitor to rounding.
+
+    Its point estimates divide cumulative sums by the window count where
+    the monitor keeps a running mean, so they agree to about 1e-15, not
+    exactly.  The evaluator stays because the benchmark's coverage goldens
+    were recorded from its arithmetic.
+    """
+
     def test_streaming_matches_vectorized_series(self):
         model = hypercube_pomc(3)
         expr = parse("P[a a] - P[b b]", ["a", "b"], allow_transvars=False)
