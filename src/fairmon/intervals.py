@@ -50,13 +50,8 @@ class Interval:
         return self.lo <= x <= self.hi
 
     def intersect(self, other: "Interval") -> "Interval":
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            # Degenerate overlap: collapse onto the nearer endpoint of `other`.
-            edge = other.hi if self.lo > other.hi else other.lo
-            return Interval(edge, edge)
-        return Interval(lo, hi)
+        """The common part; raises ValueError when the two are disjoint."""
+        return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
 
     def __add__(self, other: "Interval") -> "Interval":
         return Interval(self.lo + other.lo, self.hi + other.hi)

@@ -8,14 +8,11 @@ specifications, which serves as the ground-truth oracle for the monitors.
 from __future__ import annotations
 
 import json
-import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import EvaluationError, ModelError
 from .speclang.ast import (ARITHMETIC, Atom, Const, Expr, Inv, SeqProb,
@@ -24,6 +21,17 @@ from .speclang.ast import (ARITHMETIC, Atom, Const, Expr, Inv, SeqProb,
 _ROW_TOL = 1e-9
 _FIXPOINT_TOL = 1e-10
 _BLOCK = 4096  # uniforms the sampler draws at a time
+
+
+def _levels(adj: np.ndarray) -> np.ndarray:
+    """Breadth-first distance of each state from state 0 along ``adj``; -1 if unreachable."""
+    level = np.full(len(adj), -1)
+    level[0] = 0
+    frontier = level == 0
+    while frontier.any():
+        frontier = adj[frontier].any(axis=0) & (level < 0)
+        level[frontier] = level.max() + 1
+    return level
 
 
 @dataclass(frozen=True)
@@ -97,30 +105,18 @@ class ObservationModel:
         return np.array([code[self.labels[s]] for s in self.states], dtype=np.int64)
 
     def is_irreducible(self) -> bool:
-        graph = csr_matrix(self.transitions > 0)
-        n, _ = connected_components(graph, directed=True, connection="strong")
-        return n == 1
+        adj = self.transitions > 0
+        return bool((_levels(adj) >= 0).all() and (_levels(adj.T) >= 0).all())
 
     def period(self) -> int:
         """gcd of cycle lengths; 1 means aperiodic.  Requires irreducibility."""
         if not self.is_irreducible():
             raise ModelError("period is defined for irreducible chains only")
-        k = self.n_states
-        level = [-1] * k
-        level[0] = 0
-        queue = [0]
-        g = 0
-        adj = [np.nonzero(self.transitions[i] > 0)[0] for i in range(k)]
-        while queue:
-            u = queue.pop()
-            for v in adj[u]:
-                v = int(v)
-                if level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-                else:
-                    g = math.gcd(g, level[u] + 1 - level[v])
-        return abs(g) if g else 0
+        adj = self.transitions > 0
+        level = _levels(adj)
+        # each cycle length is a sum of these edge offsets; the period divides each one
+        u, v = np.nonzero(adj)
+        return int(np.gcd.reduce(np.abs(level[u] + 1 - level[v])))
 
     def to_json(self) -> str:
         return json.dumps({
@@ -181,14 +177,12 @@ def stationary_distribution(model: ObservationModel) -> StationaryDistribution:
     pi /= pi.sum()
     residual = float(np.abs(pi @ m - pi).sum())
     if residual > _FIXPOINT_TOL:
-        from scipy.linalg import null_space
-        ns = null_space(m.T - np.eye(k))
-        if ns.shape[1] >= 1:
-            cand = np.abs(ns[:, 0])
-            cand /= cand.sum()
-            r2 = float(np.abs(cand @ m - cand).sum())
-            if r2 < residual:
-                pi, residual = cand, r2
+        # the last right singular vector spans the null space of an irreducible chain
+        cand = np.abs(np.linalg.svd(m.T - np.eye(k))[2][-1])
+        cand /= cand.sum()
+        r2 = float(np.abs(cand @ m - cand).sum())
+        if r2 < residual:
+            pi, residual = cand, r2
     if residual > _FIXPOINT_TOL:
         raise ModelError(f"stationary fixpoint residual {residual:.2e} above tolerance")
     return StationaryDistribution(pi=pi, residual=residual)
@@ -206,8 +200,8 @@ def mixing_time_bound(model: ObservationModel, tv_threshold: float = 0.25,
         raise ModelError("matrix powering is limited to 10^4 states")
     if not model.is_irreducible():
         raise ModelError("mixing time needs an irreducible chain")
-    if model.period() != 1:
-        raise ModelError(f"chain is periodic (period {model.period()}); no finite mixing time")
+    if (period := model.period()) != 1:
+        raise ModelError(f"chain is periodic (period {period}); no finite mixing time")
     pi = stationary_distribution(model).pi
     m = model.transitions
     dist = m.copy()

@@ -221,10 +221,12 @@ class MCMonitorDivFree:
             if w is not None:
                 n = self.n_samples + 1
                 self.n_samples = n
-                mu = (self.mean * (n - 1) + w) / n
+                lo, hi = self._range.lo, self._range.hi
+                # the recurrence can round the running mean out of the range
+                mu = min(max((self.mean * (n - 1) + w) / n, lo), hi)
                 self.mean = mu
                 eps = self._ci(n, self._delta, self.sigma_sq)
-                iv = Interval(mu - eps, mu + eps).intersect(self._range)
+                iv = Interval(max(mu - eps, lo), min(mu + eps, hi))
                 self._verdict = Verdict(interval=iv, point=mu)
                 if self.trace is not None:
                     self.trace.append((self._events, n, mu))

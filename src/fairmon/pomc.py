@@ -31,9 +31,12 @@ class Verdict:
 
     interval: Optional[Interval]
     point: Optional[float] = None
+    consistent: bool = True
 
     @property
     def kind(self) -> str:
+        if not self.consistent:
+            return "inconsistent"
         if self.interval is None:
             return "inconclusive"
         if not self.interval.is_bounded:
@@ -42,7 +45,7 @@ class Verdict:
 
     @property
     def is_inconclusive(self) -> bool:
-        return self.interval is None
+        return self.interval is None and self.consistent
 
 
 INCONCLUSIVE = Verdict(interval=None, point=None)
@@ -83,12 +86,12 @@ class AtomicMonitor:
         if t < n:
             return INCONCLUSIVE
         x = self._fn(tuple(self._window))
-        self._mean = (self._mean * (t - n) + x) / (t - (n - 1))
-        eps = self._ci(self._delta, t, n, self._low, self._high, self._tau)
+        low, high = self._low, self._high
+        # the recurrence can round the running mean out of the range
+        mean = self._mean = min(max((self._mean * (t - n) + x) / (t - (n - 1)), low), high)
+        eps = self._ci(self._delta, t, n, low, high, self._tau)
         self.last_halfwidth = eps
-        raw = Interval(self._mean - eps, self._mean + eps)
-        clipped = raw.intersect(Interval(self._low, self._high))
-        return Verdict(interval=clipped, point=self._mean)
+        return Verdict(interval=Interval(max(mean - eps, low), min(mean + eps, high)), point=mean)
 
 
 _WINDOWS = {
@@ -110,7 +113,8 @@ class CompositeMonitor:
     through an interval containing zero propagates as an unbounded verdict.
     The folded interval is clipped to the a-priori range of the expression,
     which is sound because the true value certainly lies there.  Running
-    intersection of the verdicts is only sound for time-uniform intervals.
+    intersection of the verdicts is only sound for time-uniform intervals; a
+    verdict disjoint from it makes this and every later verdict inconsistent.
     """
 
     def __init__(self, expr: Expr, delta: float, mode: str, tau_mix: float,
@@ -142,6 +146,7 @@ class CompositeMonitor:
         }
         self._intersect = intersect_verdicts
         self._running: Optional[Interval] = None
+        self._consistent = True
 
     @property
     def expression_range(self) -> Interval:
@@ -155,8 +160,11 @@ class CompositeMonitor:
         interval, point = fold(self._expr, self._algebra)
         clipped = interval.intersect(self._range)
         if self._intersect:
-            self._running = clipped if self._running is None else self._running.intersect(clipped)
-            clipped = self._running
+            running = self._running or clipped
+            self._consistent &= running.lo <= clipped.hi and clipped.lo <= running.hi
+            if not self._consistent:
+                return Verdict(interval=None, point=point, consistent=False)
+            clipped = self._running = running.intersect(clipped)
         return Verdict(interval=clipped, point=point)
 
 

@@ -193,6 +193,21 @@ class TestMonitor:
         assert code == 0
         assert len(out.splitlines()) == 3
 
+    def test_intersect_reports_inconsistent_stream(self, capsys, tmp_path):
+        spec = tmp_path / "pa.spec"
+        spec.write_text("alphabet: a b\nproperty: P[a]\n")
+        events = tmp_path / "events.txt"
+        events.write_text("a\n" * 5000 + "b\n" * 2000)
+        code, out, _ = run_cli(capsys, "monitor", "--spec", str(spec),
+                               "--engine", "pomc", "--tau-mix", "1",
+                               "--mode", "uniform", "--intersect",
+                               "--stride", "1000", "--events", str(events))
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [r["verdict"] for r in records] == ["ok"] * 6 + ["inconsistent"]
+        assert records[-1]["lo"] is None and records[-1]["hi"] is None
+        assert records[-1]["point"] == pytest.approx(5000 / 7000)
+
     def test_intersect_with_mc_engine_exits_2(self, capsys, lending_files, tmp_path):
         _, spec = lending_files
         events = tmp_path / "events.txt"

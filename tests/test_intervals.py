@@ -42,8 +42,9 @@ def test_empty_interval_rejected():
         Interval(1.0, 0.0)
 
 
-def test_intersect_disjoint_collapses_to_edge():
-    assert Interval(2.0, 3.0).intersect(Interval(0.0, 1.0)) == Interval.point(1.0)
+def test_intersect_disjoint_raises():
+    with pytest.raises(ValueError):
+        Interval(2.0, 3.0).intersect(Interval(0.0, 1.0))
 
 
 def test_randomized_membership_soundness():

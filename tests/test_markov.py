@@ -77,6 +77,20 @@ class TestStationary:
         with pytest.raises(ModelError):
             stationary_distribution(chain([[1.0, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("make", [two_state, lending_pomc])
+    def test_svd_fallback_when_lstsq_is_inaccurate(self, make, monkeypatch):
+        model = make()
+        expect = (np.array([2 / 3, 1 / 3]) if make is two_state
+                  else stationary_distribution(model).pi)
+
+        def point_mass(a, b, rcond=None):
+            return np.eye(a.shape[1])[0], None, None, None
+
+        monkeypatch.setattr(np.linalg, "lstsq", point_mass)
+        sd = stationary_distribution(model)
+        assert sd.pi == pytest.approx(expect, abs=1e-12)
+        assert sd.residual <= 1e-10
+
 
 class TestMixing:
     def test_one_step_mixer(self):

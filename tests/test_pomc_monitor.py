@@ -33,9 +33,10 @@ class TestAtomicMonitor:
     def test_constant_atom_collapses_to_point(self):
         atom = AtomDef("c", 1, 0.7, 0.7, (), 0.7)
         mon = AtomicMonitor(atom.evaluate, 1, 0.7, 0.7, 0.05, "pointwise", 1.0)
-        for s in ["A", "B", "A"]:
+        # 0.7 is not dyadic, so an unclamped running mean drifts off it
+        for s in ["A", "B", "A"] * 100:
             v = mon.next(s)
-            assert (v.interval.lo, v.interval.hi) == (0.7, 0.7)
+            assert (v.interval.lo, v.interval.hi, v.point) == (0.7, 0.7, 0.7)
 
     def test_halfwidth_is_exactly_the_formula(self):
         # before range clipping the emitted half-width is the bound itself,
@@ -112,6 +113,22 @@ class TestCompositeMonitor:
             inter.append(mon2.next(s).interval.width)
         assert all(b <= a + 1e-15 for a, b in zip(inter, inter[1:]))
         assert inter[-1] <= widths[-1] + 1e-15
+
+    def test_disjoint_running_intersection_is_inconsistent(self):
+        # the stream switches regime, so a late verdict misses the running
+        # intersection; the monitor says so instead of emitting a point
+        mon = build_pomc_monitor(parse("P[A]", ["A", "B"]), 0.05, "uniform", 1.0,
+                                 intersect_verdicts=True)
+        kinds = []
+        for s in ["A"] * 5000 + ["B"] * 200_000:
+            v = mon.next(s)
+            kinds.append(v.kind)
+            if v.kind == "ok":
+                assert v.interval.width > 0.0
+        first = kinds.index("inconsistent")
+        assert set(kinds[first:]) == {"inconsistent"}
+        assert v.interval is None and not v.is_inconclusive
+        assert v.point == pytest.approx(5000 / 205_000)
 
     def test_running_intersection_needs_uniform_mode(self):
         expr = parse("P[A]", ALPHA)

@@ -1,9 +1,16 @@
-"""Property tests for the algebras that ``fold`` evaluates expressions in."""
+"""Property tests for the algebras that ``fold`` evaluates expressions in,
+and for the chain-structure checks against reference implementations."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
+from fairmon.errors import ModelError
+from fairmon.markov import ObservationModel
 from fairmon.mc import MCMonitorDivFree
 from fairmon.speclang import (Add, Atom, AtomDef, Const, Inv, Mul, SeqProb,
                               Sub, TransVar, bse_range, decompose_division,
@@ -88,3 +95,56 @@ def test_expr_range_encloses_every_round_outcome(e, stream, seed):
     mon.feed(stream)
     assert len(outcomes) == mon.n_samples
     assert all(iv.lo <= w <= iv.hi for w in outcomes), (iv, outcomes)
+
+
+@st.composite
+def chains(draw):
+    """Row-stochastic chains of 1-8 states with random support."""
+    k = draw(st.integers(min_value=1, max_value=8))
+    # edges mostly lead from one of d cyclic classes to the next, so that
+    # periodic chains come up as well as aperiodic ones
+    d = draw(st.integers(min_value=1, max_value=k))
+    cls = np.array(draw(st.lists(st.integers(min_value=0, max_value=d - 1),
+                                 min_size=k, max_size=k)))
+    rows = st.lists(st.booleans(), min_size=k, max_size=k)
+    mask = np.array(draw(st.lists(rows, min_size=k, max_size=k)), dtype=bool)
+    mask &= (cls[:, None] + 1) % d == cls[None, :]
+    for i in range(k):
+        if not mask[i].any():
+            mask[i, draw(st.integers(min_value=0, max_value=k - 1))] = True
+    states = tuple(str(i) for i in range(k))
+    return ObservationModel(states, mask / mask.sum(axis=1, keepdims=True),
+                            np.eye(k)[0], {s: s for s in states})
+
+
+def reference_period(m: np.ndarray) -> int:
+    """Depth-first levels from state 0; gcd of level[u] + 1 - level[v] over edges."""
+    k = len(m)
+    level = [-1] * k
+    level[0] = 0
+    queue = [0]
+    g = 0
+    adj = [np.nonzero(m[i] > 0)[0] for i in range(k)]
+    while queue:
+        u = queue.pop()
+        for v in adj[u]:
+            v = int(v)
+            if level[v] < 0:
+                level[v] = level[u] + 1
+                queue.append(v)
+            else:
+                g = math.gcd(g, level[u] + 1 - level[v])
+    return abs(g) if g else 0
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(chains())
+def test_chain_structure_matches_references(model):
+    n_components, _ = connected_components(model.transitions > 0, directed=True,
+                                           connection="strong")
+    assert model.is_irreducible() == (n_components == 1)
+    if n_components == 1:
+        assert model.period() == reference_period(model.transitions)
+    else:
+        with pytest.raises(ModelError):
+            model.period()
