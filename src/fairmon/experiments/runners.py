@@ -1,16 +1,22 @@
 """Experiment drivers: coverage studies, bound comparisons, timing, soak.
 
-Coverage over partially observed models is evaluated with a vectorized
+A coverage study simulates every run up front, then one loop per run asks the
+engine for its pointwise verdicts and whether its uniform verdicts all held,
+and folds them into the per-checkpoint envelope and the coverage counts.
+
+Over partially observed models the verdicts come from a vectorized
 re-implementation of the windowed monitors, which keeps hundred-run studies
 at interactive speed.  Its point estimates divide cumulative sums where the
 streaming monitors keep a running mean, so the two agree to rounding, not bit
 for bit; recorded coverage reports pin this arithmetic, so it stays.  Fully
-observed monitors are sequential (reshuffling draws), so those runs stream
-through the real monitor and record the estimate trajectory.
+observed monitors are sequential (reshuffling draws), so each run streams
+through the real uniform monitor: its verdicts give the uniform count, and
+its running mean and sample count give the pointwise interval.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -26,8 +32,8 @@ from ..errors import ConfigError
 from ..intervals import Interval
 from ..markov import (ObservationModel, mixing_time_bound, simulate,
                       simulate_states, truth_value)
-from ..mc import build_mc_monitor
-from ..pomc import atom_window
+from ..mc import MCMonitorDivFree, build_mc_monitor
+from ..pomc import INCONCLUSIVE, atom_window
 from ..speclang.ast import (Add, Atom, Const, Expr, Inv, Mul, SeqProb, Sub,
                             TransVar, expression_size, fold, leaves)
 from ..speclang.ranges import bse_range
@@ -38,26 +44,6 @@ _INF = math.inf
 
 # ---------------------------------------------------------------------------
 # vectorized windowed-monitor evaluation (partially observed engine)
-
-def _atom_eval_series(leaf, codes: np.ndarray, alpha_index: Dict[str, int]) -> np.ndarray:
-    """Window evaluations x_1..x_{T-n+1} of one atom along a coded stream."""
-    t_len = codes.shape[0]
-    if isinstance(leaf, SeqProb):
-        n = leaf.arity
-        hit = np.zeros(t_len - n + 1, dtype=bool)
-        for word in leaf.words:
-            m = np.ones(t_len - n + 1, dtype=bool)
-            for off, sym in enumerate(word):
-                m &= codes[off:t_len - n + 1 + off] == alpha_index[sym]
-            hit |= m
-        return hit.astype(float)
-    ref = leaf.ref
-    n = ref.arity
-    alphabet = {i: s for s, i in alpha_index.items()}
-    src = [alphabet[int(c)] for c in codes]
-    return np.array([ref.evaluate(tuple(src[i:i + n]))
-                     for i in range(t_len - n + 1)], dtype=float)
-
 
 def _prod_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore"):
@@ -105,7 +91,10 @@ _SERIES = {
 class PomcSeriesEvaluator:
     """Per-run composite-interval series for a windowed expression.
 
-    The half-width arrays depend only on time, so they are computed once and
+    Each atom's window function is tabulated once on every word of its arity,
+    indexed by the word read as a base-|O| number (first symbol most
+    significant), so a run reads its window values with one gather.  The
+    half-width arrays depend only on time, so they are computed once and
     shared across runs; each run then costs a handful of cumulative sums.
     """
 
@@ -113,33 +102,36 @@ class PomcSeriesEvaluator:
                  delta: float, mode: str, tau_mix: float):
         self.expr = expr
         self.alphabet = tuple(alphabet)
-        self.alpha_index = {s: i for i, s in enumerate(self.alphabet)}
-        self.horizon = horizon
-        self.mode = mode
         self.root_range = bse_range(expr)
-        self.leaves = leaves(expr)
-        shares = split_delta(delta, expr).shares() if self.leaves else []
+        atoms = leaves(expr)
+        shares = split_delta(delta, expr).shares() if atoms else []
         ci = ci_pomc_pointwise if mode == "pointwise" else ci_pomc_uniform
-        self._atoms: List[Tuple[np.ndarray, int, float, float]] = []
+        self._atoms: List[Tuple[np.ndarray, np.ndarray, int, float, float]] = []
         tables: Dict[Tuple, np.ndarray] = {}  # one per distinct (share, n, low, high)
-        for leaf, share in zip(self.leaves, shares):
-            _, n, low, high = atom_window(leaf)
+        for leaf, share in zip(atoms, shares):
+            fn, n, low, high = atom_window(leaf)
             if (share, n, low, high) not in tables:
                 eps = tables[share, n, low, high] = np.full(horizon + 1, np.nan)
                 for t in range(n, horizon + 1):
                     eps[t] = ci(share, t, n, low, high, tau_mix)
-            self._atoms.append((tables[share, n, low, high], n, low, high))
-        self.warmup = max((a[1] for a in self._atoms), default=1)
+            values = np.array([fn(w) for w in itertools.product(self.alphabet, repeat=n)],
+                              dtype=float)
+            self._atoms.append((values, tables[share, n, low, high], n, low, high))
+        self.warmup = max((a[2] for a in self._atoms), default=1)
 
     def run(self, codes: np.ndarray):
         """Return (lo, hi, point) arrays indexed by t = 1..horizon (index 0 unused)."""
         t_len = codes.shape[0]
+        base = len(self.alphabet)
         ts = np.arange(t_len + 1, dtype=float)
         series = []
-        for leaf, (eps, n, low, high) in zip(self.leaves, self._atoms):
-            x = _atom_eval_series(leaf, codes, self.alpha_index)
+        for values, eps, n, low, high in self._atoms:
+            windows = t_len - n + 1
+            word = codes[:windows]
+            for off in range(1, n):
+                word = word * base + codes[off:windows + off]
             means = np.full(t_len + 1, np.nan)
-            means[n:] = np.cumsum(x) / np.maximum(ts[n:] - (n - 1), 1.0)
+            means[n:] = np.cumsum(values[word]) / np.maximum(ts[n:] - (n - 1), 1.0)
             lo = np.maximum(means - eps[:t_len + 1], low)
             hi = np.minimum(means + eps[:t_len + 1], high)
             series.append((lo, hi, means))
@@ -191,140 +183,127 @@ def run_coverage(model: ObservationModel, expr: Expr, engine: str, runs: int,
                  start: str = "stationary", name: str = "coverage") -> ExperimentReport:
     """Seeded repeated-run study: does the verdict envelope trap the truth?
 
-    Records, per checkpoint, min/max of the point estimates and of the
-    interval endpoints across runs, plus two coverage counts: how many runs
-    contain the truth at the final time (pointwise monitors) and at every
-    emitted time (uniform monitors).
+    Records, per checkpoint, how many runs' pointwise verdicts contain the
+    truth and the min/max of their point estimates and interval endpoints,
+    plus two coverage counts: how many runs contain the truth at the final
+    time (pointwise monitors) and at every emitted time (uniform monitors).
     """
     truth = truth_value(model, expr)
     checkpoints = list(checkpoints or _default_checkpoints(horizon))
+    if not all(1 <= t <= horizon for t in checkpoints):
+        raise ConfigError(f"checkpoints must lie in [1, {horizon}]")
+    params = {"engine": engine, "runs": runs, "horizon": horizon, "delta": delta}
     if engine == "pomc":
-        report = _coverage_pomc(model, expr, runs, horizon, delta, seed,
-                                tau_mix, checkpoints, start, truth)
+        if tau_mix is None:
+            tau_mix = mixing_time_bound(model).tau_mix
+        params["tau_mix"] = tau_mix
+        run = _pomc_run(model, expr, horizon, delta, tau_mix, truth)
     elif engine == "mc":
-        report = _coverage_mc(model, expr, runs, horizon, delta, seed,
-                              checkpoints, start, truth)
+        run = _mc_run(model, expr, delta, seed, truth, sorted({*checkpoints, horizon}))
     else:
         raise ConfigError(f"unknown engine {engine!r}")
-    report.name = name
-    return report
-
-
-def _coverage_pomc(model, expr, runs, horizon, delta, seed, tau_mix,
-                   checkpoints, start, truth) -> ExperimentReport:
-    if tau_mix is None:
-        tau_mix = mixing_time_bound(model).tau_mix
-    alphabet = model.alphabet
-    state_codes = model.label_codes(alphabet)
-    ev_point = PomcSeriesEvaluator(expr, alphabet, horizon, delta, "pointwise", tau_mix)
-    ev_unif = PomcSeriesEvaluator(expr, alphabet, horizon, delta, "uniform", tau_mix)
-    warm = ev_point.warmup
+    params["start"] = start
 
     states = simulate_states(model, horizon, runs, seed, start=start)
     covered_final = 0
     covered_all = 0
+    reached = _INF  # earliest checkpoint any run has a verdict at
     covered_at = {t: 0 for t in checkpoints}
     env = {t: {"point": [_INF, -_INF], "lo": [_INF, -_INF], "hi": [_INF, -_INF]}
            for t in checkpoints}
     for r in range(runs):
-        codes = state_codes[states[r]]
-        lo_p, hi_p, pt = ev_point.run(codes)
-        if lo_p[horizon] <= truth <= hi_p[horizon]:
+        # the previous run's series stay referenced until this run's exist:
+        # freeing them first lets the allocator trim and regrow the heap
+        # every run, which slows each process's first study
+        first, (lo, hi, pt), uniform_ok = run(r, states[r])
+        if lo[horizon] <= truth <= hi[horizon]:
             covered_final += 1
-        lo_u, hi_u, _ = ev_unif.run(codes)
-        sl = slice(warm, horizon + 1)
-        if bool(np.all((lo_u[sl] <= truth) & (truth <= hi_u[sl]))):
+        if uniform_ok:
             covered_all += 1
+        reached = min(reached, first)
         for t in checkpoints:
-            if t < warm:
+            if t < first:
                 continue
-            if lo_p[t] <= truth <= hi_p[t]:
+            if lo[t] <= truth <= hi[t]:
                 covered_at[t] += 1
             e = env[t]
             e["point"][0] = min(e["point"][0], pt[t])
             e["point"][1] = max(e["point"][1], pt[t])
-            e["lo"][0] = min(e["lo"][0], lo_p[t])
-            e["lo"][1] = max(e["lo"][1], lo_p[t])
-            e["hi"][0] = min(e["hi"][0], hi_p[t])
-            e["hi"][1] = max(e["hi"][1], hi_p[t])
+            e["lo"][0] = min(e["lo"][0], lo[t])
+            e["lo"][1] = max(e["lo"][1], lo[t])
+            e["hi"][0] = min(e["hi"][0], hi[t])
+            e["hi"][1] = max(e["hi"][1], hi[t])
     rows = [{"t": t, "truth": truth, "covered": covered_at[t],
              "point_min": env[t]["point"][0], "point_max": env[t]["point"][1],
              "lo_min": env[t]["lo"][0], "lo_max": env[t]["lo"][1],
              "hi_min": env[t]["hi"][0], "hi_max": env[t]["hi"][1]}
-            for t in checkpoints if t >= warm]
+            for t in checkpoints if t >= reached]
     return ExperimentReport(
-        name="coverage", seed=seed,
-        params={"engine": "pomc", "runs": runs, "horizon": horizon,
-                "delta": delta, "tau_mix": tau_mix, "start": start},
-        truth=truth,
+        name=name, seed=seed, params=params, truth=truth,
         coverage={"runs": runs, "pointwise_final": covered_final,
                   "uniform_all": covered_all},
         rows=rows)
 
 
-def _coverage_mc(model, expr, runs, horizon, delta, seed, checkpoints,
-                 start, truth) -> ExperimentReport:
-    alphabet = tuple(model.labels[s] for s in model.states)
-    covered_final = 0
-    covered_all = 0
-    env = {t: {"point": [_INF, -_INF], "lo": [_INF, -_INF], "hi": [_INF, -_INF]}
-           for t in checkpoints}
-    states = simulate_states(model, horizon, runs, seed, start=start)
-    names = list(alphabet)
-    for r in range(runs):
-        monitor = build_mc_monitor(expr, delta, "pointwise", seed=seed + 7919 * r,
-                                   record_trace=True)
-        if monitor.trace is None:
-            raise ConfigError("coverage for divided expressions is not traced; "
-                              "use a division-free PSE")
-        symbols = [names[c] for c in states[r]]
-        monitor.feed(symbols)
-        trace = monitor.trace
-        s2 = monitor.sigma_sq
-        rng_lo, rng_hi = monitor.value_range.lo, monitor.value_range.hi
-        if trace:
-            _, n_fin, mu_fin = trace[-1]
-            eps = ci_mc_pointwise(n_fin, delta, s2)
-            if max(mu_fin - eps, rng_lo) <= truth <= min(mu_fin + eps, rng_hi):
-                covered_final += 1
-            ok = True
-            for _, n, mu in trace:
-                e = ci_mc_uniform(n, delta, s2)
-                if not (max(mu - e, rng_lo) <= truth <= min(mu + e, rng_hi)):
-                    ok = False
-                    break
-            if ok:
-                covered_all += 1
-            idx = 0
-            last = None
-            for t in checkpoints:
-                while idx < len(trace) and trace[idx][0] <= t:
-                    last = trace[idx]
-                    idx += 1
-                if last is None:
-                    continue
-                _, n, mu = last
-                eps = ci_mc_pointwise(n, delta, s2)
-                e = env[t]
-                e["point"][0] = min(e["point"][0], mu)
-                e["point"][1] = max(e["point"][1], mu)
-                e["lo"][0] = min(e["lo"][0], max(mu - eps, rng_lo))
-                e["lo"][1] = max(e["lo"][1], max(mu - eps, rng_lo))
-                e["hi"][0] = min(e["hi"][0], min(mu + eps, rng_hi))
-                e["hi"][1] = max(e["hi"][1], min(mu + eps, rng_hi))
-    rows = [{"t": t, "truth": truth,
-             "point_min": env[t]["point"][0], "point_max": env[t]["point"][1],
-             "lo_min": env[t]["lo"][0], "lo_max": env[t]["lo"][1],
-             "hi_min": env[t]["hi"][0], "hi_max": env[t]["hi"][1]}
-            for t in checkpoints if env[t]["point"][0] != _INF]
-    return ExperimentReport(
-        name="coverage", seed=seed,
-        params={"engine": "mc", "runs": runs, "horizon": horizon,
-                "delta": delta, "start": start},
-        truth=truth,
-        coverage={"runs": runs, "pointwise_final": covered_final,
-                  "uniform_all": covered_all},
-        rows=rows)
+def _pomc_run(model, expr, horizon, delta, tau_mix, truth):
+    """Per-run step of the windowed engine: the vectorized series of both modes."""
+    alphabet = model.alphabet
+    state_codes = model.label_codes(alphabet)
+    pointwise = PomcSeriesEvaluator(expr, alphabet, horizon, delta, "pointwise", tau_mix)
+    uniform = PomcSeriesEvaluator(expr, alphabet, horizon, delta, "uniform", tau_mix)
+    warm = pointwise.warmup
+    emitted = slice(warm, horizon + 1)
+    uniform_series = None
+
+    def run(_, states):
+        nonlocal uniform_series
+        codes = state_codes[states]
+        series = pointwise.run(codes)
+        # like the pointwise series in the study loop, the previous run's
+        # uniform series stay referenced until this run's exist
+        uniform_series = uniform.run(codes)
+        lo, hi, _ = uniform_series
+        return warm, series, bool(np.all((lo[emitted] <= truth) & (truth <= hi[emitted])))
+
+    return run
+
+
+def _mc_run(model, expr, delta, seed, truth, stops):
+    """Per-run step of the fully observed engine: one uniform monitor per run.
+
+    Its verdicts give the uniform count.  At each stop (the checkpoints and
+    the horizon) its running mean and sample count give the pointwise
+    interval, which differs from the uniform one only in the half-width.
+    """
+    names = [model.labels[s] for s in model.states]
+    probe = build_mc_monitor(expr, delta, "uniform")
+    if not isinstance(probe, MCMonitorDivFree):
+        raise ConfigError("mc coverage studies need an expression that is division "
+                          "free once normalized; a + b / c is not supported")
+    s2, lo_range, hi_range = probe.sigma_sq, probe.value_range.lo, probe.value_range.hi
+
+    def run(r, states):
+        monitor = build_mc_monitor(expr, delta, "uniform", seed=seed + 7919 * r)
+        symbols = [names[c] for c in states]
+        first, uniform_ok, verdict, done = _INF, True, INCONCLUSIVE, 0
+        lo, hi, pt = {}, {}, {}
+        for stop in stops:
+            for symbol in symbols[done:stop]:
+                v = monitor.next(symbol)
+                if v is not verdict:  # a completed round: a new uniform verdict
+                    verdict = v
+                    uniform_ok = uniform_ok and v.interval.contains(truth)
+            done = stop
+            n, mu = monitor.n_samples, monitor.mean
+            if n == 0:
+                lo[stop] = hi[stop] = pt[stop] = math.nan
+                continue
+            first = min(first, stop)
+            eps = ci_mc_pointwise(n, delta, s2)
+            lo[stop], hi[stop], pt[stop] = max(mu - eps, lo_range), min(mu + eps, hi_range), mu
+        return first, (lo, hi, pt), uniform_ok and verdict is not INCONCLUSIVE
+
+    return run
 
 
 # ---------------------------------------------------------------------------

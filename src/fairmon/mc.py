@@ -38,20 +38,21 @@ _OP_ADD = 2
 _OP_SUB = 3
 _OP_MUL = 4
 
+_BLOCK = 1024  # uniforms drawn per refill of the pool
+
 
 class _UniformPool:
     """Counter-based generator (Philox) with block-buffered scalar draws."""
 
-    def __init__(self, seed: int, block: int = 1024):
+    def __init__(self, seed: int):
         self._gen = np.random.Generator(np.random.Philox(seed))
-        self._block = block
-        self._buf = self._gen.random(block)
+        self._buf = self._gen.random(_BLOCK)
         self._i = 0
 
     def random(self) -> float:
         i = self._i
-        if i >= self._block:
-            self._buf = self._gen.random(self._block)
+        if i >= _BLOCK:
+            self._buf = self._gen.random(_BLOCK)
             i = 0
         self._i = i + 1
         return self._buf[i]
@@ -85,10 +86,8 @@ class MCMonitorDivFree:
     """Streaming monitor for a division-free PSE on a fully observed chain."""
 
     def __init__(self, expr: Expr, delta: float, mode: str, seed: int = 0,
-                 value_range: Optional[Interval] = None,
                  alphabet: Optional[Sequence[str]] = None,
-                 check_invariants: bool = False,
-                 record_trace: bool = False):
+                 check_invariants: bool = False):
         if mode not in _CI:
             raise ConfigError(f"mode must be 'pointwise' or 'uniform', got {mode!r}")
         if not is_pse(expr):
@@ -99,7 +98,7 @@ class MCMonitorDivFree:
         layout = assign_slots(expr)
         self._layout = layout
         self._prog, self._vars = _compile(expr, layout.slots)
-        self._range = value_range if value_range is not None else expr_range(expr)
+        self._range = expr_range(expr)
         self.sigma_sq = self._range.width ** 2
         self._delta = delta
         self._mode = mode
@@ -119,8 +118,6 @@ class MCMonitorDivFree:
         self._verdict: Verdict = INCONCLUSIVE
         self.peak_buffer = 0
         self._check = check_invariants
-        self.trace: Optional[List[Tuple[int, int, float]]] = [] if record_trace else None
-        self._events = 0
 
     @property
     def expression_size(self) -> int:
@@ -203,7 +200,6 @@ class MCMonitorDivFree:
     def next(self, symbol: str) -> Verdict:
         if self._alphabet is not None and symbol not in self._alphabet:
             raise ConfigError(f"symbol {symbol!r} outside the state alphabet")
-        self._events += 1
         prev = self._prev
         self._prev = symbol
         if prev is None:
@@ -228,8 +224,6 @@ class MCMonitorDivFree:
                 eps = self._ci(n, self._delta, self.sigma_sq)
                 iv = Interval(max(mu - eps, lo), min(mu + eps, hi))
                 self._verdict = Verdict(interval=iv, point=mu)
-                if self.trace is not None:
-                    self.trace.append((self._events, n, mu))
                 self._reset_round()
         if self._check:
             self._assert_invariants()
@@ -300,20 +294,17 @@ class DivisionMonitor:
 
 def build_mc_monitor(expr: Expr, delta: float, mode: str, seed: int = 0,
                      alphabet: Optional[Sequence[str]] = None,
-                     check_invariants: bool = False,
-                     record_trace: bool = False):
+                     check_invariants: bool = False):
     """Monitor for an arbitrary PSE: direct when division free, else decomposed."""
     if not is_pse(expr):
         raise SpecValidationError("fully-observed monitoring needs a PSE "
                                   "(constants and transition variables only)")
     if not contains_division(expr):
         return MCMonitorDivFree(expr, delta, mode, seed=seed, alphabet=alphabet,
-                                check_invariants=check_invariants,
-                                record_trace=record_trace)
+                                check_invariants=check_invariants)
     dd = decompose_division(to_polynomial(expr))
     if dd.is_trivial:
         return MCMonitorDivFree(dd.phi_a, delta, mode, seed=seed, alphabet=alphabet,
-                                check_invariants=check_invariants,
-                                record_trace=record_trace)
+                                check_invariants=check_invariants)
     return DivisionMonitor((dd.phi_a, dd.phi_b, dd.phi_c), delta, mode, seed=seed,
                            alphabet=alphabet, check_invariants=check_invariants)

@@ -71,11 +71,6 @@ class AtomicMonitor:
         self._t = 0
         self._mean = 0.0
         self._window = deque(maxlen=arity)
-        self.last_halfwidth: Optional[float] = None
-
-    @property
-    def point_estimate(self) -> Optional[float]:
-        return self._mean if self._t >= self._n else None
 
     def next(self, symbol: str) -> Verdict:
         if self._alphabet is not None and symbol not in self._alphabet:
@@ -90,7 +85,6 @@ class AtomicMonitor:
         # the recurrence can round the running mean out of the range
         mean = self._mean = min(max((self._mean * (t - n) + x) / (t - (n - 1)), low), high)
         eps = self._ci(self._delta, t, n, low, high, self._tau)
-        self.last_halfwidth = eps
         return Verdict(interval=Interval(max(mean - eps, low), min(mean + eps, high)), point=mean)
 
 
@@ -147,10 +141,6 @@ class CompositeMonitor:
         self._intersect = intersect_verdicts
         self._running: Optional[Interval] = None
         self._consistent = True
-
-    @property
-    def expression_range(self) -> Interval:
-        return self._range
 
     def next(self, symbol: str) -> Verdict:
         verdicts = [m.next(symbol) for m in self._atoms]

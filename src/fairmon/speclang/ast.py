@@ -232,18 +232,6 @@ def contains_division(expr: Expr) -> bool:
     return fold(expr, _HAS_DIVISION)
 
 
-def max_arity(expr: Expr) -> int:
-    n = 0
-    for leaf in leaves(expr):
-        if isinstance(leaf, Atom):
-            n = max(n, leaf.ref.arity)
-        elif isinstance(leaf, SeqProb):
-            n = max(n, leaf.arity)
-        elif isinstance(leaf, TransVar):
-            n = max(n, 2)
-    return n
-
-
 def eval_pse(expr: Expr, valuation) -> float:
     """Evaluate a PSE under a ``(source, target) -> value`` valuation."""
     not_pse = reject(SpecValidationError, "{node} node is not part of a PSE")

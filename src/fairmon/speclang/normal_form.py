@@ -41,10 +41,6 @@ class PolynomialForm:
     def eval(self, valuation) -> float:
         return sum(m.eval(valuation) for m in self.monomials)
 
-    @property
-    def is_division_free(self) -> bool:
-        return all(e > 0 for m in self.monomials for _, e in m.powers)
-
     def symbol_size(self) -> int:
         """Written size: one symbol per variable use, coefficient, '*' and '+'.
 

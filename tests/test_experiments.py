@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from fairmon.errors import ConfigError, ModelError
-from fairmon.markov import stationary_distribution, truth_value_pse
+from fairmon.markov import (simulate_states, stationary_distribution,
+                            truth_value_pse)
+from fairmon.mc import build_mc_monitor
 from fairmon.speclang import expression_size, parse
 from fairmon.experiments import (admission_mc, fig3_ratio_series,
                                  fig4_uniform_series, gen_model,
@@ -14,6 +16,7 @@ from fairmon.experiments import (admission_mc, fig3_ratio_series,
                                  run_named_experiment, run_nonconvergent,
                                  social_burden_text, timing_table,
                                  two_state)
+from fairmon.experiments import runners
 
 
 class TestGenerators:
@@ -159,6 +162,48 @@ class TestCoverageRunner:
             run_coverage(hypercube_pomc(2), parse("P[a]", ["a", "b"]),
                          "hybrid", runs=1, horizon=10, delta=0.05, seed=0)
 
+    def test_reports_match_recorded_reports(self):
+        # recorded before the two engines shared one study loop; mc rows have
+        # since gained "covered", every other key must match exactly
+        for (model, text, engine, seed), recorded in zip(PINNED_STUDIES, PINNED_REPORTS):
+            expr = parse(text, model.alphabet, allow_transvars=engine == "mc")
+            rep = run_coverage(model, expr, engine, runs=4, horizon=2000,
+                               delta=0.05, seed=seed)
+            assert_matches_recorded(json.loads(rep.to_json()), json.loads(recorded))
+
+    def test_mc_rows_count_covered_runs(self):
+        # recount with the pointwise monitor each run would have used
+        model, text, _, seed = PINNED_STUDIES[1]
+        expr = parse(text, model.states)
+        rep = run_coverage(model, expr, "mc", runs=4, horizon=2000, delta=0.05, seed=seed)
+        names = list(model.states)
+        states = simulate_states(model, 2000, 4, seed, start="stationary")
+        counts = {row["t"]: 0 for row in rep.rows}
+        for r in range(4):
+            mon = build_mc_monitor(expr, 0.05, "pointwise", seed=seed + 7919 * r)
+            for t, c in enumerate(states[r], start=1):
+                v = mon.next(names[c])
+                if t in counts and v.interval is not None:
+                    counts[t] += v.interval.contains(rep.truth)
+        assert [row["covered"] for row in rep.rows] == list(counts.values())
+        assert counts[10] < 4  # not every run has a verdict yet
+
+    def test_mc_division_rejected_before_simulating(self, monkeypatch):
+        def no_simulation(*_, **__):
+            raise AssertionError("simulated before rejecting the expression")
+
+        monkeypatch.setattr(runners, "simulate_states", no_simulation)
+        model = lending_mc()
+        expr = parse("T[g->gy] / T[gbar->gbary]", model.states)
+        with pytest.raises(ConfigError) as err:
+            run_coverage(model, expr, "mc", runs=2, horizon=100, delta=0.05, seed=0)
+        assert "trac" not in str(err.value)
+
+    def test_checkpoints_outside_horizon_rejected(self):
+        with pytest.raises(ConfigError):
+            run_coverage(hypercube_pomc(2), parse("P[a]", ["a", "b"]), "pomc",
+                         runs=1, horizon=10, delta=0.05, seed=0, checkpoints=[5, 20])
+
 
 class TestTimingTable:
     def test_rows_and_sizes(self):
@@ -203,3 +248,153 @@ class TestNamedExperiments:
     def test_unknown_experiment(self, tmp_path):
         with pytest.raises(ConfigError):
             run_named_experiment("mystery", seed=0, out_dir=tmp_path)
+
+
+def assert_matches_recorded(report, recorded, path="report"):
+    """Every key of the recorded report is in the new one, with an equal value."""
+    if isinstance(recorded, dict):
+        for key, value in recorded.items():
+            assert key in report, f"{path}.{key} missing"
+            assert_matches_recorded(report[key], value, f"{path}.{key}")
+    elif isinstance(recorded, list):
+        assert len(report) == len(recorded), path
+        for i, (new, old) in enumerate(zip(report, recorded)):
+            assert_matches_recorded(new, old, f"{path}[{i}]")
+    else:
+        assert report == recorded, path
+
+
+PINNED_STUDIES = [
+    (lending_pomc(), "P[y | a] - P[y | b]", "pomc", 11),
+    (lending_mc(), "T[g->gy] - T[gbar->gbary]", "mc", 12),
+]
+
+PINNED_REPORTS = ["""\
+{
+  "name": "coverage",
+  "seed": 11,
+  "params": {
+    "engine": "pomc",
+    "runs": 4,
+    "horizon": 2000,
+    "delta": 0.05,
+    "tau_mix": 35.0,
+    "start": "stationary"
+  },
+  "truth": 0.024999999999999467,
+  "coverage": {
+    "runs": 4,
+    "pointwise_final": 4,
+    "uniform_all": 4
+  },
+  "rows": [
+    {
+      "t": 10,
+      "truth": 0.024999999999999467,
+      "covered": 4,
+      "point_min": -1.1111111111111112,
+      "point_max": 0.5555555555555556,
+      "lo_min": -1.0,
+      "lo_max": -1.0,
+      "hi_min": 1.0,
+      "hi_max": 1.0
+    },
+    {
+      "t": 100,
+      "truth": 0.024999999999999467,
+      "covered": 4,
+      "point_min": -0.11223344556677894,
+      "point_max": 0.2918069584736251,
+      "lo_min": -1.0,
+      "lo_max": -1.0,
+      "hi_min": 1.0,
+      "hi_max": 1.0
+    },
+    {
+      "t": 1000,
+      "truth": 0.024999999999999467,
+      "covered": 4,
+      "point_min": -0.006676307254341984,
+      "point_max": 0.12125220458553793,
+      "lo_min": -1.0,
+      "lo_max": -1.0,
+      "hi_min": 1.0,
+      "hi_max": 1.0
+    },
+    {
+      "t": 2000,
+      "truth": 0.024999999999999467,
+      "covered": 4,
+      "point_min": 0.008687950181917037,
+      "point_max": 0.09397117733894822,
+      "lo_min": -1.0,
+      "lo_max": -1.0,
+      "hi_min": 1.0,
+      "hi_max": 1.0
+    }
+  ],
+  "timing": null
+}
+""",
+"""\
+{
+  "name": "coverage",
+  "seed": 12,
+  "params": {
+    "engine": "mc",
+    "runs": 4,
+    "horizon": 2000,
+    "delta": 0.05,
+    "start": "stationary"
+  },
+  "truth": 0.20000000000000007,
+  "coverage": {
+    "runs": 4,
+    "pointwise_final": 4,
+    "uniform_all": 4
+  },
+  "rows": [
+    {
+      "t": 10,
+      "truth": 0.20000000000000007,
+      "point_min": 0.0,
+      "point_max": 1.0,
+      "lo_min": -1.0,
+      "lo_max": -1.0,
+      "hi_min": 1.0,
+      "hi_max": 1.0
+    },
+    {
+      "t": 100,
+      "truth": 0.20000000000000007,
+      "point_min": -0.25,
+      "point_max": 0.3333333333333333,
+      "lo_min": -1.0,
+      "lo_max": -0.522569946505872,
+      "hi_min": 0.5341002756996854,
+      "hi_max": 1.0
+    },
+    {
+      "t": 1000,
+      "truth": 0.20000000000000007,
+      "point_min": 0.1367521367521368,
+      "point_max": 0.24444444444444455,
+      "lo_min": -0.1143609223395641,
+      "lo_max": 0.01067090875900148,
+      "hi_min": 0.3878651958438377,
+      "hi_max": 0.4782179801298876
+    },
+    {
+      "t": 2000,
+      "truth": 0.20000000000000007,
+      "point_min": 0.18283582089552233,
+      "point_max": 0.22962962962962985,
+      "lo_min": 0.01691731333803495,
+      "lo_max": 0.06432677728449768,
+      "hi_min": 0.3487543284530097,
+      "hi_max": 0.39493248197476205
+    }
+  ],
+  "timing": null
+}
+"""]

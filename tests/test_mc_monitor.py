@@ -23,6 +23,16 @@ def three_state(p12=0.3, p13=0.5):
                             labels={s: s for s in ("1", "2", "3")})
 
 
+def running_means(mon, symbols):
+    """The monitor's running mean after each completed round."""
+    means = []
+    for s in symbols:
+        mon.next(s)
+        if mon.n_samples > len(means):
+            means.append(mon.mean)
+    return means
+
+
 class TestHandTraces:
     def test_sum_over_two_visits(self):
         # path 1,2,1,3: both outcomes are forced draws from singleton pools
@@ -45,11 +55,8 @@ class TestHandTraces:
     def test_single_variable_on_reference_run(self):
         # run 121123 yields the outcome sequence 1, 0, 1
         mon = build_mc_monitor(parse("T[1->2]", ALPHA), 0.05, "pointwise",
-                               seed=0, record_trace=True, check_invariants=True)
-        for s in "121123":
-            mon.next(s)
-        means = [mu for _, _, mu in mon.trace]
-        assert means == [1.0, 0.5, pytest.approx(2 / 3)]
+                               seed=0, check_invariants=True)
+        assert running_means(mon, "121123") == [1.0, 0.5, pytest.approx(2 / 3)]
 
     def test_inconclusive_before_any_relevant_visit(self):
         mon = build_mc_monitor(parse("T[1->2]", ALPHA), 0.05, "pointwise", seed=0)
@@ -189,15 +196,16 @@ class TestOutcomeDistribution:
     def test_exclusive_sum_outcomes_stay_binary(self):
         model = three_state(0.3, 0.5)
         expr = parse("T[1->2] + T[1->3]", ALPHA)
-        mon = build_mc_monitor(expr, 0.05, "pointwise", seed=13, record_trace=True)
+        mon = build_mc_monitor(expr, 0.05, "pointwise", seed=13)
         names = list(model.states)
-        mon.feed([names[c] for c in simulate_states(model, 5_000, 1, seed=14)[0]])
+        means = running_means(mon, [names[c] for c in
+                                    simulate_states(model, 5_000, 1, seed=14)[0]])
         values = []
-        prev_n, prev_sum = 0, 0.0
-        for _, n, mu in mon.trace:
+        prev_sum = 0.0
+        for n, mu in enumerate(means, start=1):
             total = mu * n
             values.append(total - prev_sum)
-            prev_sum, prev_n = total, n
+            prev_sum = total
         assert all(v == pytest.approx(0.0, abs=1e-9) or v == pytest.approx(1.0, abs=1e-9)
                    for v in values)
 

@@ -7,14 +7,31 @@ from fairmon.errors import ConfigError
 from fairmon.markov import simulate_states, truth_value_bse
 from fairmon.intervals import Interval
 from fairmon.pomc import AtomicMonitor, build_pomc_monitor
-from fairmon.speclang import AtomDef, parse
-from fairmon.experiments import PomcSeriesEvaluator, hypercube_pomc
+from fairmon.speclang import AtomDef, parse, parse_spec_file
+from fairmon.experiments import PomcSeriesEvaluator, hypercube_pomc, lending_pomc
 
 ALPHA = ["A", "B", "Y", "N"]
 
 
 def indicator_ay(window):
     return 1.0 if window == ("A", "Y") else 0.0
+
+
+def assert_halfwidth_is(ci, mode):
+    """Every verdict is the mean plus/minus ``ci``, clipped to the atom range.
+
+    The stream is long enough that late verdicts lie strictly inside the
+    range, so the clip cannot hide a wrong half-width.
+    """
+    mon = AtomicMonitor(indicator_ay, 2, -10.0, 10.0, 0.05, mode, 3.0)
+    stream = ["A", "Y", "B", "A", "Y", "N", "A"] * 3000
+    for t, s in enumerate(stream, start=1):
+        v = mon.next(s)
+        if t >= 2:
+            eps = ci(0.05, t, 2, -10.0, 10.0, 3.0)
+            assert v.interval == Interval(v.point - eps, v.point + eps).intersect(
+                Interval(-10.0, 10.0))
+    assert -10.0 < v.interval.lo and v.interval.hi < 10.0
 
 
 class TestAtomicMonitor:
@@ -41,21 +58,10 @@ class TestAtomicMonitor:
     def test_halfwidth_is_exactly_the_formula(self):
         # before range clipping the emitted half-width is the bound itself,
         # bitwise-identical to the shared formula
-        mon = AtomicMonitor(indicator_ay, 2, -10.0, 10.0, 0.05, "pointwise", 3.0)
-        stream = ["A", "Y", "B", "A", "Y", "N", "A"]
-        for t, s in enumerate(stream, start=1):
-            v = mon.next(s)
-            if t >= 2:
-                assert mon.last_halfwidth == ci_pomc_pointwise(0.05, t, 2, -10.0, 10.0, 3.0)
-                assert v.interval == Interval(mon._mean - mon.last_halfwidth,
-                                              mon._mean + mon.last_halfwidth).intersect(
-                                                  Interval(-10.0, 10.0))
+        assert_halfwidth_is(ci_pomc_pointwise, "pointwise")
 
     def test_uniform_mode_uses_uniform_formula(self):
-        mon = AtomicMonitor(indicator_ay, 2, -10.0, 10.0, 0.05, "uniform", 3.0)
-        mon.next("A")
-        mon.next("Y")
-        assert mon.last_halfwidth == ci_pomc_uniform(0.05, 2, 2, -10.0, 10.0, 3.0)
+        assert_halfwidth_is(ci_pomc_uniform, "uniform")
 
     def test_verdict_clipped_to_atom_range(self):
         mon = AtomicMonitor(indicator_ay, 2, 0.0, 1.0, 0.05, "pointwise", 5.0)
@@ -149,24 +155,37 @@ class TestAgainstVectorizedEvaluator:
     were recorded from its arithmetic.
     """
 
+    # an asymmetric arity-3 table with wildcards catches a value table laid
+    # out in the wrong word order; the ratio exercises interval division
+    TABLE_SPEC = """
+alphabet: s y n a b
+atom appr arity 3 range [0,1] { _ a y -> 1; a _ _ -> 0.25; b _ n -> 0.5; default -> 0 }
+property: F[appr] - P[y | a]
+"""
+
     def test_streaming_matches_vectorized_series(self):
-        model = hypercube_pomc(3)
-        expr = parse("P[a a] - P[b b]", ["a", "b"], allow_transvars=False)
+        hypercube = hypercube_pomc(3)
+        lending = lending_pomc()
+        cases = [(hypercube, parse("P[a a] - P[b b]", ["a", "b"], allow_transvars=False)),
+                 (lending, parse_spec_file(self.TABLE_SPEC).expression)]
         horizon = 300
-        codes = model.label_codes()[
-            simulate_states(model, horizon, 1, seed=21, start="stationary")[0]]
-        for mode in ("pointwise", "uniform"):
-            ev = PomcSeriesEvaluator(expr, model.alphabet, horizon, 0.05, mode, 7.45)
-            lo, hi, pt = ev.run(codes)
-            mon = build_pomc_monitor(expr, 0.05, mode, 7.45, alphabet=model.alphabet)
-            for t in range(1, horizon + 1):
-                v = mon.next(model.alphabet[codes[t - 1]])
-                if v.is_inconclusive:
-                    assert math.isnan(lo[t])
-                else:
+        for model, expr in cases:
+            codes = model.label_codes()[
+                simulate_states(model, horizon, 1, seed=21, start="stationary")[0]]
+            for mode in ("pointwise", "uniform"):
+                ev = PomcSeriesEvaluator(expr, model.alphabet, horizon, 0.05, mode, 7.45)
+                lo, hi, pt = ev.run(codes)
+                mon = build_pomc_monitor(expr, 0.05, mode, 7.45, alphabet=model.alphabet)
+                for t in range(1, horizon + 1):
+                    v = mon.next(model.alphabet[codes[t - 1]])
+                    if v.is_inconclusive:
+                        assert math.isnan(lo[t])
+                        continue
                     assert v.interval.lo == pytest.approx(lo[t], abs=1e-12)
                     assert v.interval.hi == pytest.approx(hi[t], abs=1e-12)
-                    assert v.point == pytest.approx(pt[t], abs=1e-12)
+                    # the monitor gives no point while a denominator's is 0
+                    if v.point is not None:
+                        assert v.point == pytest.approx(pt[t], abs=1e-12)
 
 
 class TestUnbiasedness:

@@ -1,15 +1,17 @@
 """Property tests for the algebras that ``fold`` evaluates expressions in,
-and for the chain-structure checks against reference implementations."""
+for interval arithmetic, and for the chain-structure checks against
+reference implementations."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from fairmon.errors import ModelError
+from fairmon.intervals import UNBOUNDED, Interval
 from fairmon.markov import ObservationModel
 from fairmon.mc import MCMonitorDivFree
 from fairmon.speclang import (Add, Atom, AtomDef, Const, Inv, Mul, SeqProb,
@@ -148,3 +150,36 @@ def test_chain_structure_matches_references(model):
     else:
         with pytest.raises(ModelError):
             model.period()
+
+
+finite = st.floats(min_value=-1e6, max_value=1e6, allow_subnormal=False)
+
+
+@st.composite
+def operands(draw):
+    """An interval and one of its members, either endpoint included."""
+    a, b = draw(finite), draw(finite)
+    iv = Interval(min(a, b), max(a, b))
+    return iv, draw(st.one_of(st.just(iv.lo), st.just(iv.hi), st.floats(iv.lo, iv.hi)))
+
+
+@PROPERTY
+@given(operands(), operands())
+@example((Interval(5.0, 5.0), 5.0), (Interval(3.0, 3.0), 3.0))
+@example((Interval(-1.0, 2.0), 2.0), (Interval(-0.5, 0.25), 0.25))
+@example((Interval(0.0, 0.0), 0.0), (Interval(0.0, 1.0), 1.0))
+def test_interval_operations_enclose_sampled_points(a, b):
+    (xs, x), (ys, y) = a, b
+    assert (xs + ys).contains(x + y)
+    assert (xs - ys).contains(x - y)
+    assert (xs * ys).contains(x * y)
+    if ys.contains(0.0):
+        assert ys.inverse() == UNBOUNDED
+        # zero divided by anything is zero, so only the point 0 stays bounded
+        zero = Interval.point(0.0)
+        assert xs / ys == (zero if xs == zero else UNBOUNDED)
+    else:
+        assert ys.inverse().contains(1.0 / y)
+        # a / b means a * (1 / b); the rounded quotient x / y itself can lie
+        # one unit in the last place outside, as for 5 / 3
+        assert (xs / ys).contains(x * (1.0 / y))
