@@ -11,14 +11,13 @@ from .bounds import (DeltaBudget, baseline_union_interval, ci_mc_pointwise,
                      naive_uniform_lift, split_delta)
 from .errors import (ConfigError, EvaluationError, FairmonError, ModelError,
                      SpecSyntaxError, SpecValidationError)
-from .intervals import UNBOUNDED, UNIT, Interval, interval_combine
+from .intervals import UNBOUNDED, UNIT, Interval
 from .markov import (MixingBound, ObservationModel, StationaryDistribution,
                      mixing_time_bound, simulate, simulate_states,
                      stationary_distribution, truth_value, truth_value_bse,
                      truth_value_pse)
 from .mc import DivisionMonitor, MCMonitorDivFree, build_mc_monitor
-from .pomc import (INCONCLUSIVE, AtomicMonitor, CompositeMonitor, Verdict,
-                   build_pomc_monitor)
+from .pomc import INCONCLUSIVE, CompositeMonitor, Verdict, build_pomc_monitor
 
 __version__ = "0.1.0"
 
@@ -28,12 +27,11 @@ __all__ = [
     "naive_uniform_lift", "split_delta",
     "ConfigError", "EvaluationError", "FairmonError", "ModelError",
     "SpecSyntaxError", "SpecValidationError",
-    "UNBOUNDED", "UNIT", "Interval", "interval_combine",
+    "UNBOUNDED", "UNIT", "Interval",
     "MixingBound", "ObservationModel", "StationaryDistribution",
     "mixing_time_bound", "simulate", "simulate_states",
     "stationary_distribution", "truth_value", "truth_value_bse",
     "truth_value_pse",
     "DivisionMonitor", "MCMonitorDivFree", "build_mc_monitor",
-    "INCONCLUSIVE", "AtomicMonitor", "CompositeMonitor", "Verdict",
-    "build_pomc_monitor",
+    "INCONCLUSIVE", "CompositeMonitor", "Verdict", "build_pomc_monitor",
 ]

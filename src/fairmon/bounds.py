@@ -25,9 +25,15 @@ from .speclang.ast import (ARITHMETIC, Atom, Const, Expr, Inv, SeqProb,
 _PI = math.pi
 
 
+# The checks are written so that NaN fails them.
 def _check_delta(delta: float):
     if not 0.0 < delta < 1.0:
         raise ConfigError(f"confidence parameter must be in (0,1), got {delta}")
+
+
+def _check_sigma_sq(sigma_sq: float):
+    if not sigma_sq >= 0.0:
+        raise ConfigError(f"sigma^2 must be nonnegative, got {sigma_sq}")
 
 
 def _ci_pomc(delta: float, t: int, n: int, a: float, b: float, tau_mix: float,
@@ -35,9 +41,9 @@ def _ci_pomc(delta: float, t: int, n: int, a: float, b: float, tau_mix: float,
     _check_delta(delta)
     if n < 1 or t < n:
         raise ConfigError(f"need t >= n >= 1, got t={t}, n={n}")
-    if b < a:
+    if not b >= a:
         raise ConfigError(f"invalid atom range [{a}, {b}]")
-    if tau_mix < 1.0:
+    if not tau_mix >= 1.0:
         raise ConfigError(f"mixing-time bound must be >= 1, got {tau_mix}")
     if b == a:
         return 0.0
@@ -70,8 +76,7 @@ def ci_mc_pointwise(t: int, delta: float, sigma_sq: float) -> float:
     _check_delta(delta)
     if t < 1:
         raise ConfigError(f"need t >= 1, got {t}")
-    if sigma_sq < 0.0:
-        raise ConfigError(f"sigma^2 must be nonnegative, got {sigma_sq}")
+    _check_sigma_sq(sigma_sq)
     return math.sqrt(sigma_sq / (2.0 * t) * math.log(2.0 / delta))
 
 
@@ -90,8 +95,7 @@ def ci_mc_uniform(t: int, delta: float, sigma_sq: float) -> float:
     _check_delta(delta)
     if t < 1:
         raise ConfigError(f"need t >= 1, got {t}")
-    if sigma_sq < 0.0:
-        raise ConfigError(f"sigma^2 must be nonnegative, got {sigma_sq}")
+    _check_sigma_sq(sigma_sq)
     s = max(1.0, sigma_sq * t)
     inner = max(1.0, math.log(s))
     width = math.sqrt(1.064 * s * (2.0 * math.log(_PI * inner / math.sqrt(6.0))
@@ -107,6 +111,7 @@ def naive_uniform_lift(delta: float, t: int, scaling: str,
     (exponential) at time t; both schedules sum to at most delta.
     """
     _check_delta(delta)
+    _check_sigma_sq(sigma_sq)
     if t < 1:
         raise ConfigError(f"need t >= 1, got {t}")
     if scaling == "polynomial":

@@ -146,12 +146,15 @@ def cmd_compare_bounds(args) -> int:
     for m in methods:
         if m not in _METHODS:
             raise ConfigError(f"unknown method {m!r}; available: {sorted(_METHODS)}")
+    if not args.sigma_sq >= 0.0:
+        raise ConfigError(f"--sigma-sq must be nonnegative, got {args.sigma_sq}")
+    # every row is computed before any is written, so a bad value prints nothing
+    rows = [[str(t)] + [repr(_METHODS[m](t, args.delta, args.sigma_sq, args.tau_mix))
+                        for m in methods]
+            for t in _parse_t_range(args.t_range)]
     out = sys.stdout
     out.write("t," + ",".join(methods) + "\n")
-    for t in _parse_t_range(args.t_range):
-        row = [str(t)]
-        for m in methods:
-            row.append(repr(_METHODS[m](t, args.delta, args.sigma_sq, args.tau_mix)))
+    for row in rows:
         out.write(",".join(row) + "\n")
     return EXIT_OK
 
@@ -169,6 +172,14 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
+def _nonnegative_int(text: str) -> int:
+    """argparse type for ``--seed``."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fairmon",
@@ -183,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["pointwise", "uniform"], default="pointwise")
     p.add_argument("--engine", choices=["mc", "pomc"], default="mc")
     p.add_argument("--tau-mix", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--intersect", action="store_true",
@@ -194,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="sample an observation stream")
     p.add_argument("--model", required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--start", choices=["initial", "stationary"], default="initial")
     p.set_defaults(func=cmd_simulate)
 
@@ -214,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a named experiment")
     p.add_argument("--name", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out-dir", default="out")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override an experiment parameter")

@@ -42,10 +42,6 @@ class Interval:
     def is_bounded(self) -> bool:
         return math.isfinite(self.lo) and math.isfinite(self.hi)
 
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
 
@@ -82,22 +78,3 @@ class Interval:
 
 UNBOUNDED = Interval(-INF, INF)
 UNIT = Interval(0.0, 1.0)
-
-_OPS = {
-    "+": Interval.__add__,
-    "-": Interval.__sub__,
-    "*": Interval.__mul__,
-    "/": Interval.__truediv__,
-}
-
-
-def interval_combine(lhs: Interval, rhs: Interval, op: str) -> Interval:
-    """Combine two intervals with one of ``+ - * /``.
-
-    Soundness: for every x in lhs and y in rhs, ``x op y`` lies in the result.
-    """
-    try:
-        f = _OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown interval operator {op!r}") from None
-    return f(lhs, rhs)

@@ -1,17 +1,17 @@
 """Windowed monitors for partially observed chains.
 
-One atomic monitor per window function keeps a length-n ring buffer and the
-running mean of the window evaluations; after warm-up it emits the mean
-plus/minus a mixing-time-scaled half-width.  A composite monitor folds the
-atomic verdicts through the expression tree with interval arithmetic,
-spending an equal confidence share per atom.
+One monitor per expression keeps one record per atom (window function,
+arity, range, confidence share and running mean of the window evaluations)
+and one window of the stream, as long as the largest arity.  After warm-up
+each event gives one verdict: every atom's mean plus/minus a mixing-time-
+scaled half-width, folded through the expression tree with interval
+arithmetic, an equal confidence share per atom.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -51,43 +51,6 @@ class Verdict:
 INCONCLUSIVE = Verdict(interval=None, point=None)
 
 
-class AtomicMonitor:
-    """Sliding window, running mean, and concentration half-width for one atom."""
-
-    def __init__(self, fn: Callable, arity: int, low: float, high: float,
-                 delta: float, mode: str, tau_mix: float,
-                 alphabet: Optional[Sequence[str]] = None):
-        if mode not in _CI:
-            raise ConfigError(f"mode must be 'pointwise' or 'uniform', got {mode!r}")
-        self._fn = fn
-        self._n = arity
-        self._low = low
-        self._high = high
-        self._delta = delta
-        self._mode = mode
-        self._ci = _CI[mode]
-        self._tau = tau_mix
-        self._alphabet = frozenset(alphabet) if alphabet else None
-        self._t = 0
-        self._mean = 0.0
-        self._window = deque(maxlen=arity)
-
-    def next(self, symbol: str) -> Verdict:
-        if self._alphabet is not None and symbol not in self._alphabet:
-            raise ConfigError(f"symbol {symbol!r} outside the declared alphabet")
-        self._t += 1
-        t, n = self._t, self._n
-        self._window.append(symbol)
-        if t < n:
-            return INCONCLUSIVE
-        x = self._fn(tuple(self._window))
-        low, high = self._low, self._high
-        # the recurrence can round the running mean out of the range
-        mean = self._mean = min(max((self._mean * (t - n) + x) / (t - (n - 1)), low), high)
-        eps = self._ci(self._delta, t, n, low, high, self._tau)
-        return Verdict(interval=Interval(max(mean - eps, low), min(mean + eps, high)), point=mean)
-
-
 _WINDOWS = {
     Atom: lambda n: (n.ref.evaluate, n.ref.arity, n.ref.low, n.ref.high),
     SeqProb: lambda n: (n.indicator, n.arity, 0.0, 1.0),
@@ -101,36 +64,40 @@ def atom_window(leaf: Expr) -> Tuple[Callable, int, float, float]:
 
 
 class CompositeMonitor:
-    """Expression-tree monitor folding atomic verdicts with interval arithmetic.
+    """Expression-tree monitor over one window of the stream.
 
-    Any warmed-up-not-yet child makes the composite inconclusive; division
-    through an interval containing zero propagates as an unbounded verdict.
-    The folded interval is clipped to the a-priori range of the expression,
-    which is sound because the true value certainly lies there.  Running
-    intersection of the verdicts is only sound for time-uniform intervals; a
-    verdict disjoint from it makes this and every later verdict inconsistent.
+    Inconclusive until the window holds the largest arity.  Division through
+    an interval containing zero gives an unbounded verdict.  The folded
+    interval is clipped to the expression's a-priori range, where the true
+    value certainly lies.  Running intersection is only sound for uniform
+    intervals; a verdict disjoint from it makes every later one inconsistent.
     """
 
     def __init__(self, expr: Expr, delta: float, mode: str, tau_mix: float,
                  alphabet: Optional[Sequence[str]] = None,
                  intersect_verdicts: bool = False):
+        if mode not in _CI:
+            raise ConfigError(f"mode must be 'pointwise' or 'uniform', got {mode!r}")
+        if not tau_mix >= 1.0:
+            raise ConfigError(f"mixing-time bound must be >= 1, got {tau_mix}")
         if intersect_verdicts and mode != "uniform":
             raise ConfigError("intersecting verdicts over time needs uniform mode")
         self._expr = expr
         self._range = bse_range(expr)
+        self._ci = _CI[mode]
+        self._tau = tau_mix
+        self._alphabet = frozenset(alphabet) if alphabet else None
         atoms = leaves(expr)
         shares = split_delta(delta, expr).shares() if atoms else []
-        self._atoms = [AtomicMonitor(*atom_window(leaf), share, mode, tau_mix, alphabet)
-                       for leaf, share in zip(atoms, shares)]
-        self._verdicts = iter(())
-
-        def atom(_) -> Tuple[Interval, Optional[float]]:
-            v = next(self._verdicts)
-            return v.interval, v.point
-
-        # (interval, point) pairs; atoms read this event's verdicts in leaf order
+        # one [fn, n, low, high, share, running mean] record per atom, in leaf order
+        self._atoms = [[*atom_window(leaf), share, 0.0] for leaf, share in zip(atoms, shares)]
+        self._width = max((a[1] for a in self._atoms), default=1)
+        self._window = ()
+        self._t = 0
+        leaf = lambda _: next(self._values)
+        # (interval, point) pairs; atoms read this event's values in leaf order
         self._algebra = {
-            Atom: atom, SeqProb: atom,
+            Atom: leaf, SeqProb: leaf,
             Const: lambda n: (Interval.point(n.value), n.value),
             Add: lambda _, a, b: (a[0] + b[0], _pt(a[1], b[1], operator.add)),
             Sub: lambda _, a, b: (a[0] - b[0], _pt(a[1], b[1], operator.sub)),
@@ -143,10 +110,24 @@ class CompositeMonitor:
         self._consistent = True
 
     def next(self, symbol: str) -> Verdict:
-        verdicts = [m.next(symbol) for m in self._atoms]
-        if any(v.is_inconclusive for v in verdicts):
+        if self._alphabet is not None and symbol not in self._alphabet:
+            raise ConfigError(f"symbol {symbol!r} outside the declared alphabet")
+        self._t = t = self._t + 1
+        self._window = window = (self._window + (symbol,))[-self._width:]
+        warm = t >= self._width
+        values = []
+        for a in self._atoms:
+            fn, n, low, high, share, mean = a
+            if t < n:
+                continue
+            # the recurrence can round the running mean out of the range
+            mean = a[5] = min(max((mean * (t - n) + fn(window[-n:])) / (t - (n - 1)), low), high)
+            if warm:
+                eps = self._ci(share, t, n, low, high, self._tau)
+                values.append((Interval(max(mean - eps, low), min(mean + eps, high)), mean))
+        if not warm:
             return INCONCLUSIVE
-        self._verdicts = iter(verdicts)
+        self._values = iter(values)
         interval, point = fold(self._expr, self._algebra)
         clipped = interval.intersect(self._range)
         if self._intersect:
@@ -159,10 +140,8 @@ class CompositeMonitor:
 
 
 def _pt(a: Optional[float], b: Optional[float], op) -> Optional[float]:
-    if a is None or b is None:
-        return None
-    v = op(a, b)
-    return v if math.isfinite(v) else None
+    v = None if a is None or b is None else op(a, b)
+    return v if v is not None and math.isfinite(v) else None
 
 
 def build_pomc_monitor(expr: Expr, delta: float, mode: str, tau_mix: float,

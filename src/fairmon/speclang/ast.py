@@ -242,26 +242,6 @@ def eval_pse(expr: Expr, valuation) -> float:
     })
 
 
-def _expand(node: TransVar) -> Expr:
-    return Mul(SeqProb(((node.source, node.target),)), Inv(SeqProb(((node.source,),))))
-
-
-_EXPAND = {
-    Const: lambda n: n, Atom: lambda n: n, SeqProb: lambda n: n, TransVar: _expand,
-    Add: lambda _, a, b: Add(a, b), Sub: lambda _, a, b: Sub(a, b),
-    Mul: lambda _, a, b: Mul(a, b), Inv: lambda _, c: Inv(c),
-}
-
-
-def expand_transition_vars(expr: Expr) -> Expr:
-    """Rewrite every transition variable as the ratio of word indicators.
-
-    ``T[q->r]`` becomes ``P[q r] / P[q]``, which has the same long-run value
-    on a fully observed chain and lets the windowed monitors handle a PSE.
-    """
-    return fold(expr, _EXPAND)
-
-
 def _fmt_number(v: float) -> str:
     return repr(float(v))
 

@@ -84,6 +84,13 @@ class TestPomcBounds:
         with pytest.raises(ConfigError):
             ci_pomc_pointwise(0.05, 10, 1, 0, 1, 0.5)  # tau < 1
 
+    @pytest.mark.parametrize("ci", [ci_pomc_pointwise, ci_pomc_uniform])
+    def test_nan_arguments_rejected(self, ci):
+        with pytest.raises(ConfigError):
+            ci(0.05, 10, 1, 0.0, 1.0, math.nan)  # tau
+        with pytest.raises(ConfigError):
+            ci(0.05, 10, 1, 0.0, math.nan, 1.0)  # range
+
 
 class TestMcBounds:
     def test_pointwise_frozen_value(self):
@@ -172,6 +179,15 @@ class TestNaiveLift:
     def test_unknown_scaling(self):
         with pytest.raises(ConfigError):
             naive_uniform_lift(0.05, 10, "geometric")
+
+    @pytest.mark.parametrize("sigma_sq", [math.nan, -1.0])
+    def test_bad_variance_rejected(self, sigma_sq):
+        for width in (ci_mc_pointwise, ci_mc_uniform):
+            with pytest.raises(ConfigError):
+                width(10, 0.05, sigma_sq)
+        for scaling in ("polynomial", "exponential"):
+            with pytest.raises(ConfigError):
+                naive_uniform_lift(0.05, 10, scaling, sigma_sq)
 
 
 class TestDeltaSplit:

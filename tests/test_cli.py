@@ -38,6 +38,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_usage_error(capsys, option, *argv):
+    """argparse rejects ``option``: exit 2, nothing on stdout, the option named."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"argument {option}:" in captured.err.splitlines()[-1]
+
+
 class TestSimulate:
     def test_deterministic_bytes(self, capsys, hypercube_files):
         model, _ = hypercube_files
@@ -75,6 +85,11 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert "--steps" in err
+
+    def test_negative_seed_exits_2(self, capsys, hypercube_files):
+        model, _ = hypercube_files
+        assert_usage_error(capsys, "--seed", "simulate", "--model", str(model),
+                           "--steps", "3", "--seed", "-1")
 
     def test_zero_steps_prints_nothing(self, capsys, hypercube_files):
         model, _ = hypercube_files
@@ -251,6 +266,26 @@ class TestMonitor:
                              "--events", str(events))
         assert code == 2
 
+    def test_negative_seed_exits_2(self, capsys, lending_files, tmp_path):
+        _, spec = lending_files
+        events = tmp_path / "events.txt"
+        events.write_text("init\n")
+        assert_usage_error(capsys, "--seed", "monitor", "--spec", str(spec), "--engine", "mc",
+                           "--seed", "-1", "--events", str(events))
+
+    @pytest.mark.parametrize("tau", ["0.5", "nan"])
+    @pytest.mark.parametrize("stream", ["", "a\nb\na\n"])
+    def test_invalid_tau_exits_2_before_any_event(self, capsys, hypercube_files, tmp_path,
+                                                  tau, stream):
+        _, spec = hypercube_files
+        events = tmp_path / "events.txt"
+        events.write_text(stream)
+        code, out, err = run_cli(capsys, "monitor", "--spec", str(spec), "--engine", "pomc",
+                                 "--tau-mix", tau, "--events", str(events))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "mixing-time" in err
+
     def test_stream_determinism_same_bytes(self, capsys, lending_files, tmp_path):
         model, spec = lending_files
         _, stream, _ = run_cli(capsys, "simulate", "--model", str(model),
@@ -307,6 +342,20 @@ class TestCompareBounds:
         code, _, err = run_cli(capsys, "compare-bounds", "--methods", "bogus")
         assert code == 2
 
+    @pytest.mark.parametrize("option,value,method", [
+        ("--sigma-sq", "nan", "mc-pointwise"),
+        ("--sigma-sq", "nan", "pomc-uniform"),
+        ("--sigma-sq", "-1", "pomc-uniform"),
+        ("--tau-mix", "nan", "pomc-uniform"),
+        ("--tau-mix", "0.5", "pomc-pointwise"),
+    ])
+    def test_invalid_parameter_exits_2(self, capsys, option, value, method):
+        code, out, err = run_cli(capsys, "compare-bounds", option, value,
+                                 "--methods", method, "--t-range", "10:10:1")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
+
 
 class TestExperimentCommand:
     def test_experiment_writes_manifest(self, capsys, tmp_path):
@@ -324,6 +373,11 @@ class TestExperimentCommand:
         assert code == 0
         report = json.loads((tmp_path / "hypercube" / "report.json").read_text())
         assert report["coverage"]["runs"] == 4
+
+    def test_negative_seed_exits_2(self, capsys, tmp_path):
+        assert_usage_error(capsys, "--seed", "experiment", "--name", "hypercube",
+                           "--out-dir", str(tmp_path), "--seed", "-1")
+        assert not any(tmp_path.iterdir())
 
     def test_unknown_name_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "experiment", "--name", "nope",

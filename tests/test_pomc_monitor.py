@@ -1,20 +1,31 @@
+import hashlib
 import math
 
 import pytest
 
 from fairmon.bounds import ci_pomc_pointwise, ci_pomc_uniform, split_delta
 from fairmon.errors import ConfigError
-from fairmon.markov import simulate_states, truth_value_bse
+from fairmon.markov import simulate, simulate_states, truth_value_bse
 from fairmon.intervals import Interval
-from fairmon.pomc import AtomicMonitor, build_pomc_monitor
-from fairmon.speclang import AtomDef, parse, parse_spec_file
+from fairmon.pomc import build_pomc_monitor
+from fairmon.speclang import Atom, AtomDef, bse_range, parse, parse_spec_file
 from fairmon.experiments import PomcSeriesEvaluator, hypercube_pomc, lending_pomc
 
 ALPHA = ["A", "B", "Y", "N"]
 
+# an asymmetric arity-3 table with wildcards catches a value table laid
+# out in the wrong word order; the ratio exercises interval division
+TABLE_SPEC = """
+alphabet: s y n a b
+atom appr arity 3 range [0,1] { _ a y -> 1; a _ _ -> 0.25; b _ n -> 0.5; default -> 0 }
+property: F[appr] - P[y | a]
+"""
 
-def indicator_ay(window):
-    return 1.0 if window == ("A", "Y") else 0.0
+
+# single-leaf expressions: the verdict is the atom's own interval and mean
+AY = parse("P[A Y]", ALPHA)
+# the A Y indicator on a [-10, 10] range, so that clipping to it is rare
+WIDE_AY = Atom(AtomDef("ay", 2, -10.0, 10.0, ((("A", "Y"), 1.0),), 0.0))
 
 
 def assert_halfwidth_is(ci, mode):
@@ -23,7 +34,7 @@ def assert_halfwidth_is(ci, mode):
     The stream is long enough that late verdicts lie strictly inside the
     range, so the clip cannot hide a wrong half-width.
     """
-    mon = AtomicMonitor(indicator_ay, 2, -10.0, 10.0, 0.05, mode, 3.0)
+    mon = build_pomc_monitor(WIDE_AY, 0.05, mode, 3.0)
     stream = ["A", "Y", "B", "A", "Y", "N", "A"] * 3000
     for t, s in enumerate(stream, start=1):
         v = mon.next(s)
@@ -35,21 +46,23 @@ def assert_halfwidth_is(ci, mode):
 
 
 class TestAtomicMonitor:
+    """Monitors of a single atomic leaf."""
+
     def test_warmup_is_inconclusive(self):
-        mon = AtomicMonitor(indicator_ay, 2, 0.0, 1.0, 0.05, "pointwise", 1.0)
+        mon = build_pomc_monitor(AY, 0.05, "pointwise", 1.0)
         assert mon.next("A").is_inconclusive
 
     def test_point_estimate_over_windows(self):
         # stream A Y B N A Y has windows AY, YB, BN, NA, AY -> mean 2/5
-        mon = AtomicMonitor(indicator_ay, 2, 0.0, 1.0, 0.05, "pointwise", 1.0)
+        mon = build_pomc_monitor(AY, 0.05, "pointwise", 1.0)
         verdict = None
         for s in ["A", "Y", "B", "N", "A", "Y"]:
             verdict = mon.next(s)
         assert verdict.point == pytest.approx(0.4)
 
     def test_constant_atom_collapses_to_point(self):
-        atom = AtomDef("c", 1, 0.7, 0.7, (), 0.7)
-        mon = AtomicMonitor(atom.evaluate, 1, 0.7, 0.7, 0.05, "pointwise", 1.0)
+        atom = Atom(AtomDef("c", 1, 0.7, 0.7, (), 0.7))
+        mon = build_pomc_monitor(atom, 0.05, "pointwise", 1.0)
         # 0.7 is not dyadic, so an unclamped running mean drifts off it
         for s in ["A", "B", "A"] * 100:
             v = mon.next(s)
@@ -64,14 +77,13 @@ class TestAtomicMonitor:
         assert_halfwidth_is(ci_pomc_uniform, "uniform")
 
     def test_verdict_clipped_to_atom_range(self):
-        mon = AtomicMonitor(indicator_ay, 2, 0.0, 1.0, 0.05, "pointwise", 5.0)
+        mon = build_pomc_monitor(AY, 0.05, "pointwise", 5.0)
         mon.next("A")
         v = mon.next("Y")
         assert v.interval.lo >= 0.0 and v.interval.hi <= 1.0
 
     def test_symbol_outside_alphabet(self):
-        mon = AtomicMonitor(indicator_ay, 2, 0.0, 1.0, 0.05, "pointwise", 1.0,
-                            alphabet=ALPHA)
+        mon = build_pomc_monitor(AY, 0.05, "pointwise", 1.0, alphabet=ALPHA)
         with pytest.raises(ConfigError):
             mon.next("Q")
 
@@ -155,19 +167,11 @@ class TestAgainstVectorizedEvaluator:
     were recorded from its arithmetic.
     """
 
-    # an asymmetric arity-3 table with wildcards catches a value table laid
-    # out in the wrong word order; the ratio exercises interval division
-    TABLE_SPEC = """
-alphabet: s y n a b
-atom appr arity 3 range [0,1] { _ a y -> 1; a _ _ -> 0.25; b _ n -> 0.5; default -> 0 }
-property: F[appr] - P[y | a]
-"""
-
     def test_streaming_matches_vectorized_series(self):
         hypercube = hypercube_pomc(3)
         lending = lending_pomc()
         cases = [(hypercube, parse("P[a a] - P[b b]", ["a", "b"], allow_transvars=False)),
-                 (lending, parse_spec_file(self.TABLE_SPEC).expression)]
+                 (lending, parse_spec_file(TABLE_SPEC).expression)]
         horizon = 300
         for model, expr in cases:
             codes = model.label_codes()[
@@ -220,3 +224,68 @@ property: F[grantA] - P[A Y]
         # both leaves measure the same event, so the point estimate cancels
         assert v.point == pytest.approx(0.0)
         assert v.interval.contains(0.0)
+
+
+class TestVerdictDigests:
+    """Every bit of every verdict, recorded once and never regenerated.
+
+    A digest hashes one ``t lo hi point kind`` line per event (floats by
+    repr) over 5000 stationary lending_pomc events at tau = 1, where the
+    half-widths are narrow enough for the range clip to leave endpoints
+    standing (at tau = 7.45 the table spec hashes the same in every mode).
+    At this length ``P[y | a] - P[y | b]`` still clips to [-1, 1] at both
+    ends, so its digest pins the points and kinds; the table and
+    mixed-arity specs pin the half-width bits, and their atoms warm up at
+    different times.
+    """
+
+    SPECS = {
+        "conditional": "alphabet: s y n a b\nproperty: P[y | a] - P[y | b]",
+        "table": TABLE_SPEC,
+        "mixed": "alphabet: s y n a b\nproperty: P[a] + 2 * P[a y s] - P[b]",
+    }
+    # (spec, mode, intersect) -> sha256 hex digest
+    DIGESTS = {
+        ("conditional", "pointwise", False):
+            "7a2b3726bf87be37a2bd9a910008d21b93ba6e3e250f1a321dfbd7e16e89450b",
+        ("conditional", "uniform", False):
+            "7a2b3726bf87be37a2bd9a910008d21b93ba6e3e250f1a321dfbd7e16e89450b",
+        ("conditional", "uniform", True):
+            "7a2b3726bf87be37a2bd9a910008d21b93ba6e3e250f1a321dfbd7e16e89450b",
+        ("table", "pointwise", False):
+            "834d2f31667e3ac05e5e0a7ecb320643926e39069d9bd5de156badf27c6cec26",
+        ("table", "uniform", False):
+            "34ec2bb1cbaff95b955026e5aebce85e7cad3e12afb251110242af649ae320e8",
+        ("table", "uniform", True):
+            "27c06927ed24233b3a27d38dca7b9295f555220eaf12c47d91e9d8fda7a77c6d",
+        ("mixed", "pointwise", False):
+            "1f30a0a1a2fe955e3d8f4466d520b7e153802b9a4b3a757ad2cd2e37f3a01da7",
+        ("mixed", "uniform", False):
+            "b9b7a5617ef301bfa201a698bd72787a173206b869992705a891d7cd23ab58bb",
+        ("mixed", "uniform", True):
+            "6691ca822c0e400d9dc09b13273db0c8204bed8afbe77060e27f6b6c23cdd140",
+    }
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        return list(simulate(lending_pomc(), 5000, 1, start="stationary"))
+
+    @pytest.mark.parametrize("spec", sorted(SPECS))
+    @pytest.mark.parametrize("mode,intersect", [("pointwise", False), ("uniform", False),
+                                                ("uniform", True)])
+    def test_verdict_stream_digest(self, stream, spec, mode, intersect):
+        doc = parse_spec_file(self.SPECS[spec])
+        mon = build_pomc_monitor(doc.expression, 0.05, mode, 1.0, alphabet=doc.alphabet,
+                                 intersect_verdicts=intersect)
+        digest = hashlib.sha256()
+        for t, s in enumerate(stream, start=1):
+            v = mon.next(s)
+            lo, hi = (None, None) if v.interval is None else (v.interval.lo, v.interval.hi)
+            digest.update(f"{t} {lo!r} {hi!r} {v.point!r} {v.kind}\n".encode())
+        rng = bse_range(doc.expression)
+        assert v.kind == "ok"
+        if spec != "conditional":
+            assert v.interval.hi < rng.hi
+        if spec == "mixed":
+            assert rng.lo < v.interval.lo
+        assert digest.hexdigest() == self.DIGESTS[(spec, mode, intersect)]
