@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -33,23 +34,35 @@ def _load_spec(path: str, allow_transvars: bool):
     return parse_spec_file(Path(path).read_text(), allow_transvars=allow_transvars)
 
 
-def _jsonable(x):
-    if x is None or (isinstance(x, float) and not math.isfinite(x)):
-        return None
-    return x
+def _cell(x, missing: str) -> str:
+    """A verdict number as text; ``missing`` for None and non-finite values.
+
+    ``float.__repr__`` is the float text of ``json.dumps``, also for numpy
+    floats, whose own ``repr`` names the type.
+    """
+    return missing if x is None or not -math.inf < x < math.inf else float.__repr__(x)
 
 
 def _emit(out, fmt: str, t: int, verdict) -> None:
+    """One record: a JSON object with the bytes of ``json.dumps``, or a CSV row."""
+    missing = "null" if fmt == "jsonl" else ""
     iv = verdict.interval
-    lo = _jsonable(iv.lo) if iv is not None else None
-    hi = _jsonable(iv.hi) if iv is not None else None
-    point = _jsonable(verdict.point)
+    lo, hi = (missing, missing) if iv is None else (_cell(iv.lo, missing), _cell(iv.hi, missing))
+    point = _cell(verdict.point, missing)
     if fmt == "jsonl":
-        out.write(json.dumps({"t": t, "lo": lo, "hi": hi, "point": point,
-                              "verdict": verdict.kind}) + "\n")
+        out.write(f'{{"t": {t}, "lo": {lo}, "hi": {hi}, "point": {point}, '
+                  f'"verdict": "{verdict.kind}"}}\n')
     else:
-        cells = ["" if v is None else repr(v) for v in (lo, hi, point)]
-        out.write(f"{t},{cells[0]},{cells[1]},{cells[2]},{verdict.kind}\n")
+        out.write(f"{t},{lo},{hi},{point},{verdict.kind}\n")
+
+
+def _open_events(path):
+    """The event stream; undecodable bytes read as lone surrogates (U+DC80..U+DCFF)."""
+    if path is not None:
+        return open(path, encoding="utf-8", errors="surrogateescape")
+    if hasattr(sys.stdin, "reconfigure"):
+        sys.stdin.reconfigure(errors="surrogateescape")
+    return sys.stdin
 
 
 def cmd_monitor(args) -> int:
@@ -74,7 +87,7 @@ def cmd_monitor(args) -> int:
         monitor = build_mc_monitor(spec.expression, args.delta, args.mode,
                                    seed=args.seed, alphabet=spec.alphabet)
 
-    source = sys.stdin if args.events is None else open(args.events)
+    source = _open_events(args.events)
     out = sys.stdout
     alphabet = set(spec.alphabet)
     t = 0
@@ -86,8 +99,11 @@ def cmd_monitor(args) -> int:
             if not symbol:
                 continue
             if symbol not in alphabet:
-                sys.stderr.write(
-                    f"error: line {line_no}: symbol {symbol!r} is not in the alphabet\n")
+                if any("\udc80" <= c <= "\udcff" for c in symbol):
+                    sys.stderr.write(f"error: line {line_no}: bytes that are not UTF-8\n")
+                else:
+                    sys.stderr.write(
+                        f"error: line {line_no}: symbol {symbol!r} is not in the alphabet\n")
                 return EXIT_EVENT
             t += 1
             verdict = monitor.next(symbol)
@@ -131,7 +147,10 @@ def _parse_t_range(text: str):
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError("--t-range must be start:stop:points")
-    start, stop, points = int(parts[0]), int(parts[1]), int(parts[2])
+    try:
+        start, stop, points = (int(p) for p in parts)
+    except ValueError:
+        raise ConfigError(f"--t-range parts must be integers, got {text!r}") from None
     if start < 1 or stop < start or points < 1:
         raise ConfigError("--t-range values out of order")
     if points == 1:
@@ -237,7 +256,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone (``| head``); the interpreter's last flush of
+        # standard output would fail again, so it goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except FairmonError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG

@@ -460,14 +460,39 @@ def _write_csv(path, rows: List[Dict]):
         writer.writerows(rows)
 
 
+# the type of each override key, and the keys each named experiment reads
+_OVERRIDE_TYPES = {"runs": int, "horizon": int, "delta": float, "events": int, "k_max": int}
+_COVERAGE_KEYS = ("runs", "horizon", "delta")
+_EXPERIMENT_KEYS = {
+    "fig3-ratio": ("delta",), "fig4-uniform": ("delta",), "lending-mc": _COVERAGE_KEYS,
+    "admission": _COVERAGE_KEYS, "lending-pomc": _COVERAGE_KEYS, "hypercube": _COVERAGE_KEYS,
+    "table1-timing": ("events",), "nonconvergent": ("k_max",),
+}
+
+
 def run_named_experiment(name: str, seed: int, out_dir, **overrides) -> Dict:
     """Run one of the built-in experiments and write its artifacts.
 
     Produces ``<out-dir>/<name>/{report.json, series.csv, manifest.json}``
-    and returns the manifest.
+    and returns the manifest.  An override key the experiment does not read,
+    or a value that does not convert to the key's type, is a ``ConfigError``.
     """
     from pathlib import Path
     from ..speclang.parser import parse
+
+    if name not in _EXPERIMENT_KEYS:
+        raise ConfigError(f"unknown experiment {name!r}; available: {', '.join(_EXPERIMENT_KEYS)}")
+    known = _EXPERIMENT_KEYS[name]
+    for key, value in overrides.items():
+        if key not in known:
+            raise ConfigError(f"experiment {name!r} has no parameter {key!r}; "
+                              f"known: {', '.join(known)}")
+        kind = _OVERRIDE_TYPES[key]
+        try:
+            overrides[key] = kind(value)
+        except ValueError:
+            raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
+                              f"got {value!r}") from None
 
     t0 = time.perf_counter()
     target = Path(out_dir) / name
@@ -478,9 +503,9 @@ def run_named_experiment(name: str, seed: int, out_dir, **overrides) -> Dict:
 
     def cover(model, text, engine, tau=None, runs=100, horizon=100_000,
               delta=0.05, allow_tv=True):
-        runs = int(overrides.get("runs", runs))
-        horizon = int(overrides.get("horizon", horizon))
-        delta = float(overrides.get("delta", delta))
+        runs = overrides.get("runs", runs)
+        horizon = overrides.get("horizon", horizon)
+        delta = overrides.get("delta", delta)
         alphabet = model.alphabet if engine == "pomc" else tuple(model.labels[s] for s in model.states)
         expr = parse(text, alphabet, allow_transvars=allow_tv)
         rep = run_coverage(model, expr, engine, runs, horizon, delta, seed,
@@ -511,32 +536,26 @@ def run_named_experiment(name: str, seed: int, out_dir, **overrides) -> Dict:
         report, series = cover(model, "T[g->gy] - T[gbar->gbary]", "mc")
     elif name == "admission":
         model = models.admission_mc(levels=9)
-        report, series = cover(model, models.social_burden_text(9), "mc",
-                               runs=int(overrides.get("runs", 20)))
+        report, series = cover(model, models.social_burden_text(9), "mc", runs=20)
     elif name == "fig3-ratio":
-        series = fig3_ratio_series(delta=float(overrides.get("delta", 0.05)))
+        series = fig3_ratio_series(delta=overrides.get("delta", 0.05))
         report = {"name": name, "rows": series}
-        params["delta"] = float(overrides.get("delta", 0.05))
+        params["delta"] = overrides.get("delta", 0.05)
     elif name == "fig4-uniform":
-        series = fig4_uniform_series(delta=float(overrides.get("delta", 0.05)))
+        series = fig4_uniform_series(delta=overrides.get("delta", 0.05))
         report = {"name": name, "rows": series}
-        params["delta"] = float(overrides.get("delta", 0.05))
+        params["delta"] = overrides.get("delta", 0.05)
     elif name == "table1-timing":
-        events = int(overrides.get("events", 200_000))
+        events = overrides.get("events", 200_000)
         series = timing_table(events=events, seed=seed)
         report = {"name": name, "rows": series}
         params["events"] = events
     elif name == "nonconvergent":
-        k_max = int(overrides.get("k_max", 30))
+        k_max = overrides.get("k_max", 30)
         rows = run_nonconvergent(k_max)
         series = [{"k": k, "t": t, "mean": m} for k, t, m in rows]
         report = {"name": name, "rows": series}
         params["k_max"] = k_max
-    else:
-        raise ConfigError(
-            f"unknown experiment {name!r}; available: fig3-ratio, fig4-uniform, "
-            "lending-mc, admission, lending-pomc, hypercube, table1-timing, "
-            "nonconvergent")
 
     wall = time.perf_counter() - t0
     manifest = {"name": name, "seed": seed, "params": params,

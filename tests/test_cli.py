@@ -1,9 +1,20 @@
+import hashlib
+import io
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from fairmon.cli import main
-from fairmon.experiments import hypercube_pomc, lending_mc
+from fairmon.cli import _emit, main
+from fairmon.intervals import Interval
+from fairmon.pomc import INCONCLUSIVE, Verdict
+from fairmon.experiments import hypercube_pomc, lending_mc, lending_pomc
+from fairmon.markov import simulate
+from test_pomc_monitor import TABLE_SPEC
 
 LENDING_SPEC = """alphabet: init g gbar gy gbary ybar z zbar
 property: T[g->gy] - T[gbar->gbary]
@@ -163,6 +174,34 @@ class TestMonitor:
                                "--engine", "mc", "--events", str(events))
         assert code == 3
         assert "line 3" in err
+
+    def test_undecodable_event_exits_3_with_line(self, capsys, hypercube_files, tmp_path):
+        _, spec = hypercube_files
+        events = tmp_path / "events.txt"
+        events.write_bytes(b"a\n\xff\xfe\n")
+        code, out, err = run_cli(capsys, "monitor", "--spec", str(spec), "--engine", "pomc",
+                                 "--tau-mix", "1", "--events", str(events))
+        assert code == 3
+        assert len(out.splitlines()) == 1
+        assert err.count("\n") == 1 and err.startswith("error: line 2:")
+
+    def test_closed_pipe_is_quiet(self, hypercube_files, tmp_path):
+        _, spec = hypercube_files
+        events = tmp_path / "events.txt"
+        events.write_text("a\nb\n" * 20000)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fairmon.cli", "monitor", "--spec", str(spec),
+             "--engine", "pomc", "--tau-mix", "1", "--format", "csv",
+             "--events", str(events)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        head = [proc.stdout.readline() for _ in range(3)]
+        proc.stdout.close()  # the reader goes away, as ``| head -3`` does
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert head[0] == b"t,lo,hi,point,verdict\n"
+        assert err == b""
 
     def test_pomc_requires_tau_or_model(self, capsys, hypercube_files, tmp_path):
         _, spec = hypercube_files
@@ -326,6 +365,99 @@ class TestMonitor:
         assert outs[0] == outs[1]
 
 
+class TestMonitorOutputDigests:
+    """Every byte of ``fairmon monitor --engine pomc --tau-mix 1``, recorded once.
+
+    The digests were taken before the monitor and the writer were rewritten
+    and are never regenerated.  4000 stationary lending_pomc events; the
+    table spec's intervals leave its range, so its digests see half-width
+    bits, while ``P[y | a] - P[y | b]`` clips to [-1, 1] at this length.
+    """
+
+    SPECS = {
+        "conditional": "alphabet: s y n a b\nproperty: P[y | a] - P[y | b]\n",
+        "table": TABLE_SPEC,
+    }
+    # (spec, format, mode, intersect) -> sha256 hex digest of standard output
+    DIGESTS = {
+        ("conditional", "jsonl", "pointwise", False):
+            "ff794163a15bbf313719a91079ec034dace92dc4010b41bf01c7afc7fe43bd89",
+        ("conditional", "jsonl", "uniform", False):
+            "ff794163a15bbf313719a91079ec034dace92dc4010b41bf01c7afc7fe43bd89",
+        ("conditional", "jsonl", "uniform", True):
+            "ff794163a15bbf313719a91079ec034dace92dc4010b41bf01c7afc7fe43bd89",
+        ("conditional", "csv", "pointwise", False):
+            "611d61e1fbe637fae2834e5d8d81d36988549ddabcc4f0f4adaeaa3d61a7ad8f",
+        ("conditional", "csv", "uniform", False):
+            "611d61e1fbe637fae2834e5d8d81d36988549ddabcc4f0f4adaeaa3d61a7ad8f",
+        ("conditional", "csv", "uniform", True):
+            "611d61e1fbe637fae2834e5d8d81d36988549ddabcc4f0f4adaeaa3d61a7ad8f",
+        ("table", "jsonl", "pointwise", False):
+            "4f6f33a5c5568e7d107ddd9a26d1e4d8a2ea249b093c51ef1654969243c62785",
+        ("table", "jsonl", "uniform", False):
+            "e115778022e364b7ba2160abdbc27ce7f5e31fb9fb7f0f0e923f18a54151c0ce",
+        ("table", "jsonl", "uniform", True):
+            "3e856a8b86ff83b0c4553ae6d4af0ee284abca95d373c5705ff2febfeb91a1bc",
+        ("table", "csv", "pointwise", False):
+            "eb49aa73d5db5e1bea6332c2ab28063fdd57ed378a5f376a39aea3c705e4bf58",
+        ("table", "csv", "uniform", False):
+            "efe119347d5ac63f23df14d5060997622e7fc48067468c8815cb9c2939e51cdb",
+        ("table", "csv", "uniform", True):
+            "f3dfd1a4be8327856d3c024ad8935c5fdd8a748f4937735a0acb4da7c87be84a",
+    }
+
+    @pytest.fixture(scope="class")
+    def events(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("digests") / "events.txt"
+        path.write_text("".join(s + "\n" for s in
+                                simulate(lending_pomc(), 4000, 5, start="stationary")))
+        return path
+
+    @pytest.mark.parametrize("spec", sorted(SPECS))
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("mode,intersect", [("pointwise", False), ("uniform", False),
+                                                ("uniform", True)])
+    def test_output_digest(self, capsys, tmp_path, events, spec, fmt, mode, intersect):
+        spec_file = tmp_path / "p.spec"
+        spec_file.write_text(self.SPECS[spec])
+        code, out, _ = run_cli(capsys, "monitor", "--spec", str(spec_file),
+                               "--engine", "pomc", "--tau-mix", "1", "--mode", mode,
+                               "--format", fmt, "--events", str(events),
+                               *(["--intersect"] if intersect else []))
+        assert code == 0
+        assert len(out.splitlines()) == 4000 + (fmt == "csv")
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == self.DIGESTS[(spec, fmt, mode, intersect)]
+
+
+class TestEmit:
+    """A JSONL record is the bytes of ``json.dumps`` with non-finite values as null."""
+
+    @staticmethod
+    def reference(t, verdict):
+        def jsonable(x):
+            return None if x is None or not math.isfinite(x) else x
+        iv = verdict.interval
+        lo, hi = (None, None) if iv is None else (jsonable(iv.lo), jsonable(iv.hi))
+        return json.dumps({"t": t, "lo": lo, "hi": hi, "point": jsonable(verdict.point),
+                           "verdict": verdict.kind}) + "\n"
+
+    @pytest.mark.parametrize("verdict", [
+        INCONCLUSIVE,
+        Verdict(Interval(-math.inf, math.inf), None),
+        Verdict(Interval(-math.inf, 0.5), 0.25),
+        Verdict(Interval(-0.5, math.inf), math.inf),
+        Verdict(Interval(-0.0, 0.0), -0.0),
+        Verdict(Interval(5e-324, 1e16), 0.1 + 0.2),
+        Verdict(Interval(-1e16, -5e-324), 1e16),
+        Verdict(None, 0.1 + 0.2, consistent=False),
+    ])
+    def test_jsonl_line_equals_json_dumps(self, verdict):
+        out = io.StringIO()
+        _emit(out, "jsonl", 4321, verdict)
+        assert out.getvalue() == self.reference(4321, verdict)
+
+
 class TestCompareBounds:
     def test_header_and_rows(self, capsys):
         code, out, _ = run_cli(capsys, "compare-bounds", "--t-range", "10:1000:3",
@@ -356,6 +488,12 @@ class TestCompareBounds:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error:")
 
+    def test_non_integer_t_range_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "compare-bounds", "--t-range", "a:b:c")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and "--t-range" in err
+
 
 class TestExperimentCommand:
     def test_experiment_writes_manifest(self, capsys, tmp_path):
@@ -383,6 +521,23 @@ class TestExperimentCommand:
         code, _, err = run_cli(capsys, "experiment", "--name", "nope",
                                "--out-dir", str(tmp_path))
         assert code == 2
+
+    def test_non_integer_override_exits_2(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "experiment", "--name", "lending-pomc",
+                                 "--out-dir", str(tmp_path), "--set", "runs=abc")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and "runs" in err
+        assert not any(tmp_path.iterdir())
+
+    def test_unknown_override_key_exits_2(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "experiment", "--name", "lending-pomc",
+                                 "--out-dir", str(tmp_path), "--set", "bogus=1")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert "bogus" in err and "runs, horizon, delta" in err
+        assert not any(tmp_path.iterdir())
 
 
 class TestUniformMode:

@@ -3,6 +3,8 @@ for interval arithmetic, and for the chain-structure checks against
 reference implementations."""
 
 import math
+import operator
+import random
 
 import numpy as np
 import pytest
@@ -10,14 +12,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
+from fairmon.bounds import ci_pomc_pointwise, ci_pomc_uniform, split_delta
 from fairmon.errors import ModelError
 from fairmon.intervals import UNBOUNDED, Interval
 from fairmon.markov import ObservationModel
 from fairmon.mc import MCMonitorDivFree
+from fairmon.pomc import atom_window, build_pomc_monitor
 from fairmon.speclang import (Add, Atom, AtomDef, Const, Inv, Mul, SeqProb,
                               Sub, TransVar, bse_range, decompose_division,
                               eval_pse, expr_range, parse, pretty_print,
                               to_polynomial)
+from fairmon.speclang.ast import fold, leaves
 
 ALPHA = ["A", "B", "Y", "1", "2", "3", "4"]
 STATES = ["1", "2", "3", "4"]
@@ -183,3 +188,124 @@ def test_interval_operations_enclose_sampled_points(a, b):
         # a / b means a * (1 / b); the rounded quotient x / y itself can lie
         # one unit in the last place outside, as for 5 / 3
         assert (xs / ys).contains(x * (1.0 / y))
+
+
+# --- the pomc monitor's compiled plan against the expression-tree fold ---
+
+POMC_ALPHA = ["a", "b", "c"]
+TABLE = AtomDef("tab", 2, -1.0, 2.0, ((("a", "_"), 2.0), (("_", "b"), -1.0),
+                                      (("c", "c"), 0.5)), 0.25)
+# an unbounded atom whose value can be inf
+INF_ATOM = AtomDef("u", 1, 0.0, math.inf, ((("a",), math.inf),), 0.0)
+pomc_leaves = st.one_of(
+    st.one_of(st.sampled_from([0.0, -0.0, 1e200, -1e200, math.inf, -math.inf]),
+              st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)).map(Const),
+    st.lists(st.lists(st.sampled_from(POMC_ALPHA), min_size=1, max_size=3).map(tuple),
+             min_size=1, max_size=2).map(lambda ws: SeqProb(tuple(ws))),
+    st.just(Atom(TABLE)))
+
+
+def pomc_exprs(depth: int):
+    """Expressions of operator depth at most ``depth``; ``a / b`` as ``a * (1/b)``."""
+    if depth == 0:
+        return pomc_leaves
+    sub = pomc_exprs(depth - 1)
+    return st.one_of(pomc_leaves, *(st.builds(op, sub, sub) for op in (Add, Sub, Mul)),
+                     st.builds(lambda a, b: Mul(a, Inv(b)), sub, sub))
+
+
+def _finite_point(a, b, op):
+    v = None if a is None or b is None else op(a, b)
+    return v if v is not None and math.isfinite(v) else None
+
+
+def reference_pomc(expr, delta, mode, stream, intersect):
+    """``t lo hi point kind`` lines of the tree-fold monitor: each atom's clipped
+    ``Interval`` and mean, folded through the tree with ``Interval`` arithmetic."""
+    ci = {"pointwise": ci_pomc_pointwise, "uniform": ci_pomc_uniform}[mode]
+    atoms = leaves(expr)
+    shares = split_delta(delta, expr).shares() if atoms else []
+    recs = [[*atom_window(leaf), share, 0.0] for leaf, share in zip(atoms, shares)]
+    width = max((r[1] for r in recs), default=1)
+    rng = bse_range(expr)
+    algebra = {
+        Atom: lambda _: next(values), SeqProb: lambda _: next(values),
+        Const: lambda n: (Interval.point(n.value), n.value),
+        Add: lambda _, a, b: (a[0] + b[0], _finite_point(a[1], b[1], operator.add)),
+        Sub: lambda _, a, b: (a[0] - b[0], _finite_point(a[1], b[1], operator.sub)),
+        Mul: lambda _, a, b: (a[0] * b[0], _finite_point(a[1], b[1], operator.mul)),
+        Inv: lambda _, c: (c[0].inverse(), None if c[1] is None or c[1] == 0.0 else 1.0 / c[1]),
+    }
+    window, running, consistent = (), None, True
+    for t, s in enumerate(stream, start=1):
+        window = (window + (s,))[-width:]
+        vals = []
+        for r in recs:
+            fn, n, low, high, share, mean = r
+            if t < n:
+                continue
+            mean = r[5] = min(max((mean * (t - n) + fn(window[-n:])) / (t - (n - 1)), low), high)
+            if t >= width:
+                eps = ci(share, t, n, low, high, 1.0)
+                vals.append((Interval(max(mean - eps, low), min(mean + eps, high)), mean))
+        if t < width:
+            yield f"{t} None None None inconclusive"
+            continue
+        values = iter(vals)
+        interval, point = fold(expr, algebra)
+        clipped = interval.intersect(rng)
+        if intersect:
+            running = running or clipped
+            consistent &= running.lo <= clipped.hi and clipped.lo <= running.hi
+            if not consistent:
+                yield f"{t} None None {point!r} inconsistent"
+                continue
+            clipped = running = running.intersect(clipped)
+        kind = "ok" if clipped.is_bounded else "unbounded"
+        yield f"{t} {clipped.lo!r} {clipped.hi!r} {point!r} {kind}"
+
+
+def _lines(make_lines):
+    """The lines made, and the type of the exception that ended them, if any."""
+    out = []
+    try:
+        for line in make_lines():
+            out.append(line)
+    except Exception as exc:  # compared by type below
+        return out, type(exc)
+    return out, None
+
+
+def _monitor_lines(expr, delta, mode, stream, intersect):
+    mon = build_pomc_monitor(expr, delta, mode, 1.0, alphabet=POMC_ALPHA,
+                             intersect_verdicts=intersect)
+    for t, s in enumerate(stream, start=1):
+        v = mon.next(s)
+        lo, hi = (None, None) if v.interval is None else (v.interval.lo, v.interval.hi)
+        yield f"{t} {lo!r} {hi!r} {v.point!r} {v.kind}"
+
+
+@PROPERTY
+@given(pomc_exprs(4), st.integers(min_value=1, max_value=300),
+       st.integers(min_value=0, max_value=2**16), st.sampled_from([0.05, 0.5, 0.9]))
+@example(Add(Mul(SeqProb((("a",),)), Inv(SeqProb((("b",),)))), Const(0.0)), 120, 0, 0.9)
+# raises when the monitor is built, on the atom's inf - inf, and on the plan's inf - inf
+@example(Sub(Mul(Const(1e200), Const(1e200)), Mul(Const(1e200), Const(1e200))), 5, 0, 0.5)
+@example(Add(Atom(INF_ATOM), SeqProb((("b",),))), 300, 0, 0.9)
+@example(Sub(Mul(Const(math.inf), SeqProb((("a",),))), Mul(Const(math.inf), SeqProb((("a",),)))),
+         300, 0, 0.9)
+# [0, 1e-200] * [-1e-200, 1] and [-1e-200, 0] * [1e-200, 1]: corners 0.0 and -0.0
+# tie, so the order of the min, and of the max, decides the sign of the zero
+@example(Mul(Mul(Const(1e-200), SeqProb((("a",),))), Sub(SeqProb((("b",),)), Const(1e-200))),
+         5, 0, 0.05)
+@example(Mul(Mul(Const(-1e-200), SeqProb((("a",),))), Add(SeqProb((("b",),)), Const(1e-200))),
+         5, 0, 0.05)
+def test_pomc_plan_matches_tree_fold(e, length, seed, delta):
+    """Every bit of every verdict (repr of floats, so -0.0 and NaN count) in all
+    three modes, and the same exception type where the fold raises."""
+    rnd = random.Random(seed)
+    stream = [rnd.choice(POMC_ALPHA) for _ in range(length)]
+    for mode, intersect in (("pointwise", False), ("uniform", False), ("uniform", True)):
+        expected = _lines(lambda: reference_pomc(e, delta, mode, stream, intersect))
+        got = _lines(lambda: _monitor_lines(e, delta, mode, stream, intersect))
+        assert got == expected, (pretty_print(e), mode, intersect)
