@@ -26,7 +26,7 @@ _PI = math.pi
 
 
 # The checks are written so that NaN fails them.
-def _check_delta(delta: float):
+def check_delta(delta: float):
     if not 0.0 < delta < 1.0:
         raise ConfigError(f"confidence parameter must be in (0,1), got {delta}")
 
@@ -38,7 +38,7 @@ def _check_sigma_sq(sigma_sq: float):
 
 def _ci_pomc(delta: float, t: int, n: int, a: float, b: float, tau_mix: float,
              uniform: bool) -> float:
-    _check_delta(delta)
+    check_delta(delta)
     if n < 1 or t < n:
         raise ConfigError(f"need t >= n >= 1, got t={t}, n={n}")
     if not b >= a:
@@ -73,7 +73,7 @@ def ci_pomc_uniform(delta: float, t: int, n: int, a: float, b: float,
 
 def ci_mc_pointwise(t: int, delta: float, sigma_sq: float) -> float:
     """Hoeffding half-width sqrt(sigma^2/(2t) * ln(2/delta)) for t outcomes."""
-    _check_delta(delta)
+    check_delta(delta)
     if t < 1:
         raise ConfigError(f"need t >= 1, got {t}")
     _check_sigma_sq(sigma_sq)
@@ -92,7 +92,7 @@ def ci_mc_uniform(t: int, delta: float, sigma_sq: float) -> float:
     and the result is clipped from below by the pointwise width; both
     adjustments only widen the interval, so the guarantee is preserved.
     """
-    _check_delta(delta)
+    check_delta(delta)
     if t < 1:
         raise ConfigError(f"need t >= 1, got {t}")
     _check_sigma_sq(sigma_sq)
@@ -110,7 +110,7 @@ def naive_uniform_lift(delta: float, t: int, scaling: str,
     Spends delta_t = delta * 6/(pi^2 t^2) (polynomial) or delta / 2^t
     (exponential) at time t; both schedules sum to at most delta.
     """
-    _check_delta(delta)
+    check_delta(delta)
     _check_sigma_sq(sigma_sq)
     if t < 1:
         raise ConfigError(f"need t >= 1, got {t}")
@@ -142,7 +142,7 @@ def split_delta(total: float, expr: Expr) -> DeltaBudget:
     The compositional monitor is (1 - sum of shares)-correct by the union
     bound, so the shares must add up to the total.
     """
-    _check_delta(total)
+    check_delta(total)
     k = count_atoms(expr)
     if not k:
         raise ConfigError("expression has no atomic leaves; no budget needed")

@@ -71,8 +71,13 @@ def cmd_monitor(args) -> int:
         raise ConfigError(f"--delta must be in (0,1), got {args.delta}")
     if args.stride < 1:
         raise ConfigError("--stride must be positive")
-    if args.intersect and args.engine != "pomc":
-        raise ConfigError("--intersect needs --engine pomc")
+    if args.engine == "mc":
+        # flags the mc engine has no use for
+        for flag, given in (("--intersect", args.intersect),
+                            ("--tau-mix", args.tau_mix is not None),
+                            ("--model", args.model is not None)):
+            if given:
+                raise ConfigError(f"{flag} needs --engine pomc")
 
     if args.engine == "pomc":
         tau = args.tau_mix

@@ -10,9 +10,21 @@ Every completed round contributes one i.i.d. outcome whose mean is the value
 of the expression; a Hoeffding or stitched half-width around the running
 mean gives the verdict.
 
+States are integer codes, fixed when the monitor is built: the relevant
+source states are ``0..S-1``, the other relevant targets follow, and every
+other symbol shares one last code.  An event costs one dict lookup for its
+code; after it the monitor works on lists: visit counters per source, edge
+counters per source in sorted target order, a row per source from a code to
+a target index (-1 for a target that is not relevant), and buffers of
+target indices (-1 for none of the relevant ones).  Over a point range the
+verdict depends only on the running mean, so it is built once and kept
+while the mean's bits stay the same, which after the first round they do.
+
 Expressions with division are first normalized to ``phi_a + phi_b / phi_c``
 (all parts division free) and monitored by three sub-monitors, each carrying
-a third of the confidence budget.
+a third of the confidence budget.  The combined verdict is rebuilt, with the
+formulas of :class:`Interval` over floats, only on an event that changed a
+part's verdict.
 """
 
 from __future__ import annotations
@@ -21,14 +33,14 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bounds import ci_mc_pointwise, ci_mc_uniform
+from .bounds import check_delta, ci_mc_pointwise, ci_mc_uniform
 from .errors import ConfigError, SpecValidationError
-from .intervals import Interval
+from .intervals import INF, Interval
 from .pomc import INCONCLUSIVE, Verdict
 from .speclang.ast import (Add, Const, Expr, Mul, Sub, TransVar,
                            contains_division, expression_size, fold, is_pse)
 from .speclang.normal_form import decompose_division, to_polynomial
-from .speclang.ranges import TOP, assign_slots, expr_range
+from .speclang.ranges import SlotLayout, assign_slots, expr_range
 
 _CI = {"pointwise": ci_mc_pointwise, "uniform": ci_mc_uniform}
 
@@ -46,19 +58,20 @@ class _UniformPool:
 
     def __init__(self, seed: int):
         self._gen = np.random.Generator(np.random.Philox(seed))
-        self._buf = self._gen.random(_BLOCK)
+        # Python floats: the same doubles, without numpy scalar arithmetic
+        self._buf = self._gen.random(_BLOCK).tolist()
         self._i = 0
 
     def random(self) -> float:
         i = self._i
         if i >= _BLOCK:
-            self._buf = self._gen.random(_BLOCK)
+            self._buf = self._gen.random(_BLOCK).tolist()
             i = 0
         self._i = i + 1
         return self._buf[i]
 
 
-def _compile(expr: Expr, slots) -> Tuple[list, list]:
+def _compile(expr: Expr, layout: SlotLayout, codes) -> Tuple[list, list]:
     """Flatten to postfix; variable reads go through a per-occurrence cache.
 
     A full postfix pass evaluates every leaf even when a sibling is still
@@ -66,10 +79,11 @@ def _compile(expr: Expr, slots) -> Tuple[list, list]:
     possible; completed reads are cached until the round is reset.
     """
     prog: list = []
-    var_info: list = []  # (source, target, slot) per occurrence
+    var_info: list = []  # (source code, target index, slot) per occurrence
 
     def var(node: TransVar):
-        var_info.append((node.source, node.target, slots[len(var_info)][1]))
+        var_info.append((codes[node.source], layout.targets[node.source].index(node.target),
+                         layout.slots[len(var_info)][1]))
         prog.append((_OP_VAR, len(var_info) - 1))
 
     def emit(op):
@@ -90,6 +104,7 @@ class MCMonitorDivFree:
                  check_invariants: bool = False):
         if mode not in _CI:
             raise ConfigError(f"mode must be 'pointwise' or 'uniform', got {mode!r}")
+        check_delta(delta)
         if not is_pse(expr):
             raise SpecValidationError("fully-observed monitor needs a PSE")
         if contains_division(expr):
@@ -97,8 +112,23 @@ class MCMonitorDivFree:
         self._expr = expr
         layout = assign_slots(expr)
         self._layout = layout
-        self._prog, self._vars = _compile(expr, layout.slots)
+        self._sources = list(layout.targets)  # state name by source code
+        codes = {src: k for k, src in enumerate(self._sources)}
+        for tgts in layout.targets.values():
+            for tgt in tgts:
+                codes.setdefault(tgt, len(codes))
+        self._codes = codes
+        self._other = len(codes)  # every symbol that is not relevant
+        self._rows = []
+        for tgts in layout.targets.values():
+            row = [-1] * (len(codes) + 1)
+            for j, tgt in enumerate(tgts):
+                row[codes[tgt]] = j
+            self._rows.append(row)
+        self._prog, self._vars = _compile(expr, layout, codes)
         self._range = expr_range(expr)
+        self._lo, self._hi = self._range.lo, self._range.hi
+        self._point_range = self._lo == self._hi
         self.sigma_sq = self._range.width ** 2
         self._delta = delta
         self._mode = mode
@@ -106,13 +136,13 @@ class MCMonitorDivFree:
         self._rng = _UniformPool(seed)
         self._alphabet = frozenset(alphabet) if alphabet else None
 
-        self._c = {src: 0 for src in layout.targets}
-        self._cij = {(src, tgt): 0 for src, tgts in layout.targets.items() for tgt in tgts}
-        self._targets = {src: list(tgts) for src, tgts in layout.targets.items()}
-        self._z = {src: [] for src in layout.targets}
+        self._n_sources = len(self._sources)
+        self._c = [0] * self._n_sources
+        self._cij = [[0] * len(tgts) for tgts in layout.targets.values()]
+        self._z: List[list] = [[] for _ in self._sources]
         self._cache: List[Optional[float]] = [None] * len(self._vars)
-        self._prev: Optional[str] = None
-        self._blocked: Optional[str] = None
+        self._prev = -1  # code of the previous symbol; -1 before the first
+        self._blocked: Optional[int] = None  # source code the round waits on
         self.n_samples = 0
         self.mean = 0.0
         self._verdict: Verdict = INCONCLUSIVE
@@ -129,27 +159,26 @@ class MCMonitorDivFree:
 
     def register_count(self) -> int:
         """Live registers: counters, buffer cells, caches, and scalars."""
-        buf = sum(len(z) for z in self._z.values())
-        return len(self._c) + len(self._cij) + buf + len(self._cache) + 5
+        edges = sum(len(row) for row in self._cij)
+        buf = sum(len(z) for z in self._z)
+        return len(self._c) + edges + buf + len(self._cache) + 5
 
-    def _extract(self, source: str, upto: int):
+    def _extract(self, source: int, upto: int):
         z = self._z[source]
         ci = self._c[source]
-        cij = self._cij
-        targets = self._targets[source]
+        counts = self._cij[source]
         rnd = self._rng.random
         while len(z) < upto and ci > 0:
             u = rnd() * ci
             acc = 0.0
-            pick = TOP
-            for tgt in targets:
-                acc += cij[(source, tgt)]
+            pick = -1
+            for j, n in enumerate(counts):
+                acc += n
                 if u < acc:
-                    pick = tgt
+                    pick = j
+                    counts[j] = n - 1
                     break
             ci -= 1
-            if pick is not TOP:
-                cij[(source, pick)] -= 1
             z.append(pick)
         self._c[source] = ci
         if len(z) > self.peak_buffer:
@@ -189,44 +218,55 @@ class MCMonitorDivFree:
                     push(a * b)
         return stack[0]
 
-    def _reset_round(self):
-        for z in self._z.values():
+    def _round(self, w: float) -> bool:
+        """Fold a completed round's outcome in; True when the verdict changed."""
+        n = self.n_samples + 1
+        self.n_samples = n
+        lo, hi = self._lo, self._hi
+        # the recurrence can round the running mean out of the range
+        mu = min(max((self.mean * (n - 1) + w) / n, lo), hi)
+        self.mean = mu
+        # Over a point range [c, c] every finite outcome is c, so the mean is
+        # c, or +0.0 when c is a zero: an equal mean has the same bits and
+        # gives the same verdict.  A NaN mean fails the test and raises below.
+        changed = not (self._point_range and mu == self._verdict.point)
+        if changed:
+            eps = self._ci(n, self._delta, self.sigma_sq)
+            iv = Interval(max(mu - eps, lo), min(mu + eps, hi))
+            self._verdict = Verdict(interval=iv, point=mu)
+        for z in self._z:
             z.clear()
-        cache = self._cache
-        for i in range(len(cache)):
-            cache[i] = None
+        self._cache = [None] * len(self._vars)
         self._blocked = None
+        return changed
 
-    def next(self, symbol: str) -> Verdict:
-        if self._alphabet is not None and symbol not in self._alphabet:
-            raise ConfigError(f"symbol {symbol!r} outside the state alphabet")
+    def _step(self, symbol: str) -> bool:
+        """One event, the alphabet unchecked; True when the verdict changed."""
+        code = self._codes.get(symbol, self._other)
         prev = self._prev
-        self._prev = symbol
-        if prev is None:
-            return self._verdict
-        c = self._c
-        if prev in c:
-            c[prev] += 1
-            key = (prev, symbol)
-            if key in self._cij:
-                self._cij[key] += 1
+        self._prev = code
+        if prev < 0:
+            return False
+        changed = False
+        if prev < self._n_sources:
+            self._c[prev] += 1
+            j = self._rows[prev][code]
+            if j >= 0:
+                self._cij[prev][j] += 1
             if self._blocked == prev:
                 self._blocked = None
         if self._blocked is None:
             w = self._eval()
             if w is not None:
-                n = self.n_samples + 1
-                self.n_samples = n
-                lo, hi = self._range.lo, self._range.hi
-                # the recurrence can round the running mean out of the range
-                mu = min(max((self.mean * (n - 1) + w) / n, lo), hi)
-                self.mean = mu
-                eps = self._ci(n, self._delta, self.sigma_sq)
-                iv = Interval(max(mu - eps, lo), min(mu + eps, hi))
-                self._verdict = Verdict(interval=iv, point=mu)
-                self._reset_round()
+                changed = self._round(w)
         if self._check:
             self._assert_invariants()
+        return changed
+
+    def next(self, symbol: str) -> Verdict:
+        if self._alphabet is not None and symbol not in self._alphabet:
+            raise ConfigError(f"symbol {symbol!r} outside the state alphabet")
+        self._step(symbol)
         return self._verdict
 
     def feed(self, symbols) -> Verdict:
@@ -236,11 +276,9 @@ class MCMonitorDivFree:
         return v
 
     def _assert_invariants(self):
-        for src in self._c:
-            used = sum(self._cij[(src, t)] for t in self._targets[src])
-            assert used <= self._c[src], f"edge counters exceed visits at {src!r}"
-        for src, z in self._z.items():
-            assert len(z) <= self._layout.demand[src], f"buffer overgrew at {src!r}"
+        for k, src in enumerate(self._sources):
+            assert sum(self._cij[k]) <= self._c[k], f"edge counters exceed visits at {src!r}"
+            assert len(self._z[k]) <= self._layout.demand[src], f"buffer overgrew at {src!r}"
 
 
 class DivisionMonitor:
@@ -249,12 +287,14 @@ class DivisionMonitor:
     def __init__(self, parts, delta: float, mode: str, seed: int = 0,
                  alphabet: Optional[Sequence[str]] = None,
                  check_invariants: bool = False):
+        check_delta(delta)
         share = delta / 3.0
         self._subs = [
             MCMonitorDivFree(part, share, mode, seed=seed * 3 + k,
                              alphabet=alphabet, check_invariants=check_invariants)
             for k, part in enumerate(parts)
         ]
+        self._alphabet = frozenset(alphabet) if alphabet else None
         ra, rb, rc = (m.value_range for m in self._subs)
         self._range = ra + rb / rc
         self._verdict: Verdict = INCONCLUSIVE
@@ -274,15 +314,42 @@ class DivisionMonitor:
     def peak_buffer(self) -> int:
         return max(m.peak_buffer for m in self._subs)
 
-    def next(self, symbol: str) -> Verdict:
-        va, vb, vc = [m.next(symbol) for m in self._subs]
-        if any(v.is_inconclusive for v in (va, vb, vc)):
+    def _combine(self) -> Verdict:
+        """``va + vb / vc`` clipped to the range, by the formulas of
+        :class:`Interval` over floats."""
+        va, vb, vc = (m._verdict for m in self._subs)
+        if va.interval is None or vb.interval is None or vc.interval is None:
             return INCONCLUSIVE
-        interval = (va.interval + vb.interval / vc.interval).intersect(self._range)
-        point = None
-        if all(v.point is not None for v in (va, vb, vc)) and vc.point != 0.0:
-            point = va.point + vb.point / vc.point
-        self._verdict = Verdict(interval=interval, point=point)
+        clo, chi = vc.interval.lo, vc.interval.hi
+        if clo <= 0.0 <= chi:
+            ilo, ihi = -INF, INF
+        else:
+            ilo, ihi = 1.0 / chi, 1.0 / clo
+            if not ilo <= ihi:
+                Interval(ilo, ihi)  # raises the NaN or empty-interval error
+        blo, bhi = vb.interval.lo, vb.interval.hi
+        # 0 * inf = 0 keeps a product sound when a factor is exactly zero
+        ps = (0.0 if blo == 0.0 or ilo == 0.0 else blo * ilo,
+              0.0 if blo == 0.0 or ihi == 0.0 else blo * ihi,
+              0.0 if bhi == 0.0 or ilo == 0.0 else bhi * ilo,
+              0.0 if bhi == 0.0 or ihi == 0.0 else bhi * ihi)
+        lo, hi = min(ps), max(ps)
+        if not lo <= hi:
+            Interval(lo, hi)  # raises the NaN or empty-interval error
+        lo, hi = va.interval.lo + lo, va.interval.hi + hi
+        if not lo <= hi:
+            Interval(lo, hi)  # raises the NaN or empty-interval error
+        point = va.point + vb.point / vc.point if vc.point != 0.0 else None
+        return Verdict(interval=Interval(max(lo, self._range.lo), min(hi, self._range.hi)),
+                       point=point)
+
+    def next(self, symbol: str) -> Verdict:
+        if self._alphabet is not None and symbol not in self._alphabet:
+            raise ConfigError(f"symbol {symbol!r} outside the state alphabet")
+        a, b, c = self._subs
+        # `|` does not short-circuit: every part sees every event
+        if a._step(symbol) | b._step(symbol) | c._step(symbol):
+            self._verdict = self._combine()
         return self._verdict
 
     def feed(self, symbols) -> Verdict:
@@ -296,6 +363,7 @@ def build_mc_monitor(expr: Expr, delta: float, mode: str, seed: int = 0,
                      alphabet: Optional[Sequence[str]] = None,
                      check_invariants: bool = False):
     """Monitor for an arbitrary PSE: direct when division free, else decomposed."""
+    check_delta(delta)
     if not is_pse(expr):
         raise SpecValidationError("fully-observed monitoring needs a PSE "
                                   "(constants and transition variables only)")

@@ -274,6 +274,20 @@ class TestMonitor:
             assert out == ""
             assert "--intersect" in err
 
+    @pytest.mark.parametrize("flag", [["--tau-mix", "7.45"], ["--model", "MODEL"]])
+    def test_pomc_only_flag_with_mc_engine_exits_2(self, capsys, lending_files, tmp_path,
+                                                   flag):
+        model, spec = lending_files
+        events = tmp_path / "events.txt"
+        events.write_text("init\nnot-a-state\n")  # exit 3 if it were read
+        flag = [str(model) if a == "MODEL" else a for a in flag]
+        code, out, err = run_cli(capsys, "monitor", "--spec", str(spec), "--engine", "mc",
+                                 *flag, "--events", str(events))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert flag[0] in err
+
     def test_transvar_under_pomc_engine_is_config_error(self, capsys,
                                                         lending_files, tmp_path):
         model, spec = lending_files

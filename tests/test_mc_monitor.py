@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,9 +8,9 @@ from scipy import stats
 from fairmon.bounds import ci_mc_pointwise
 from fairmon.errors import ConfigError, SpecValidationError
 from fairmon.intervals import Interval
-from fairmon.markov import ObservationModel, simulate_states, truth_value_pse
-from fairmon.mc import (TOP, DivisionMonitor, MCMonitorDivFree,
-                        build_mc_monitor)
+from fairmon.markov import (ObservationModel, simulate, simulate_states,
+                            truth_value_pse)
+from fairmon.mc import DivisionMonitor, MCMonitorDivFree, build_mc_monitor
 from fairmon.speclang import expression_size, parse
 from fairmon.experiments import lending_mc
 
@@ -87,31 +88,42 @@ class TestHandTraces:
         assert v.interval == expect
 
 
+def coded(mon, source, target):
+    """The monitor's code of ``source`` and its index of ``target`` there."""
+    s = mon._codes[source]
+    return s, mon._rows[s][mon._codes[target]]
+
+
 class TestExtractOutcome:
     def test_first_draw_distribution(self):
         # pool: c_1 = 3 with two recorded 2-successors -> P(2) = 2/3
-        counts = {"2": 0, TOP: 0}
+        hits = 0
         for seed in range(4000):
             mon = MCMonitorDivFree(parse("T[1->2]", ALPHA), 0.05, "pointwise", seed=seed)
-            mon._c["1"] = 3
-            mon._cij[("1", "2")] = 2
-            mon._extract("1", 1)
-            counts[mon._z["1"][0]] += 1
-        freq = counts["2"] / 4000
+            s, j = coded(mon, "1", "2")
+            mon._c[s] = 3
+            mon._cij[s][j] = 2
+            mon._extract(s, 1)
+            pick = mon._z[s][0]
+            assert pick in (j, -1)  # -1: none of the relevant targets
+            hits += pick == j
+        freq = hits / 4000
         assert abs(freq - 2 / 3) <= 3 * math.sqrt((2 / 3) * (1 / 3) / 4000)
 
     def test_forced_draw(self):
         mon = MCMonitorDivFree(parse("T[1->2]", ALPHA), 0.05, "pointwise", seed=1)
-        mon._c["1"] = 1
-        mon._cij[("1", "2")] = 1
-        mon._extract("1", 1)
-        assert mon._z["1"] == ["2"]
-        assert mon._c["1"] == 0 and mon._cij[("1", "2")] == 0
+        s, j = coded(mon, "1", "2")
+        mon._c[s] = 1
+        mon._cij[s][j] = 1
+        mon._extract(s, 1)
+        assert mon._z[s] == [j]
+        assert mon._c[s] == 0 and mon._cij[s][j] == 0
 
     def test_empty_pool_leaves_buffer_short(self):
         mon = MCMonitorDivFree(parse("T[1->2]", ALPHA), 0.05, "pointwise", seed=1)
-        mon._extract("1", 1)
-        assert mon._z["1"] == []
+        s, _ = coded(mon, "1", "2")
+        mon._extract(s, 1)
+        assert mon._z[s] == []
 
     def test_reshuffle_is_exchangeable(self):
         # fixed pool of five 2-successors and three irrelevant visits: the
@@ -120,12 +132,13 @@ class TestExtractOutcome:
         hits = 0
         expr = parse("T[1->2]", ALPHA)
         mon = MCMonitorDivFree(expr, 0.05, "pointwise", seed=0)
+        s, j = coded(mon, "1", "2")
         for _ in range(trials):
-            mon._c["1"] = 8
-            mon._cij[("1", "2")] = 5
-            mon._z["1"].clear()
-            mon._extract("1", 1)
-            hits += mon._z["1"][0] == "2"
+            mon._c[s] = 8
+            mon._cij[s][j] = 5
+            mon._z[s].clear()
+            mon._extract(s, 1)
+            hits += mon._z[s][0] == j
         observed = [hits, trials - hits]
         expected = [trials * 5 / 8, trials * 3 / 8]
         _, p = stats.chisquare(observed, expected)
@@ -134,11 +147,12 @@ class TestExtractOutcome:
     def test_draws_without_replacement_exhaust_pool(self):
         mon = MCMonitorDivFree(parse("T[1->2] * T[1->2]", ALPHA), 0.05,
                                "pointwise", seed=3)
-        mon._c["1"] = 2
-        mon._cij[("1", "2")] = 2
-        mon._extract("1", 2)
-        assert mon._z["1"] == ["2", "2"]
-        assert mon._c["1"] == 0
+        s, j = coded(mon, "1", "2")
+        mon._c[s] = 2
+        mon._cij[s][j] = 2
+        mon._extract(s, 2)
+        assert mon._z[s] == [j, j]
+        assert mon._c[s] == 0
 
 
 class TestCountersAndRegisters:
@@ -178,6 +192,23 @@ class TestCountersAndRegisters:
     def test_non_pse_rejected(self):
         with pytest.raises(SpecValidationError):
             build_mc_monitor(parse("P[1 2]", ALPHA), 0.05, "pointwise")
+
+
+class TestConfidenceParameter:
+    @pytest.mark.parametrize("delta", [1.5, 0.0, 1.0, -0.1, math.nan])
+    @pytest.mark.parametrize("text", ["T[1->2]", "T[1->2] / T[1->3]"])
+    def test_invalid_delta_fails_at_build(self, text, delta):
+        # before the check, T[1->2] built with 1.5 and raised at the first round
+        with pytest.raises(ConfigError, match="confidence parameter"):
+            build_mc_monitor(parse(text, ALPHA), delta, "uniform")
+
+    @pytest.mark.parametrize("delta", [1.5, 0.0, math.nan])
+    def test_invalid_delta_fails_in_constructors(self, delta):
+        with pytest.raises(ConfigError, match="confidence parameter"):
+            MCMonitorDivFree(parse("T[1->2]", ALPHA), delta, "uniform")
+        parts = (parse("0", ALPHA), parse("T[1->2]", ALPHA), parse("T[1->3]", ALPHA))
+        with pytest.raises(ConfigError, match="confidence parameter"):
+            DivisionMonitor(parts, delta, "uniform")
 
 
 class TestOutcomeDistribution:
@@ -243,6 +274,17 @@ class TestDivisionMonitor:
         assert kinds[0] == "inconclusive"
         assert "inconclusive" not in kinds[-1:]
 
+    def test_unknown_symbol_rejected_before_any_part_moves(self):
+        expr = parse("T[1->2] / T[1->3]", ALPHA)
+        mon, clean = (build_mc_monitor(expr, 0.05, "pointwise", seed=0, alphabet=ALPHA)
+                      for _ in range(2))
+        mon.next("1")
+        clean.next("1")
+        with pytest.raises(ConfigError):
+            mon.next("zzz")
+        stream = "2131213" * 20
+        assert [mon.next(s) for s in stream] == [clean.next(s) for s in stream]
+
     def test_zero_crossing_denominator_is_unbounded(self):
         v_a = Interval.point(0.0)
         v_b = Interval(0.1, 0.2)
@@ -285,3 +327,54 @@ class TestStreamDeterminism:
         assert mon_p.n_samples == mon_u.n_samples
         assert mon_p.mean == mon_u.mean
         assert vu.interval.width >= vp.interval.width
+
+
+class TestVerdictDigests:
+    """Every bit of every verdict of the monitor on a seeded stationary
+    ``lending_mc`` stream: sha256 of its ``t lo hi point kind`` lines, with the
+    round count, the buffer peak and the register count."""
+
+    SPECS = {
+        "ratio": "T[gbar->gbary] / T[g->gy]",
+        "mixed": "0.3 + T[g->gy] * T[g->ybar] / T[gbar->gbary]",
+        "difference": "T[g->gy] * T[g->ybar] - T[gbar->gbary]",
+        "constant": "0.1",
+    }
+    # (spec, mode) -> (digest, n_samples, peak_buffer, register_count)
+    EXPECTED = {
+        ("ratio", "pointwise"):
+            ("8f505868f9868c8c4253f89c24341dbedb11549d4e5eec71521b5b694926bc7d", 512, 1, 21),
+        ("ratio", "uniform"):
+            ("592e634da3965d6a92dd812cd8747561898ec481b07fc669810c73e57fb2e7c9", 512, 1, 21),
+        ("mixed", "pointwise"):
+            ("d7c3a28d7a4e29c23a350b2e0eb86dbf84d4778fc6a32706b524de116227ac81", 283, 2, 23),
+        ("mixed", "uniform"):
+            ("93967af4737642058038cb8bdfed48c4027266f642a3241603fdad38e436fef2", 283, 2, 23),
+        ("difference", "pointwise"):
+            ("b3da3b6f0fd566ab0d3c273ff1b694698c483285e66d9c4b3b1196e13feee552", 283, 2, 14),
+        ("difference", "uniform"):
+            ("afc0f441bfb7dba11f73b0e2015a339ae90212c1c1c049fa82035ca414deab37", 283, 2, 14),
+        ("constant", "pointwise"):
+            ("b7f7e44c168e83a8cb16ca4b14dcc8e7442f208f21994afd63f754e9c8126e40", 3999, 0, 5),
+        ("constant", "uniform"):
+            ("b7f7e44c168e83a8cb16ca4b14dcc8e7442f208f21994afd63f754e9c8126e40", 3999, 0, 5),
+    }
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        return list(simulate(lending_mc(), 4000, 5, start="stationary"))
+
+    @pytest.mark.parametrize("spec", sorted(SPECS))
+    @pytest.mark.parametrize("mode", ["pointwise", "uniform"])
+    def test_verdict_digest(self, stream, spec, mode):
+        states = lending_mc().states
+        mon = build_mc_monitor(parse(self.SPECS[spec], states), 0.05, mode, seed=3,
+                               alphabet=states)
+        lines = []
+        for t, s in enumerate(stream, start=1):
+            v = mon.next(s)
+            lo, hi = (None, None) if v.interval is None else (v.interval.lo, v.interval.hi)
+            lines.append(f"{t} {lo!r} {hi!r} {v.point!r} {v.kind}\n")
+        digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+        got = (digest, mon.n_samples, mon.peak_buffer, mon.register_count())
+        assert got == self.EXPECTED[(spec, mode)]

@@ -12,17 +12,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from fairmon.bounds import ci_pomc_pointwise, ci_pomc_uniform, split_delta
+from fairmon.bounds import (ci_mc_pointwise, ci_mc_uniform, ci_pomc_pointwise,
+                            ci_pomc_uniform, split_delta)
 from fairmon.errors import ModelError
 from fairmon.intervals import UNBOUNDED, Interval
 from fairmon.markov import ObservationModel
-from fairmon.mc import MCMonitorDivFree
-from fairmon.pomc import atom_window, build_pomc_monitor
+from fairmon.mc import MCMonitorDivFree, build_mc_monitor
+from fairmon.pomc import INCONCLUSIVE, Verdict, atom_window, build_pomc_monitor
 from fairmon.speclang import (Add, Atom, AtomDef, Const, Inv, Mul, SeqProb,
-                              Sub, TransVar, bse_range, decompose_division,
-                              eval_pse, expr_range, parse, pretty_print,
-                              to_polynomial)
-from fairmon.speclang.ast import fold, leaves
+                              Sub, TransVar, assign_slots, bse_range,
+                              decompose_division, eval_pse, expr_range, parse,
+                              pretty_print, to_polynomial)
+from fairmon.speclang.ast import contains_division, fold, leaves
 
 ALPHA = ["A", "B", "Y", "1", "2", "3", "4"]
 STATES = ["1", "2", "3", "4"]
@@ -309,3 +310,192 @@ def test_pomc_plan_matches_tree_fold(e, length, seed, delta):
         expected = _lines(lambda: reference_pomc(e, delta, mode, stream, intersect))
         got = _lines(lambda: _monitor_lines(e, delta, mode, stream, intersect))
         assert got == expected, (pretty_print(e), mode, intersect)
+
+
+# --- the integer-coded mc engine against the dict-keyed engine it replaced ---
+
+class _RefPool:
+    """Philox uniforms, handed out one numpy scalar at a time."""
+
+    def __init__(self, seed):
+        self._gen = np.random.Generator(np.random.Philox(seed))
+        self._buf = self._gen.random(1024)
+        self._i = 0
+
+    def random(self):
+        i = self._i
+        if i >= 1024:
+            self._buf = self._gen.random(1024)
+            i = 0
+        self._i = i + 1
+        return self._buf[i]
+
+
+class RefDivFree:
+    """The division-free monitor with counters in dicts keyed by state names
+    and (source, target) tuples, read through a postfix program."""
+
+    def __init__(self, expr, delta, mode, seed=0):
+        layout = assign_slots(expr)
+        self._prog, self._vars = [], []
+
+        def var(node):
+            self._vars.append((node.source, node.target, layout.slots[len(self._vars)][1]))
+            self._prog.append(("var", len(self._vars) - 1))
+
+        fold(expr, {Const: lambda n: self._prog.append(("const", n.value)), TransVar: var,
+                    Add: lambda *_: self._prog.append((operator.add, 0)),
+                    Sub: lambda *_: self._prog.append((operator.sub, 0)),
+                    Mul: lambda *_: self._prog.append((operator.mul, 0))})
+        self.value_range = expr_range(expr)
+        self.sigma_sq = self.value_range.width ** 2
+        self._delta = delta
+        self._ci = {"pointwise": ci_mc_pointwise, "uniform": ci_mc_uniform}[mode]
+        self._rng = _RefPool(seed)
+        self._c = {src: 0 for src in layout.targets}
+        self._cij = {(src, tgt): 0 for src, tgts in layout.targets.items() for tgt in tgts}
+        self._targets = {src: list(tgts) for src, tgts in layout.targets.items()}
+        self._z = {src: [] for src in layout.targets}
+        self._cache = [None] * len(self._vars)
+        self._prev = self._blocked = None
+        self.n_samples, self.mean, self.peak_buffer = 0, 0.0, 0
+        self._verdict = INCONCLUSIVE
+
+    def register_count(self):
+        buf = sum(len(z) for z in self._z.values())
+        return len(self._c) + len(self._cij) + buf + len(self._cache) + 5
+
+    def _extract(self, source, upto):
+        z, ci = self._z[source], self._c[source]
+        while len(z) < upto and ci > 0:
+            u = self._rng.random() * ci
+            acc, pick = 0.0, "TOP"
+            for tgt in self._targets[source]:
+                acc += self._cij[(source, tgt)]
+                if u < acc:
+                    pick = tgt
+                    break
+            ci -= 1
+            if pick != "TOP":
+                self._cij[(source, pick)] -= 1
+            z.append(pick)
+        self._c[source] = ci
+        self.peak_buffer = max(self.peak_buffer, len(z))
+
+    def _eval(self):
+        stack = []
+        for op, arg in self._prog:
+            if op == "var":
+                v = self._cache[arg]
+                if v is None:
+                    source, target, slot = self._vars[arg]
+                    z = self._z[source]
+                    if len(z) < slot:
+                        self._extract(source, slot)
+                    if len(z) >= slot:
+                        v = self._cache[arg] = 1.0 if z[slot - 1] == target else 0.0
+                    else:
+                        self._blocked = source
+                stack.append(v)
+            elif op == "const":
+                stack.append(arg)
+            else:
+                b, a = stack.pop(), stack.pop()
+                stack.append(None if a is None or b is None else op(a, b))
+        return stack[0]
+
+    def next(self, symbol):
+        prev, self._prev = self._prev, symbol
+        if prev is None:
+            return self._verdict
+        if prev in self._c:
+            self._c[prev] += 1
+            if (prev, symbol) in self._cij:
+                self._cij[(prev, symbol)] += 1
+            if self._blocked == prev:
+                self._blocked = None
+        if self._blocked is None:
+            w = self._eval()
+            if w is not None:
+                n = self.n_samples = self.n_samples + 1
+                lo, hi = self.value_range.lo, self.value_range.hi
+                mu = self.mean = min(max((self.mean * (n - 1) + w) / n, lo), hi)
+                eps = self._ci(n, self._delta, self.sigma_sq)
+                self._verdict = Verdict(Interval(max(mu - eps, lo), min(mu + eps, hi)), mu)
+                for z in self._z.values():
+                    z.clear()
+                self._cache = [None] * len(self._cache)
+                self._blocked = None
+        return self._verdict
+
+
+class RefDivision:
+    """``phi_a + phi_b / phi_c`` recombined with ``Interval`` arithmetic on
+    every event."""
+
+    def __init__(self, parts, delta, mode, seed=0):
+        self._subs = [RefDivFree(part, delta / 3.0, mode, seed=seed * 3 + k)
+                      for k, part in enumerate(parts)]
+        ra, rb, rc = (m.value_range for m in self._subs)
+        self._range = ra + rb / rc
+
+    n_samples = property(lambda self: min(m.n_samples for m in self._subs))
+    peak_buffer = property(lambda self: max(m.peak_buffer for m in self._subs))
+
+    def register_count(self):
+        return sum(m.register_count() for m in self._subs)
+
+    def next(self, symbol):
+        va, vb, vc = [m.next(symbol) for m in self._subs]
+        if any(v.is_inconclusive for v in (va, vb, vc)):
+            return INCONCLUSIVE
+        interval = (va.interval + vb.interval / vc.interval).intersect(self._range)
+        point = va.point + vb.point / vc.point if vc.point != 0.0 else None
+        return Verdict(interval, point)
+
+
+def reference_mc(expr, delta, mode, seed):
+    if not contains_division(expr):
+        return RefDivFree(expr, delta, mode, seed)
+    dd = decompose_division(to_polynomial(expr))
+    if dd.is_trivial:
+        return RefDivFree(dd.phi_a, delta, mode, seed)
+    return RefDivision((dd.phi_a, dd.phi_b, dd.phi_c), delta, mode, seed)
+
+
+def _mc_lines(make_monitor, stream):
+    mon = make_monitor()
+    for t, s in enumerate(stream, start=1):
+        v = mon.next(s)
+        lo, hi = (None, None) if v.interval is None else (v.interval.lo, v.interval.hi)
+        yield f"{t} {lo!r} {hi!r} {v.point!r} {v.kind}"
+    means = [m.mean for m in getattr(mon, "_subs", [mon])]
+    yield f"{mon.n_samples} {means!r} {mon.peak_buffer} {mon.register_count()}"
+
+
+# a + b / T[..]: the shape that the normal form splits into three parts
+ratio_pse = st.builds(lambda a, b, v: Add(a, Mul(b, Inv(v))),
+                      division_free_pse, division_free_pse, transvars)
+
+
+@PROPERTY
+@given(st.one_of(division_free_pse, ratio_pse),
+       st.lists(st.sampled_from(STATES + ["5"]), min_size=2, max_size=300),
+       st.integers(min_value=0, max_value=2**16), st.sampled_from([0.05, 0.5]))
+# a point range whose running mean is 0.0 where the range is [-0.0, -0.0]
+@example(Mul(TransVar("1", "2"), Const(-0.0)), ["1", "2", "1", "3"] * 5, 0, 0.05)
+@example(Add(Const(0.0), Mul(TransVar("1", "2"), Inv(TransVar("1", "3")))),
+         ["1", "2", "1", "3", "1", "4"] * 30, 1, 0.05)
+# source 1 is visited twice as often as the two draws from 2 that a round
+# needs, so its pool grows and the target order decides what u picks
+@example(Add(Sub(TransVar("1", "2"), TransVar("1", "3")),
+             Mul(TransVar("2", "3"), TransVar("2", "4"))), list("12131412") * 30, 2, 0.05)
+def test_mc_coded_engine_matches_dict_engine(e, stream, seed, delta):
+    """Every bit of every verdict, the round count, the running means, the
+    buffer peak and the register count, in both modes, and the same exception
+    type where the reference raises."""
+    for mode in ("pointwise", "uniform"):
+        expected = _lines(lambda: _mc_lines(lambda: reference_mc(e, delta, mode, seed), stream))
+        got = _lines(lambda: _mc_lines(lambda: build_mc_monitor(e, delta, mode, seed=seed),
+                                       stream))
+        assert got == expected, (pretty_print(e), mode)
