@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from .errors import ConfigError
 from .intervals import Interval
@@ -36,20 +36,47 @@ def _check_sigma_sq(sigma_sq: float):
         raise ConfigError(f"sigma^2 must be nonnegative, got {sigma_sq}")
 
 
-def _ci_pomc(delta: float, t: int, n: int, a: float, b: float, tau_mix: float,
-             uniform: bool) -> float:
+def pomc_halfwidth(delta: float, n: int, a: float, b: float, tau_mix: float,
+                   uniform: bool) -> Callable[[int], float]:
+    """The half-width of an arity-n atom with range [a, b] as a function of t >= n.
+
+    The arguments are checked here, once; the returned function only
+    computes.  Every ``ci_pomc_*`` value comes from it, so the arithmetic and
+    its order are the same wherever a half-width is needed.
+    """
     check_delta(delta)
-    if n < 1 or t < n:
-        raise ConfigError(f"need t >= n >= 1, got t={t}, n={n}")
+    if n < 1:
+        raise ConfigError(f"need t >= n >= 1, got n={n}")
     if not b >= a:
         raise ConfigError(f"invalid atom range [{a}, {b}]")
     if not tau_mix >= 1.0:
         raise ConfigError(f"mixing-time bound must be >= 1, got {tau_mix}")
     if b == a:
-        return 0.0
-    kernel = t * n * n * (b - a) ** 2 * 9.0 * tau_mix / (2.0 * (t - (n - 1)) ** 2)
-    log_term = math.log(_PI * _PI * t * t / (3.0 * delta)) if uniform else math.log(2.0 / delta)
-    return math.sqrt(log_term * kernel)
+        return lambda t: 0.0
+    log, sqrt = math.log, math.sqrt
+    # t * nn equals t * n * n, an exact integer, so every float operation
+    # below rounds as in the one-line formula
+    nn, sq, n1 = n * n, (b - a) ** 2, n - 1
+    if uniform:
+        pi2, d3 = _PI * _PI, 3.0 * delta
+
+        def halfwidth(t: int) -> float:
+            return sqrt(log(pi2 * t * t / d3)
+                        * (t * nn * sq * 9.0 * tau_mix / (2.0 * (t - n1) ** 2)))
+    else:
+        log_term = log(2.0 / delta)
+
+        def halfwidth(t: int) -> float:
+            return sqrt(log_term * (t * nn * sq * 9.0 * tau_mix / (2.0 * (t - n1) ** 2)))
+    return halfwidth
+
+
+def _ci_pomc(delta: float, t: int, n: int, a: float, b: float, tau_mix: float,
+             uniform: bool) -> float:
+    check_delta(delta)
+    if n < 1 or t < n:
+        raise ConfigError(f"need t >= n >= 1, got t={t}, n={n}")
+    return pomc_halfwidth(delta, n, a, b, tau_mix, uniform)(t)
 
 
 def ci_pomc_pointwise(delta: float, t: int, n: int, a: float, b: float,

@@ -34,26 +34,34 @@ def _load_spec(path: str, allow_transvars: bool):
     return parse_spec_file(Path(path).read_text(), allow_transvars=allow_transvars)
 
 
-def _cell(x, missing: str) -> str:
-    """A verdict number as text; ``missing`` for None and non-finite values.
+INF = math.inf
 
-    ``float.__repr__`` is the float text of ``json.dumps``, also for numpy
-    floats, whose own ``repr`` names the type.
+
+def _emit(write, fmt: str, t: int, verdict) -> None:
+    """One record: a JSON object with the bytes of ``json.dumps``, or a CSV row.
+
+    A number that is missing or not finite is ``null`` in JSONL and empty in
+    CSV.  ``float.__repr__`` is the float text of ``json.dumps``, also for
+    numpy floats, whose own ``repr`` names the type.  The kind is
+    ``verdict.kind``, read off the endpoints already at hand.
     """
-    return missing if x is None or not -math.inf < x < math.inf else float.__repr__(x)
-
-
-def _emit(out, fmt: str, t: int, verdict) -> None:
-    """One record: a JSON object with the bytes of ``json.dumps``, or a CSV row."""
     missing = "null" if fmt == "jsonl" else ""
-    iv = verdict.interval
-    lo, hi = (missing, missing) if iv is None else (_cell(iv.lo, missing), _cell(iv.hi, missing))
-    point = _cell(verdict.point, missing)
-    if fmt == "jsonl":
-        out.write(f'{{"t": {t}, "lo": {lo}, "hi": {hi}, "point": {point}, '
-                  f'"verdict": "{verdict.kind}"}}\n')
+    iv, point = verdict.interval, verdict.point
+    point = float.__repr__(point) if point is not None and -INF < point < INF else missing
+    if iv is None:
+        lo = hi = missing
+        kind = "inconclusive"
     else:
-        out.write(f"{t},{lo},{hi},{point},{verdict.kind}\n")
+        lo, hi = iv.lo, iv.hi
+        kind = "ok" if -INF < lo and hi < INF else "unbounded"  # as lo <= hi
+        lo = float.__repr__(lo) if -INF < lo < INF else missing
+        hi = float.__repr__(hi) if -INF < hi < INF else missing
+    if not verdict.consistent:
+        kind = "inconsistent"
+    if fmt == "jsonl":
+        write(f'{{"t": {t}, "lo": {lo}, "hi": {hi}, "point": {point}, "verdict": "{kind}"}}\n')
+    else:
+        write(f"{t},{lo},{hi},{point},{kind}\n")
 
 
 def _open_events(path):
@@ -93,12 +101,12 @@ def cmd_monitor(args) -> int:
                                    seed=args.seed, alphabet=spec.alphabet)
 
     source = _open_events(args.events)
-    out = sys.stdout
+    step, write, stride, fmt = monitor.next, sys.stdout.write, args.stride, args.format
     alphabet = set(spec.alphabet)
     t = 0
     try:
-        if args.format == "csv":
-            out.write("t,lo,hi,point,verdict\n")
+        if fmt == "csv":
+            write("t,lo,hi,point,verdict\n")
         for line_no, line in enumerate(source, start=1):
             symbol = line.strip()
             if not symbol:
@@ -111,9 +119,9 @@ def cmd_monitor(args) -> int:
                         f"error: line {line_no}: symbol {symbol!r} is not in the alphabet\n")
                 return EXIT_EVENT
             t += 1
-            verdict = monitor.next(symbol)
-            if t % args.stride == 0:
-                _emit(out, args.format, t, verdict)
+            verdict = step(symbol)
+            if t % stride == 0:
+                _emit(write, fmt, t, verdict)
     finally:
         if source is not sys.stdin:
             source.close()

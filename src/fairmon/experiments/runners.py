@@ -27,7 +27,7 @@ import numpy as np
 
 from ..bounds import (baseline_union_interval, ci_mc_pointwise, ci_mc_uniform,
                       ci_pomc_pointwise, ci_pomc_uniform, naive_uniform_lift,
-                      split_delta)
+                      pomc_halfwidth, split_delta)
 from ..errors import ConfigError
 from ..intervals import Interval
 from ..markov import (ObservationModel, mixing_time_bound, simulate,
@@ -105,15 +105,15 @@ class PomcSeriesEvaluator:
         self.root_range = bse_range(expr)
         atoms = leaves(expr)
         shares = split_delta(delta, expr).shares() if atoms else []
-        ci = ci_pomc_pointwise if mode == "pointwise" else ci_pomc_uniform
         self._atoms: List[Tuple[np.ndarray, np.ndarray, int, float, float]] = []
         tables: Dict[Tuple, np.ndarray] = {}  # one per distinct (share, n, low, high)
         for leaf, share in zip(atoms, shares):
             fn, n, low, high = atom_window(leaf)
             if (share, n, low, high) not in tables:
                 eps = tables[share, n, low, high] = np.full(horizon + 1, np.nan)
+                halfwidth = pomc_halfwidth(share, n, low, high, tau_mix, mode != "pointwise")
                 for t in range(n, horizon + 1):
-                    eps[t] = ci(share, t, n, low, high, tau_mix)
+                    eps[t] = halfwidth(t)
             values = np.array([fn(w) for w in itertools.product(self.alphabet, repeat=n)],
                               dtype=float)
             self._atoms.append((values, tables[share, n, low, high], n, low, high))

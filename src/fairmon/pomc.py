@@ -1,22 +1,33 @@
 """Windowed monitors for partially observed chains.
 
-One monitor per expression keeps one record per atom (window function,
-arity, range and confidence share), the running mean of each atom's window
-evaluations and one window of the stream, as long as the largest arity.
+One monitor per expression keeps, for each atom (window function, arity,
+range and confidence share), the running mean of its window evaluations.
 After warm-up each event gives one verdict: every atom's mean plus/minus a
 mixing-time-scaled half-width, folded through the expression tree with
 interval arithmetic, an equal confidence share per atom.
 
-The tree is folded once, when the monitor is built, into a postfix plan of
-``(op, arg)`` steps.  Each event runs the plan over ``(lo, hi, point)``
-float triples with the formulas of :class:`Interval`, its NaN and empty
-checks included; a sum's, difference's or product's point is kept when it
-is finite, a reciprocal's when the operand's point is nonzero.  Only the
-clipped result becomes an ``Interval``.  Atoms with the same (share, arity,
-range) share one half-width, computed once per event.  An atom's window
-values come from a memo keyed by the window word and filled on first
-sight, when the alphabet is declared and has at most ``_MEMO_WORDS`` words
-of the atom's arity; otherwise the window function runs on every window.
+When the monitor is built, ``fold`` walks the tree once and writes its
+per-event step as straight-line Python source, compiled once with
+``compile()`` and bound as the monitor's ``next``; the state (time, window
+words, means, running intersection) lives in closure cells, and constants,
+ranges and half-width functions are objects of the code's namespace, never
+text.  With a declared alphabet a symbol becomes an integer code with one
+dict lookup, and a symbol outside the alphabet raises before any state
+moves.  Each arity keeps one rolling window word, ``w = (w * |O| + c) %
+|O|**n``, and an atom reads its window value as ``table[w]`` from a list of
+its values on every word of its arity, in base-|O| order, filled at build.
+Without an alphabet, or for an atom of more than ``_MEMO_WORDS`` words, the
+atom's line calls its window function on a tuple of the last symbols.
+Atoms with the same (share, arity, range) share one half-width per event,
+from :func:`fairmon.bounds.pomc_halfwidth`, whose argument checks run at
+build.  The lines keep the formulas of :class:`Interval` with the same
+operand order in every ``min`` and ``max``, each written out as the
+comparisons the builtin makes, the ``0 * inf = 0`` product
+rule, the NaN and empty check of every interval, the point rules (a sum's,
+difference's or product's point is kept when it is finite, a reciprocal's
+when the operand's point is nonzero), the clip to the expression's range
+and the running intersection.  Only the clipped result becomes an
+``Interval``.
 """
 
 from __future__ import annotations
@@ -26,26 +37,19 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
-from .bounds import ci_pomc_pointwise, ci_pomc_uniform, split_delta
+from .bounds import pomc_halfwidth, split_delta
 from .errors import ConfigError
 from .intervals import Interval
 from .speclang.ast import (Add, Atom, Const, Expr, Inv, Mul, SeqProb, Sub,
                            TransVar, fold, leaves, reject)
 from .speclang.ranges import bse_range
 
-_CI = {"pointwise": ci_pomc_pointwise, "uniform": ci_pomc_uniform}
+_MODES = ("pointwise", "uniform")
 
 INF = math.inf
 
-# An atom with more words of its arity than this is not memoised.
+# An atom with more words of its arity than this reads no value table.
 _MEMO_WORDS = 4096
-
-_OP_LEAF = 0
-_OP_CONST = 1
-_OP_ADD = 2
-_OP_SUB = 3
-_OP_MUL = 4
-_OP_INV = 5
 
 
 @dataclass(frozen=True)
@@ -86,160 +90,181 @@ def atom_window(leaf: Expr) -> Tuple[Callable, int, float, float]:
     return fold(leaf, _WINDOWS)
 
 
-class _Memo(dict):
-    """Window values by window word, each computed on first sight."""
-
-    def __init__(self, fn: Callable):
-        super().__init__()
-        self._fn = fn
-
-    def __missing__(self, word):
-        value = self[word] = self._fn(word)
-        return value
-
-
-def _compile(expr: Expr) -> list:
-    """Flatten to postfix ``(op, arg)`` steps.
-
-    A leaf's arg is its index in leaf order, a constant's its
-    ``(lo, hi, point)`` triple.
+def _extreme(target: str, items: Sequence[str], op: str) -> list:
+    """Lines setting ``target`` to ``max(*items)`` (op ``>``) or ``min(*items)``
+    (op ``<``) with the builtin's comparisons, in its order: a later item
+    replaces the one kept when it compares above (below) it, so ties, signed
+    zeros and NaN come out as the builtin's.  Only the first item may
+    mention ``target``.
     """
-    plan: list = []
-    index = itertools.count()
+    first, *rest = items
+    lines = [] if first == target else [f"{target} = {first}"]
+    return lines + [f"if {x} {op} {target}: {target} = {x}" for x in rest]
 
+
+def _generate_step(expr: Expr, delta: float, uniform: bool, tau_mix: float,
+                   alphabet: Optional[Sequence[str]], intersect: bool) -> Callable:
+    """The per-event step of a monitor of ``expr``, as compiled Python."""
+    rng = bse_range(expr)
+    atoms = leaves(expr)
+    shares = split_delta(delta, expr).shares() if atoms else []
+    codes = {s: c for c, s in enumerate(dict.fromkeys(alphabet))} if alphabet else None
+    ns = {"INF": INF, "Interval": Interval, "Verdict": Verdict,
+          "INCONCLUSIVE": INCONCLUSIVE, "ConfigError": ConfigError,
+          "range_lo": rng.lo, "range_hi": rng.hi}
+    state = ["t = 0"]
+    step = []  # lines of a warm event, after the half-widths
+    warmup = []  # lines of an event before the largest arity is filled
+    keys: dict = {}  # (share, n, low, high) -> index of its half-width
+    words: set = set()  # arities above 1 read from value tables
+    windows = [atom_window(leaf) for leaf in atoms]
+    width = max((n for _, n, _, _ in windows), default=1)
+    window = 0  # symbols the window functions of untabled atoms need
+    for i, ((fn, n, low, high), share) in enumerate(zip(windows, shares)):
+        ns[f"low{i}"], ns[f"high{i}"] = low, high
+        if codes is not None and len(codes) ** n <= _MEMO_WORDS:
+            ns[f"table{i}"] = [fn(w) for w in itertools.product(codes, repeat=n)]
+            if n == 1:
+                value = f"table{i}[c]"
+            else:
+                value = f"table{i}[w{n}]"
+                words.add(n)
+        else:
+            ns[f"fn{i}"] = fn
+            value = f"fn{i}(window[-{n}:])"
+            window = max(window, n)
+        k = keys.get((share, n, low, high))
+        if k is None:
+            k = keys[share, n, low, high] = len(keys)
+            ns[f"halfwidth{k}"] = pomc_halfwidth(share, n, low, high, tau_mix, uniform)
+        state.append(f"m{i} = 0.0")
+        count = "t" if n == 1 else f"(t - {n - 1})"  # windows seen, as an int
+        # the recurrence can round the running mean out of the range
+        mean = _extreme(f"m{i}", [f"(m{i} * (t - {n}) + {value}) / {count}", f"low{i}"], ">")
+        mean += _extreme(f"m{i}", [f"m{i}", f"high{i}"], "<")
+        if n < width:
+            warmup += mean if n == 1 else [f"if t >= {n}:", *("    " + x for x in mean)]
+        step += [*mean,
+                 *_extreme(f"lo{i}", [f"m{i} - e{k}", f"low{i}"], ">"),
+                 *_extreme(f"hi{i}", [f"m{i} + e{k}", f"high{i}"], "<"),
+                 f"if not lo{i} <= hi{i}: Interval(lo{i}, hi{i})"]
+    step[:0] = [f"e{k} = halfwidth{k}(t)" for k in range(len(keys))]
+
+    leaf_index, temp = itertools.count(), itertools.count()
+
+    # each node's (lo, hi, point) names; a point is None where it is not kept
     def leaf(_):
-        plan.append((_OP_LEAF, next(index)))
+        i = next(leaf_index)
+        return f"lo{i}", f"hi{i}", f"m{i}"
 
-    def emit(op):
-        return lambda *_: plan.append((op, None))
+    def const(node):
+        name = f"const{next(temp)}"
+        ns[name] = node.value
+        return name, name, name
 
-    fold(expr, {
-        Atom: leaf, SeqProb: leaf,
-        Const: lambda n: plan.append((_OP_CONST, (n.value, n.value, n.value))),
-        Add: emit(_OP_ADD), Sub: emit(_OP_SUB), Mul: emit(_OP_MUL), Inv: emit(_OP_INV),
+    def binary(op):
+        def emit(_, a, b):
+            j = next(temp)
+            lo, hi, p = f"lo_{j}", f"hi_{j}", f"p_{j}"
+            (alo, ahi, ap), (blo, bhi, bp) = a, b
+            if op == "+":
+                step.append(f"{lo}, {hi} = {alo} + {blo}, {ahi} + {bhi}")
+            elif op == "-":
+                step.append(f"{lo}, {hi} = {alo} - {bhi}, {ahi} - {blo}")
+            else:
+                # 0 * inf = 0 keeps a product sound when a factor is exactly zero
+                ps = [f"0.0 if {x} == 0.0 or {y} == 0.0 else {x} * {y}"
+                      for x in (alo, ahi) for y in (blo, bhi)]
+                step.extend(f"q{c}_{j} = {e}" for c, e in enumerate(ps))
+                qs = [f"q{c}_{j}" for c in range(4)]
+                step.extend(_extreme(lo, qs, "<") + _extreme(hi, qs, ">"))
+            # a sum's, difference's or product's point is kept when it is finite
+            step.extend([f"{p} = None if {ap} is None or {bp} is None else {ap} {op} {bp}",
+                         f"if {p} is not None and not -INF < {p} < INF: {p} = None",
+                         f"if not {lo} <= {hi}: Interval({lo}, {hi})"])
+            return lo, hi, p
+        return emit
+
+    def inverse(_, a):
+        j = next(temp)
+        lo, hi, p = f"lo_{j}", f"hi_{j}", f"p_{j}"
+        alo, ahi, ap = a
+        step.extend([f"{p} = None if {ap} is None or {ap} == 0.0 else 1.0 / {ap}",
+                     f"if {alo} <= 0.0 <= {ahi}:",
+                     f"    {lo}, {hi} = -INF, INF",
+                     "else:",
+                     f"    {lo}, {hi} = 1.0 / {ahi}, 1.0 / {alo}",
+                     f"    if not {lo} <= {hi}: Interval({lo}, {hi})"])
+        return lo, hi, p
+
+    root_lo, root_hi, p = fold(expr, {
+        Atom: leaf, SeqProb: leaf, Const: const,
+        Add: binary("+"), Sub: binary("-"), Mul: binary("*"), Inv: inverse,
     })
-    return plan
+    step += _extreme("lo", [root_lo, "range_lo"], ">") + _extreme("hi", [root_hi, "range_hi"], "<")
+    if intersect:
+        state += ["running = None", "consistent = True"]
+        step += ["if not lo <= hi: Interval(lo, hi)",
+                 "rlo, rhi = running or (lo, hi)",
+                 "consistent &= rlo <= hi and lo <= rhi",
+                 "if not consistent:",
+                 f"    return Verdict(interval=None, point={p}, consistent=False)",
+                 "lo, hi = lo if lo > rlo else rlo, hi if hi < rhi else rhi",  # max, min
+                 "running = lo, hi"]
+    step.append(f"return Verdict(Interval(lo, hi), {p})")
+
+    # each event: its code, then the window words, then warm-up or a verdict
+    head = []
+    if codes is not None:
+        ns["code_of"] = codes.get
+        head += ["c = code_of(symbol)",
+                 "if c is None:",
+                 "    raise ConfigError(f'symbol {symbol!r} outside the declared alphabet')"]
+    head.append("t += 1")
+    base = len(codes or ())
+    for n in sorted(words):
+        state.append(f"w{n} = 0")
+        head.append(f"w{n} = (w{n} * {base} + c) % {base ** n}")
+    if window:
+        state.append("window = ()")
+        head.append(f"window = (window + (symbol,))[-{window}:]")
+    if width > 1:
+        head += [f"if t < {width}:", *("    " + line for line in warmup),
+                 "    return INCONCLUSIVE"]
+    cells = [line.split(" = ")[0] for line in state]
+    source = "\n".join(["def make():",
+                        *("    " + line for line in state),
+                        "    def next(symbol):",
+                        f"        nonlocal {', '.join(cells)}",
+                        *("        " + line for line in head + step),
+                        "    return next"])
+    exec(compile(source, "<fairmon.pomc step>", "exec"), ns)
+    return ns["make"]()
 
 
 class CompositeMonitor:
     """Expression-tree monitor over one window of the stream.
 
-    Inconclusive until the window holds the largest arity.  Division through
-    an interval containing zero gives an unbounded verdict.  The folded
-    interval is clipped to the expression's a-priori range, where the true
-    value certainly lies.  Running intersection is only sound for uniform
+    ``next(symbol)`` returns the verdict after one more event; it is
+    generated for the expression when the monitor is built.  Inconclusive
+    until the window holds the largest arity.  Division through an interval
+    containing zero gives an unbounded verdict.  The folded interval is
+    clipped to the expression's a-priori range, where the true value
+    certainly lies.  Running intersection is only sound for uniform
     intervals; a verdict disjoint from it makes every later one inconsistent.
     """
 
     def __init__(self, expr: Expr, delta: float, mode: str, tau_mix: float,
                  alphabet: Optional[Sequence[str]] = None,
                  intersect_verdicts: bool = False):
-        if mode not in _CI:
+        if mode not in _MODES:
             raise ConfigError(f"mode must be 'pointwise' or 'uniform', got {mode!r}")
         if not tau_mix >= 1.0:
             raise ConfigError(f"mixing-time bound must be >= 1, got {tau_mix}")
         if intersect_verdicts and mode != "uniform":
             raise ConfigError("intersecting verdicts over time needs uniform mode")
-        self._range = bse_range(expr)
-        self._ci = _CI[mode]
-        self._tau = tau_mix
-        self._alphabet = frozenset(alphabet) if alphabet else None
-        atoms = leaves(expr)
-        shares = split_delta(delta, expr).shares() if atoms else []
-        # distinct (share, n, low, high) half-width keys, and one
-        # (window values, n, low, high, key index) record per atom, in leaf order
-        keys: dict = {}
-        self._atoms = []
-        for leaf, share in zip(atoms, shares):
-            fn, n, low, high = atom_window(leaf)
-            if self._alphabet is not None and len(self._alphabet) ** n <= _MEMO_WORDS:
-                fn = _Memo(fn).__getitem__
-            key = keys.setdefault((share, n, low, high), len(keys))
-            self._atoms.append((fn, n, low, high, key))
-        self._keys = list(keys)
-        self._means = [0.0] * len(self._atoms)
-        self._width = max((a[1] for a in self._atoms), default=1)
-        self._plan = _compile(expr)
-        self._window = ()
-        self._t = 0
-        self._intersect = intersect_verdicts
-        self._running: Optional[Tuple[float, float]] = None  # (lo, hi) so far
-        self._consistent = True
-
-    def next(self, symbol: str) -> Verdict:
-        if self._alphabet is not None and symbol not in self._alphabet:
-            raise ConfigError(f"symbol {symbol!r} outside the declared alphabet")
-        self._t = t = self._t + 1
-        self._window = window = (self._window + (symbol,))[-self._width:]
-        warm = t >= self._width
-        if warm:
-            ci, tau = self._ci, self._tau
-            eps = [ci(share, t, n, low, high, tau) for share, n, low, high in self._keys]
-        means = self._means
-        values = []
-        for i, (value_of, n, low, high, k) in enumerate(self._atoms):
-            if t < n:
-                continue
-            # the recurrence can round the running mean out of the range
-            mean = means[i] = min(max((means[i] * (t - n) + value_of(window[-n:]))
-                                      / (t - (n - 1)), low), high)
-            if warm:
-                lo, hi = max(mean - eps[k], low), min(mean + eps[k], high)
-                if not lo <= hi:
-                    Interval(lo, hi)  # raises the NaN or empty-interval error
-                values.append((lo, hi, mean))
-        if not warm:
-            return INCONCLUSIVE
-
-        stack: list = []
-        push, pop = stack.append, stack.pop
-        for op, arg in self._plan:
-            if op == _OP_LEAF:
-                push(values[arg])
-                continue
-            if op == _OP_CONST:
-                lo, hi, p = arg
-            elif op == _OP_INV:
-                lo, hi, p = pop()
-                p = None if p is None or p == 0.0 else 1.0 / p
-                if lo <= 0.0 <= hi:
-                    push((-INF, INF, p))
-                    continue
-                lo, hi = 1.0 / hi, 1.0 / lo
-            else:
-                blo, bhi, bp = pop()
-                lo, hi, p = pop()
-                if op == _OP_ADD:
-                    lo, hi = lo + blo, hi + bhi
-                    p = None if p is None or bp is None else p + bp
-                elif op == _OP_SUB:
-                    lo, hi = lo - bhi, hi - blo
-                    p = None if p is None or bp is None else p - bp
-                else:
-                    # 0 * inf = 0 keeps a product sound when a factor is exactly zero
-                    ps = (0.0 if lo == 0.0 or blo == 0.0 else lo * blo,
-                          0.0 if lo == 0.0 or bhi == 0.0 else lo * bhi,
-                          0.0 if hi == 0.0 or blo == 0.0 else hi * blo,
-                          0.0 if hi == 0.0 or bhi == 0.0 else hi * bhi)
-                    lo, hi = min(ps), max(ps)
-                    p = None if p is None or bp is None else p * bp
-                if p is not None and not -INF < p < INF:
-                    p = None
-            if not lo <= hi:
-                Interval(lo, hi)  # raises the NaN or empty-interval error
-            push((lo, hi, p))
-
-        lo, hi, point = stack[0]
-        lo, hi = max(lo, self._range.lo), min(hi, self._range.hi)
-        if self._intersect:
-            if not lo <= hi:
-                Interval(lo, hi)  # raises the NaN or empty-interval error
-            rlo, rhi = self._running or (lo, hi)
-            self._consistent &= rlo <= hi and lo <= rhi
-            if not self._consistent:
-                return Verdict(interval=None, point=point, consistent=False)
-            self._running = lo, hi = max(rlo, lo), min(rhi, hi)
-        return Verdict(Interval(lo, hi), point)
+        self.next: Callable[[str], Verdict] = _generate_step(
+            expr, delta, mode == "uniform", tau_mix, alphabet, intersect_verdicts)
 
 
 def build_pomc_monitor(expr: Expr, delta: float, mode: str, tau_mix: float,

@@ -5,7 +5,7 @@ import pytest
 from fairmon.bounds import (DeltaBudget, baseline_union_interval,
                             ci_mc_pointwise, ci_mc_uniform,
                             ci_pomc_pointwise, ci_pomc_uniform,
-                            naive_uniform_lift, split_delta)
+                            naive_uniform_lift, pomc_halfwidth, split_delta)
 from fairmon.errors import ConfigError
 from fairmon.intervals import Interval
 from fairmon.speclang import parse
@@ -83,6 +83,30 @@ class TestPomcBounds:
             ci_pomc_pointwise(0.05, 10, 1, 1, 0, 1)  # b < a
         with pytest.raises(ConfigError):
             ci_pomc_pointwise(0.05, 10, 1, 0, 1, 0.5)  # tau < 1
+
+    @pytest.mark.parametrize("uniform", [False, True])
+    def test_halfwidth_function_keeps_the_one_line_formula(self, uniform):
+        # bit for bit the display in its original operand order, which the
+        # per-key function regroups around precomputed constants
+        def one_line(d, t, n, a, b, tau):
+            kernel = t * n * n * (b - a) ** 2 * 9.0 * tau / (2.0 * (t - (n - 1)) ** 2)
+            log_term = math.log(PI * PI * t * t / (3.0 * d)) if uniform else math.log(2.0 / d)
+            return math.sqrt(log_term * kernel)
+
+        for d in [0.05 / 3, 0.0125, 0.1 / 7]:
+            for n in [1, 2, 3, 5]:
+                for a, b in [(0.0, 1.0), (-1.0, 2.0), (0.0, 0.3), (-0.3, 0.4),
+                             (0.1, 0.35), (0.0, math.inf)]:
+                    for tau in [1.0, 7.45, 35.0, 204.94]:
+                        halfwidth = pomc_halfwidth(d, n, a, b, tau, uniform)
+                        for t in [n, n + 1, 31, 97, 777, 12_345, 2**20 + 3, 10**9]:
+                            assert halfwidth(t) == one_line(d, t, n, a, b, tau)
+
+    def test_halfwidth_function_checks_at_build(self):
+        for args in [(0.0, 1, 0, 1, 1), (0.05, 0, 0, 1, 1), (0.05, 1, 1, 0, 1),
+                     (0.05, 1, 0, 1, 0.5), (0.05, 1, 0, 1, math.nan)]:
+            with pytest.raises(ConfigError):
+                pomc_halfwidth(*args, True)
 
     @pytest.mark.parametrize("ci", [ci_pomc_pointwise, ci_pomc_uniform])
     def test_nan_arguments_rejected(self, ci):

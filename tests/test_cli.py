@@ -444,32 +444,52 @@ class TestMonitorOutputDigests:
         assert digest == self.DIGESTS[(spec, fmt, mode, intersect)]
 
 
+EMIT_VERDICTS = [
+    INCONCLUSIVE,
+    Verdict(Interval(-math.inf, math.inf), None),
+    Verdict(Interval(-math.inf, 0.5), 0.25),
+    Verdict(Interval(-0.5, math.inf), math.inf),
+    Verdict(Interval(-0.0, 0.0), -0.0),
+    Verdict(Interval(5e-324, 1e16), 0.1 + 0.2),
+    Verdict(Interval(-1e16, -5e-324), 1e16),
+    Verdict(None, 0.1 + 0.2, consistent=False),
+    Verdict(Interval(math.inf, math.inf), math.inf),
+    Verdict(Interval(-math.inf, -math.inf), -math.inf),
+]
+
+
 class TestEmit:
-    """A JSONL record is the bytes of ``json.dumps`` with non-finite values as null."""
+    """A JSONL record is the bytes of ``json.dumps``, a CSV row the ``repr`` of
+    each number; non-finite values are null in JSONL and empty in CSV."""
 
     @staticmethod
-    def reference(t, verdict):
-        def jsonable(x):
-            return None if x is None or not math.isfinite(x) else x
+    def finite(x):
+        return None if x is None or not math.isfinite(x) else x
+
+    def reference(self, t, verdict):
         iv = verdict.interval
-        lo, hi = (None, None) if iv is None else (jsonable(iv.lo), jsonable(iv.hi))
-        return json.dumps({"t": t, "lo": lo, "hi": hi, "point": jsonable(verdict.point),
+        lo, hi = (None, None) if iv is None else (self.finite(iv.lo), self.finite(iv.hi))
+        return json.dumps({"t": t, "lo": lo, "hi": hi, "point": self.finite(verdict.point),
                            "verdict": verdict.kind}) + "\n"
 
-    @pytest.mark.parametrize("verdict", [
-        INCONCLUSIVE,
-        Verdict(Interval(-math.inf, math.inf), None),
-        Verdict(Interval(-math.inf, 0.5), 0.25),
-        Verdict(Interval(-0.5, math.inf), math.inf),
-        Verdict(Interval(-0.0, 0.0), -0.0),
-        Verdict(Interval(5e-324, 1e16), 0.1 + 0.2),
-        Verdict(Interval(-1e16, -5e-324), 1e16),
-        Verdict(None, 0.1 + 0.2, consistent=False),
-    ])
+    def reference_csv(self, t, verdict):
+        iv = verdict.interval
+        cells = [None, None] if iv is None else [iv.lo, iv.hi]
+        cells = ["" if x is None else repr(x)
+                 for x in map(self.finite, cells + [verdict.point])]
+        return ",".join([str(t), *cells, verdict.kind]) + "\n"
+
+    @pytest.mark.parametrize("verdict", EMIT_VERDICTS)
     def test_jsonl_line_equals_json_dumps(self, verdict):
         out = io.StringIO()
-        _emit(out, "jsonl", 4321, verdict)
+        _emit(out.write, "jsonl", 4321, verdict)
         assert out.getvalue() == self.reference(4321, verdict)
+
+    @pytest.mark.parametrize("verdict", EMIT_VERDICTS)
+    def test_csv_row(self, verdict):
+        out = io.StringIO()
+        _emit(out.write, "csv", 4321, verdict)
+        assert out.getvalue() == self.reference_csv(4321, verdict)
 
 
 class TestCompareBounds:

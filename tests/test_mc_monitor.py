@@ -339,6 +339,9 @@ class TestVerdictDigests:
         "mixed": "0.3 + T[g->gy] * T[g->ybar] / T[gbar->gbary]",
         "difference": "T[g->gy] * T[g->ybar] - T[gbar->gbary]",
         "constant": "0.1",
+        # g has two relevant targets and is not the source a round waits on,
+        # so its draws are not forced and the order of its targets counts
+        "targets": "T[g->gy] - T[g->ybar] + T[gbar->gbary] * T[gbar->ybar]",
     }
     # (spec, mode) -> (digest, n_samples, peak_buffer, register_count)
     EXPECTED = {
@@ -358,6 +361,10 @@ class TestVerdictDigests:
             ("b7f7e44c168e83a8cb16ca4b14dcc8e7442f208f21994afd63f754e9c8126e40", 3999, 0, 5),
         ("constant", "uniform"):
             ("b7f7e44c168e83a8cb16ca4b14dcc8e7442f208f21994afd63f754e9c8126e40", 3999, 0, 5),
+        ("targets", "pointwise"):
+            ("6f97ea425f4b96143417f398b8b517a002b0578672b37e32fdba4c0aafb59ce4", 256, 2, 16),
+        ("targets", "uniform"):
+            ("06749b93f00b36958018c94cc7293969ef961b6b915a75aee5fe43dba842d234", 256, 2, 16),
     }
 
     @pytest.fixture(scope="class")

@@ -7,6 +7,7 @@ from fairmon.bounds import ci_pomc_pointwise, ci_pomc_uniform, split_delta
 from fairmon.errors import ConfigError
 from fairmon.markov import simulate, simulate_states, truth_value_bse
 from fairmon.intervals import Interval
+from fairmon import pomc
 from fairmon.pomc import build_pomc_monitor
 from fairmon.speclang import Atom, AtomDef, bse_range, parse, parse_spec_file
 from fairmon.experiments import PomcSeriesEvaluator, hypercube_pomc, lending_pomc
@@ -83,9 +84,22 @@ class TestAtomicMonitor:
         assert v.interval.lo >= 0.0 and v.interval.hi <= 1.0
 
     def test_symbol_outside_alphabet(self):
-        mon = build_pomc_monitor(AY, 0.05, "pointwise", 1.0, alphabet=ALPHA)
-        with pytest.raises(ConfigError):
-            mon.next("Q")
+        # a rejected symbol moves no state: the verdicts that follow are those
+        # of a monitor that never saw it, in warm-up and after
+        expr = parse("P[Y | A] - 2 * P[A Y N] + P[B]", ALPHA)
+        stream = ["A", "Y", "N", "B", "A", "A", "Y", "B", "N"] * 10
+        for intersect in (False, True):
+            for before in (0, 1, 30):
+                mon, clean = (build_pomc_monitor(expr, 0.05, "uniform", 1.0, alphabet=ALPHA,
+                                                 intersect_verdicts=intersect)
+                              for _ in range(2))
+                for s in stream[:before]:
+                    mon.next(s)
+                    clean.next(s)
+                with pytest.raises(ConfigError):
+                    mon.next("Q")
+                for s in stream[before:before + 50]:
+                    assert repr(mon.next(s)) == repr(clean.next(s))
 
 
 class TestCompositeMonitor:
@@ -226,6 +240,28 @@ property: F[grantA] - P[A Y]
         assert v.interval.contains(0.0)
 
 
+@pytest.mark.parametrize("spec", ["mixed", "table"])
+@pytest.mark.parametrize("mode,intersect", [("pointwise", False), ("uniform", True)])
+def test_window_functions_match_value_tables(monkeypatch, spec, mode, intersect):
+    """An atom reads the same values from its table of every word as from its
+    window function on the last symbols: with tables for all atoms, for
+    arities 1 and 2 only (25 words), for none, and without an alphabet."""
+    doc = parse_spec_file(TestVerdictDigests.SPECS[spec])
+    stream = list(simulate(lending_pomc(), 2000, 4, start="stationary"))
+    every = pomc._MEMO_WORDS
+
+    def lines(memo_words, alphabet):
+        monkeypatch.setattr(pomc, "_MEMO_WORDS", memo_words)
+        mon = build_pomc_monitor(doc.expression, 0.1, mode, 7.45, alphabet=alphabet,
+                                 intersect_verdicts=intersect)
+        return [repr(mon.next(s)) for s in stream]
+
+    tabled = lines(every, doc.alphabet)
+    assert lines(25, doc.alphabet) == tabled
+    assert lines(0, doc.alphabet) == tabled
+    assert lines(every, None) == tabled
+
+
 class TestVerdictDigests:
     """Every bit of every verdict, recorded once and never regenerated.
 
@@ -289,3 +325,42 @@ class TestVerdictDigests:
         if spec == "mixed":
             assert rng.lo < v.interval.lo
         assert digest.hexdigest() == self.DIGESTS[(spec, mode, intersect)]
+
+    # tau = 7.45 and delta = 0.1 pin the bits of a non-integer mixing time and
+    # of shares other than 0.05 / k.  The stream is 40000 events long because
+    # the table spec's uniform intervals first leave its range at t = 31096.
+    # (spec, mode, intersect) -> (digest, count of verdicts inside the range)
+    DIGESTS_TAU_745 = {
+        ("table", "pointwise", False):
+            ("f00554697a7d981370441d540608308c117cd6a828408911b60aa8c33693907b", 35075),
+        ("table", "uniform", False):
+            ("b334d73942f98212833255a94c1d72035cb275162675316fe829a17d4e94fdef", 8905),
+        ("table", "uniform", True):
+            ("469684b711c9d14f3602fc266086f8db5e10871f103163d51046427e7b5ae416", 8905),
+        ("mixed", "pointwise", False):
+            ("d7bc0e78fef6739712e6f77cc29d324dac3b0784bac8a11462558855939f9737", 39806),
+        ("mixed", "uniform", False):
+            ("a1f400a876e84f236f935196f463a1035003c1f4df9ed8b0b21221c96808edce", 39165),
+        ("mixed", "uniform", True):
+            ("8aead5e258cd0c803d32327f6736e79fec8f472631d40b87878784303d90fd8e", 39166),
+    }
+
+    @pytest.fixture(scope="class")
+    def long_stream(self):
+        return list(simulate(lending_pomc(), 40000, 1, start="stationary"))
+
+    @pytest.mark.parametrize("spec", ["mixed", "table"])
+    @pytest.mark.parametrize("mode,intersect", [("pointwise", False), ("uniform", False),
+                                                ("uniform", True)])
+    def test_verdict_stream_digest_tau_745(self, long_stream, spec, mode, intersect):
+        doc = parse_spec_file(self.SPECS[spec])
+        mon = build_pomc_monitor(doc.expression, 0.1, mode, 7.45, alphabet=doc.alphabet,
+                                 intersect_verdicts=intersect)
+        rng = bse_range(doc.expression)
+        digest, unclipped = hashlib.sha256(), 0
+        for t, s in enumerate(long_stream, start=1):
+            v = mon.next(s)
+            lo, hi = (None, None) if v.interval is None else (v.interval.lo, v.interval.hi)
+            unclipped += lo is not None and (rng.lo < lo or hi < rng.hi)
+            digest.update(f"{t} {lo!r} {hi!r} {v.point!r} {v.kind}\n".encode())
+        assert (digest.hexdigest(), unclipped) == self.DIGESTS_TAU_745[(spec, mode, intersect)]

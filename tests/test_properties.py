@@ -301,6 +301,9 @@ def _monitor_lines(expr, delta, mode, stream, intersect):
          5, 0, 0.05)
 @example(Mul(Mul(Const(-1e-200), SeqProb((("a",),))), Add(SeqProb((("b",),)), Const(1e-200))),
          5, 0, 0.05)
+# an interval of two underflowed corners, [-0.0, -0.0], inside the range [0.0, 0.0]:
+# the operand order of the final clip decides the sign of both zeros
+@example(Mul(Mul(SeqProb((("a",),)), Const(1e-200)), Const(-1e-200)), 300, 0, 0.9)
 def test_pomc_plan_matches_tree_fold(e, length, seed, delta):
     """Every bit of every verdict (repr of floats, so -0.0 and NaN count) in all
     three modes, and the same exception type where the fold raises."""
