@@ -31,6 +31,15 @@ def check_delta(delta: float):
         raise ConfigError(f"confidence parameter must be in (0,1), got {delta}")
 
 
+def squared_width(a: float, b: float) -> float:
+    """``(b - a) ** 2``; a range too wide for that to be a float is a ConfigError."""
+    try:
+        return (b - a) ** 2
+    except OverflowError:
+        raise ConfigError(f"range [{a}, {b}] is too wide: its squared width "
+                          "overflows a float") from None
+
+
 def _check_sigma_sq(sigma_sq: float):
     if not sigma_sq >= 0.0:
         raise ConfigError(f"sigma^2 must be nonnegative, got {sigma_sq}")
@@ -56,7 +65,7 @@ def pomc_halfwidth(delta: float, n: int, a: float, b: float, tau_mix: float,
     log, sqrt = math.log, math.sqrt
     # t * nn equals t * n * n, an exact integer, so every float operation
     # below rounds as in the one-line formula
-    nn, sq, n1 = n * n, (b - a) ** 2, n - 1
+    nn, sq, n1 = n * n, squared_width(a, b), n - 1
     if uniform:
         pi2, d3 = _PI * _PI, 3.0 * delta
 

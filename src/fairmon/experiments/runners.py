@@ -6,12 +6,15 @@ and folds them into the per-checkpoint envelope and the coverage counts.
 
 Over partially observed models the verdicts come from a vectorized
 re-implementation of the windowed monitors, which keeps hundred-run studies
-at interactive speed.  Its point estimates divide cumulative sums where the
-streaming monitors keep a running mean, so the two agree to rounding, not bit
-for bit; recorded coverage reports pin this arithmetic, so it stays.  Fully
-observed monitors are sequential (reshuffling draws), so each run streams
-through the real uniform monitor: its verdicts give the uniform count, and
-its running mean and sample count give the pointwise interval.
+at interactive speed.  One evaluator pass per run serves both modes: each
+atom's window values and means, and the point series, are computed once;
+only the intervals are computed once per mode.  Its point estimates divide
+cumulative sums where the streaming monitors keep a running mean, so the two
+agree to rounding, not bit for bit; recorded coverage reports pin this
+arithmetic, so it stays.  Fully observed monitors are sequential
+(reshuffling draws), so each run streams through the real uniform monitor:
+its verdicts give the uniform count, and its running mean and sample count
+give the pointwise interval.
 """
 
 from __future__ import annotations
@@ -79,74 +82,90 @@ def _recip(p):
         return 1.0 / p
 
 
-# (lo, hi, point) array triples, the vectorized twin of CompositeMonitor's algebra
-_SERIES = {
-    Add: lambda _, a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2]),
-    Sub: lambda _, a, b: (a[0] - b[1], a[1] - b[0], a[2] - b[2]),
-    Mul: lambda _, a, b: (*_iv_mul(a[0], a[1], b[0], b[1]), _prod_arr(a[2], b[2])),
-    Inv: lambda _, c: (*_iv_inv(c[0], c[1]), _recip(c[2])),
+# (lo, hi) and point arrays, the vectorized twin of CompositeMonitor's algebra
+_BOUNDS = {
+    Add: lambda _, a, b: (a[0] + b[0], a[1] + b[1]),
+    Sub: lambda _, a, b: (a[0] - b[1], a[1] - b[0]),
+    Mul: lambda _, a, b: _iv_mul(a[0], a[1], b[0], b[1]),
+    Inv: lambda _, c: _iv_inv(c[0], c[1]),
+}
+_POINTS = {
+    Add: lambda _, a, b: a + b,
+    Sub: lambda _, a, b: a - b,
+    Mul: lambda _, a, b: _prod_arr(a, b),
+    Inv: lambda _, c: _recip(c),
 }
 
 
 class PomcSeriesEvaluator:
-    """Per-run composite-interval series for a windowed expression.
+    """Per-run composite-interval series for a windowed expression, both modes.
 
     Each atom's window function is tabulated once on every word of its arity,
     indexed by the word read as a base-|O| number (first symbol most
     significant), so a run reads its window values with one gather.  The
-    half-width arrays depend only on time, so they are computed once and
-    shared across runs; each run then costs a handful of cumulative sums.
+    half-width arrays depend only on time, so they are computed once per
+    mode and shared across runs; each run then costs one cumulative sum per
+    atom, shared by both modes.
     """
 
     def __init__(self, expr: Expr, alphabet: Sequence[str], horizon: int,
-                 delta: float, mode: str, tau_mix: float):
+                 delta: float, tau_mix: float):
         self.expr = expr
         self.alphabet = tuple(alphabet)
         self.root_range = bse_range(expr)
         atoms = leaves(expr)
         shares = split_delta(delta, expr).shares() if atoms else []
-        self._atoms: List[Tuple[np.ndarray, np.ndarray, int, float, float]] = []
-        tables: Dict[Tuple, np.ndarray] = {}  # one per distinct (share, n, low, high)
+        self._atoms: List[Tuple[np.ndarray, Tuple[np.ndarray, ...], int, float, float]] = []
+        # one pair (pointwise, uniform) per distinct (share, n, low, high)
+        tables: Dict[Tuple, Tuple[np.ndarray, ...]] = {}
         for leaf, share in zip(atoms, shares):
             fn, n, low, high = atom_window(leaf)
             if (share, n, low, high) not in tables:
-                eps = tables[share, n, low, high] = np.full(horizon + 1, np.nan)
-                halfwidth = pomc_halfwidth(share, n, low, high, tau_mix, mode != "pointwise")
-                for t in range(n, horizon + 1):
-                    eps[t] = halfwidth(t)
+                pair = tables[share, n, low, high] = (np.full(horizon + 1, np.nan),
+                                                      np.full(horizon + 1, np.nan))
+                for eps, uniform in zip(pair, (False, True)):
+                    halfwidth = pomc_halfwidth(share, n, low, high, tau_mix, uniform)
+                    for t in range(n, horizon + 1):
+                        eps[t] = halfwidth(t)
             values = np.array([fn(w) for w in itertools.product(self.alphabet, repeat=n)],
                               dtype=float)
             self._atoms.append((values, tables[share, n, low, high], n, low, high))
         self.warmup = max((a[2] for a in self._atoms), default=1)
 
     def run(self, codes: np.ndarray):
-        """Return (lo, hi, point) arrays indexed by t = 1..horizon (index 0 unused)."""
+        """Return the pointwise and the uniform (lo, hi, point) arrays, indexed
+        by t = 1..horizon (index 0 unused); the two share their point array."""
         t_len = codes.shape[0]
         base = len(self.alphabet)
         ts = np.arange(t_len + 1, dtype=float)
-        series = []
-        for values, eps, n, low, high in self._atoms:
+        means = []
+        for values, _, n, _, _ in self._atoms:
             windows = t_len - n + 1
             word = codes[:windows]
             for off in range(1, n):
                 word = word * base + codes[off:windows + off]
-            means = np.full(t_len + 1, np.nan)
-            means[n:] = np.cumsum(values[word]) / np.maximum(ts[n:] - (n - 1), 1.0)
-            lo = np.maximum(means - eps[:t_len + 1], low)
-            hi = np.minimum(means + eps[:t_len + 1], high)
-            series.append((lo, hi, means))
-        atoms = iter(series)
+            m = np.full(t_len + 1, np.nan)
+            m[n:] = np.cumsum(values[word]) / np.maximum(ts[n:] - (n - 1), 1.0)
+            means.append(m)
 
-        def const(node):
-            c = np.full(t_len + 1, node.value)
-            return c, c.copy(), c.copy()
+        def fold_series(algebra, leaf_series, const):
+            nxt = iter(leaf_series).__next__
+            return fold(self.expr, {**algebra, Const: const,
+                                    Atom: lambda _: nxt(), SeqProb: lambda _: nxt()})
 
-        lo, hi, pt = fold(self.expr, {**_SERIES, Const: const,
-                                      Atom: lambda _: next(atoms),
-                                      SeqProb: lambda _: next(atoms)})
-        lo = np.maximum(lo, self.root_range.lo)
-        hi = np.minimum(hi, self.root_range.hi)
-        return lo, hi, pt
+        def full(node):
+            return np.full(t_len + 1, node.value)
+
+        pt = fold_series(_POINTS, means, full)
+        out = []
+        for k in (0, 1):  # pointwise, uniform
+            bounds = [(np.maximum(m - eps[k][:t_len + 1], low),
+                       np.minimum(m + eps[k][:t_len + 1], high))
+                      for m, (_, eps, _, low, high) in zip(means, self._atoms)]
+            lo, hi = fold_series(_BOUNDS, bounds, lambda node: (full(node), full(node)))
+            out.append((np.maximum(lo, self.root_range.lo),
+                        np.minimum(hi, self.root_range.hi), pt))
+        return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -246,24 +265,20 @@ def run_coverage(model: ObservationModel, expr: Expr, engine: str, runs: int,
 
 
 def _pomc_run(model, expr, horizon, delta, tau_mix, truth):
-    """Per-run step of the windowed engine: the vectorized series of both modes."""
-    alphabet = model.alphabet
-    state_codes = model.label_codes(alphabet)
-    pointwise = PomcSeriesEvaluator(expr, alphabet, horizon, delta, "pointwise", tau_mix)
-    uniform = PomcSeriesEvaluator(expr, alphabet, horizon, delta, "uniform", tau_mix)
-    warm = pointwise.warmup
+    """Per-run step of the windowed engine: one vectorized pass for both modes."""
+    state_codes = model.label_codes(model.alphabet)
+    evaluator = PomcSeriesEvaluator(expr, model.alphabet, horizon, delta, tau_mix)
+    warm = evaluator.warmup
     emitted = slice(warm, horizon + 1)
-    uniform_series = None
+    series = None
 
     def run(_, states):
-        nonlocal uniform_series
-        codes = state_codes[states]
-        series = pointwise.run(codes)
-        # like the pointwise series in the study loop, the previous run's
-        # uniform series stay referenced until this run's exist
-        uniform_series = uniform.run(codes)
-        lo, hi, _ = uniform_series
-        return warm, series, bool(np.all((lo[emitted] <= truth) & (truth <= hi[emitted])))
+        nonlocal series
+        # as in the study loop, the previous run's series stay referenced
+        # until this run's exist
+        series = evaluator.run(state_codes[states])
+        lo, hi, _ = series[1]
+        return warm, series[0], bool(np.all((lo[emitted] <= truth) & (truth <= hi[emitted])))
 
     return run
 

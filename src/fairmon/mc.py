@@ -8,7 +8,9 @@ relevant ones") into a per-state shuffled buffer.  Variable occurrences
 those buffers, laid out so that factors of a product never share a visit.
 Every completed round contributes one i.i.d. outcome whose mean is the value
 of the expression; a Hoeffding or stitched half-width around the running
-mean gives the verdict.
+mean gives the verdict.  A round is evaluated by a tree of closures that
+``fold`` builds once: a variable occurrence reads its slot, a constant
+returns its value, and an operator calls both children, left then right.
 
 States are integer codes, fixed when the monitor is built: the relevant
 source states are ``0..S-1``, the other relevant targets follow, and every
@@ -29,26 +31,21 @@ part's verdict.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+import operator
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .bounds import check_delta, ci_mc_pointwise, ci_mc_uniform
+from .bounds import check_delta, ci_mc_pointwise, ci_mc_uniform, squared_width
 from .errors import ConfigError, SpecValidationError
 from .intervals import INF, Interval
 from .pomc import INCONCLUSIVE, Verdict
-from .speclang.ast import (Add, Const, Expr, Mul, Sub, TransVar,
-                           contains_division, expression_size, fold, is_pse)
+from .speclang.ast import (Add, Const, Expr, Mul, Sub, TransVar, contains_division,
+                           fold, is_pse)
 from .speclang.normal_form import decompose_division, to_polynomial
-from .speclang.ranges import SlotLayout, assign_slots, expr_range
+from .speclang.ranges import assign_slots, expr_range
 
 _CI = {"pointwise": ci_mc_pointwise, "uniform": ci_mc_uniform}
-
-_OP_CONST = 0
-_OP_VAR = 1
-_OP_ADD = 2
-_OP_SUB = 3
-_OP_MUL = 4
 
 _BLOCK = 1024  # uniforms drawn per refill of the pool
 
@@ -71,37 +68,29 @@ class _UniformPool:
         return self._buf[i]
 
 
-def _compile(expr: Expr, layout: SlotLayout, codes) -> Tuple[list, list]:
-    """Flatten to postfix; variable reads go through a per-occurrence cache.
+def _binary(op):
+    """Handler for an operator: both children, left then right, then ``op``.
 
-    A full postfix pass evaluates every leaf even when a sibling is still
-    unavailable, so all draws a round will need are made as early as
-    possible; completed reads are cached until the round is reset.
+    No child is skipped when its sibling is unavailable: every source draws
+    from one Philox pool, so all draws a round will need are made in the
+    order of a full post-order pass, as early as possible.
     """
-    prog: list = []
-    var_info: list = []  # (source code, target index, slot) per occurrence
 
-    def var(node: TransVar):
-        var_info.append((codes[node.source], layout.targets[node.source].index(node.target),
-                         layout.slots[len(var_info)][1]))
-        prog.append((_OP_VAR, len(var_info) - 1))
+    def handler(_, left, right):
+        def evaluate():
+            a = left()
+            b = right()
+            return None if a is None or b is None else op(a, b)
+        return evaluate
 
-    def emit(op):
-        return lambda *_: prog.append((op, 0))
-
-    fold(expr, {
-        Const: lambda n: prog.append((_OP_CONST, n.value)), TransVar: var,
-        Add: emit(_OP_ADD), Sub: emit(_OP_SUB), Mul: emit(_OP_MUL),
-    })
-    return prog, var_info
+    return handler
 
 
 class MCMonitorDivFree:
     """Streaming monitor for a division-free PSE on a fully observed chain."""
 
     def __init__(self, expr: Expr, delta: float, mode: str, seed: int = 0,
-                 alphabet: Optional[Sequence[str]] = None,
-                 check_invariants: bool = False):
+                 alphabet: Optional[Sequence[str]] = None):
         if mode not in _CI:
             raise ConfigError(f"mode must be 'pointwise' or 'uniform', got {mode!r}")
         check_delta(delta)
@@ -109,7 +98,6 @@ class MCMonitorDivFree:
             raise SpecValidationError("fully-observed monitor needs a PSE")
         if contains_division(expr):
             raise SpecValidationError("expression must be division free here")
-        self._expr = expr
         layout = assign_slots(expr)
         self._layout = layout
         self._sources = list(layout.targets)  # state name by source code
@@ -125,11 +113,10 @@ class MCMonitorDivFree:
             for j, tgt in enumerate(tgts):
                 row[codes[tgt]] = j
             self._rows.append(row)
-        self._prog, self._vars = _compile(expr, layout, codes)
         self._range = expr_range(expr)
         self._lo, self._hi = self._range.lo, self._range.hi
         self._point_range = self._lo == self._hi
-        self.sigma_sq = self._range.width ** 2
+        self.sigma_sq = squared_width(self._lo, self._hi)
         self._delta = delta
         self._mode = mode
         self._ci = _CI[mode]
@@ -140,18 +127,17 @@ class MCMonitorDivFree:
         self._c = [0] * self._n_sources
         self._cij = [[0] * len(tgts) for tgts in layout.targets.values()]
         self._z: List[list] = [[] for _ in self._sources]
-        self._cache: List[Optional[float]] = [None] * len(self._vars)
+        self._cache: List[Optional[float]] = []  # per occurrence, until the round ends
+        self._eval = fold(expr, {
+            Const: lambda node: lambda: node.value, TransVar: self._reader,
+            Add: _binary(operator.add), Sub: _binary(operator.sub), Mul: _binary(operator.mul),
+        })
         self._prev = -1  # code of the previous symbol; -1 before the first
         self._blocked: Optional[int] = None  # source code the round waits on
         self.n_samples = 0
         self.mean = 0.0
         self._verdict: Verdict = INCONCLUSIVE
         self.peak_buffer = 0
-        self._check = check_invariants
-
-    @property
-    def expression_size(self) -> int:
-        return expression_size(self._expr)
 
     @property
     def value_range(self) -> Interval:
@@ -184,39 +170,30 @@ class MCMonitorDivFree:
         if len(z) > self.peak_buffer:
             self.peak_buffer = len(z)
 
-    def _eval(self) -> Optional[float]:
-        stack: list = []
-        push = stack.append
-        pop = stack.pop
+    def _reader(self, node: TransVar):
+        """Reader of the next occurrence (in ``leaves`` order): its cached
+        outcome, else its slot's draw, else None with the source blocked."""
         cache = self._cache
-        for op, arg in self._prog:
-            if op == _OP_VAR:
-                v = cache[arg]
-                if v is None:
-                    source, target, slot = self._vars[arg]
-                    z = self._z[source]
-                    if len(z) < slot:
-                        self._extract(source, slot)
-                    if len(z) >= slot:
-                        v = 1.0 if z[slot - 1] == target else 0.0
-                        cache[arg] = v
-                    else:
-                        self._blocked = source
-                push(v)
-            elif op == _OP_CONST:
-                push(arg)
-            else:
-                b = pop()
-                a = pop()
-                if a is None or b is None:
-                    push(None)
-                elif op == _OP_ADD:
-                    push(a + b)
-                elif op == _OP_SUB:
-                    push(a - b)
+        k = len(cache)
+        cache.append(None)
+        source = self._codes[node.source]
+        target = self._layout.targets[node.source].index(node.target)
+        slot = self._layout.slots[k][1]
+        z = self._z[source]
+        extract = self._extract
+
+        def read() -> Optional[float]:
+            v = cache[k]
+            if v is None:
+                if len(z) < slot:
+                    extract(source, slot)
+                if len(z) >= slot:
+                    v = cache[k] = 1.0 if z[slot - 1] == target else 0.0
                 else:
-                    push(a * b)
-        return stack[0]
+                    self._blocked = source
+            return v
+
+        return read
 
     def _round(self, w: float) -> bool:
         """Fold a completed round's outcome in; True when the verdict changed."""
@@ -236,7 +213,8 @@ class MCMonitorDivFree:
             self._verdict = Verdict(interval=iv, point=mu)
         for z in self._z:
             z.clear()
-        self._cache = [None] * len(self._vars)
+        cache = self._cache
+        cache[:] = [None] * len(cache)
         self._blocked = None
         return changed
 
@@ -247,7 +225,6 @@ class MCMonitorDivFree:
         self._prev = code
         if prev < 0:
             return False
-        changed = False
         if prev < self._n_sources:
             self._c[prev] += 1
             j = self._rows[prev][code]
@@ -258,10 +235,8 @@ class MCMonitorDivFree:
         if self._blocked is None:
             w = self._eval()
             if w is not None:
-                changed = self._round(w)
-        if self._check:
-            self._assert_invariants()
-        return changed
+                return self._round(w)
+        return False
 
     def next(self, symbol: str) -> Verdict:
         if self._alphabet is not None and symbol not in self._alphabet:
@@ -275,23 +250,16 @@ class MCMonitorDivFree:
             v = self.next(s)
         return v
 
-    def _assert_invariants(self):
-        for k, src in enumerate(self._sources):
-            assert sum(self._cij[k]) <= self._c[k], f"edge counters exceed visits at {src!r}"
-            assert len(self._z[k]) <= self._layout.demand[src], f"buffer overgrew at {src!r}"
-
 
 class DivisionMonitor:
     """Three division-free sub-monitors realizing ``phi_a + phi_b / phi_c``."""
 
     def __init__(self, parts, delta: float, mode: str, seed: int = 0,
-                 alphabet: Optional[Sequence[str]] = None,
-                 check_invariants: bool = False):
+                 alphabet: Optional[Sequence[str]] = None):
         check_delta(delta)
         share = delta / 3.0
         self._subs = [
-            MCMonitorDivFree(part, share, mode, seed=seed * 3 + k,
-                             alphabet=alphabet, check_invariants=check_invariants)
+            MCMonitorDivFree(part, share, mode, seed=seed * 3 + k, alphabet=alphabet)
             for k, part in enumerate(parts)
         ]
         self._alphabet = frozenset(alphabet) if alphabet else None
@@ -360,19 +328,16 @@ class DivisionMonitor:
 
 
 def build_mc_monitor(expr: Expr, delta: float, mode: str, seed: int = 0,
-                     alphabet: Optional[Sequence[str]] = None,
-                     check_invariants: bool = False):
+                     alphabet: Optional[Sequence[str]] = None):
     """Monitor for an arbitrary PSE: direct when division free, else decomposed."""
     check_delta(delta)
     if not is_pse(expr):
         raise SpecValidationError("fully-observed monitoring needs a PSE "
                                   "(constants and transition variables only)")
     if not contains_division(expr):
-        return MCMonitorDivFree(expr, delta, mode, seed=seed, alphabet=alphabet,
-                                check_invariants=check_invariants)
+        return MCMonitorDivFree(expr, delta, mode, seed=seed, alphabet=alphabet)
     dd = decompose_division(to_polynomial(expr))
     if dd.is_trivial:
-        return MCMonitorDivFree(dd.phi_a, delta, mode, seed=seed, alphabet=alphabet,
-                                check_invariants=check_invariants)
+        return MCMonitorDivFree(dd.phi_a, delta, mode, seed=seed, alphabet=alphabet)
     return DivisionMonitor((dd.phi_a, dd.phi_b, dd.phi_c), delta, mode, seed=seed,
-                           alphabet=alphabet, check_invariants=check_invariants)
+                           alphabet=alphabet)

@@ -158,9 +158,7 @@ class DivisionDecomposition:
     phi_a: Expr
     phi_b: Expr
     phi_c: Expr
-    poly_a: PolynomialForm
     poly_b: PolynomialForm
-    poly_c: Monomial
 
     @property
     def is_trivial(self) -> bool:
@@ -186,7 +184,6 @@ def decompose_division(poly: PolynomialForm) -> DivisionDecomposition:
                 if exp < 0:
                     denom[var] = max(denom.get(var, 0), -exp)
 
-    poly_a = _merge(plain)
     lcd = Monomial(1.0, tuple(sorted(denom.items())))
     numer: Dict[Powers, float] = {}
     for p, c in ratio.items():
@@ -196,12 +193,9 @@ def decompose_division(poly: PolynomialForm) -> DivisionDecomposition:
         numer[lifted] = numer.get(lifted, 0.0) + c
     poly_b = _merge(numer)
 
-    phi_c = polynomial_to_expression(PolynomialForm((lcd,)))
     return DivisionDecomposition(
-        phi_a=polynomial_to_expression(poly_a),
+        phi_a=polynomial_to_expression(_merge(plain)),
         phi_b=polynomial_to_expression(poly_b),
-        phi_c=phi_c,
-        poly_a=poly_a,
+        phi_c=polynomial_to_expression(PolynomialForm((lcd,))),
         poly_b=poly_b,
-        poly_c=lcd,
     )

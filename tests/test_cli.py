@@ -319,6 +319,25 @@ class TestMonitor:
                              "--events", str(events))
         assert code == 2
 
+    @pytest.mark.parametrize("engine, spec_text, stream", [
+        ("pomc", "alphabet: a b\natom w arity 1 range [-1e200,1e200] { a -> 1; default -> 0 }\n"
+                 "property: F[w]\n", "a\nb\n"),
+        ("mc", "alphabet: g gy\nproperty: 1e200 * T[g->gy]\n", "g\ngy\n"),
+    ], ids=["pomc", "mc"])
+    def test_range_whose_squared_width_overflows_exits_2(self, capsys, tmp_path, engine,
+                                                         spec_text, stream):
+        spec = tmp_path / "wide.spec"
+        spec.write_text(spec_text)
+        events = tmp_path / "events.txt"
+        events.write_text(stream)
+        tau = ["--tau-mix", "1"] if engine == "pomc" else []
+        code, out, err = run_cli(capsys, "monitor", "--spec", str(spec), "--engine", engine,
+                                 *tau, "--events", str(events))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "overflows" in err
+
     def test_negative_seed_exits_2(self, capsys, lending_files, tmp_path):
         _, spec = lending_files
         events = tmp_path / "events.txt"

@@ -10,6 +10,7 @@ from fairmon.markov import simulate_states
 from fairmon.mc import build_mc_monitor
 from fairmon.speclang import parse
 from fairmon.experiments import hypercube_pomc, lending_mc, run_coverage
+from test_mc_monitor import Checked
 
 
 def test_pomc_checkpoint_coverage_hypercube():
@@ -38,7 +39,7 @@ def test_mc_coverage_lending_demographic_parity():
 def test_mc_outcomes_stay_in_computed_range():
     model = lending_mc()
     expr = parse("T[g->gy] - 2 * T[gbar->gbary]", model.states)
-    monitor = build_mc_monitor(expr, 0.05, "pointwise", seed=2, check_invariants=True)
+    monitor = Checked(build_mc_monitor(expr, 0.05, "pointwise", seed=2))
     lo, hi = monitor.value_range.lo, monitor.value_range.hi
     assert (lo, hi) == (-2.0, 1.0)
     names = list(model.states)

@@ -34,11 +34,32 @@ def running_means(mon, symbols):
     return means
 
 
+class Checked:
+    """A monitor that, after every event, asserts on each of its division-free
+    parts: edge counters <= visits, and buffer length <= the layout's demand,
+    per source state."""
+
+    def __init__(self, monitor):
+        self._monitor = monitor
+        self._parts = getattr(monitor, "_subs", [monitor])
+
+    def __getattr__(self, name):
+        return getattr(self._monitor, name)
+
+    def next(self, symbol):
+        verdict = self._monitor.next(symbol)
+        for part in self._parts:
+            for k, src in enumerate(part._sources):
+                assert sum(part._cij[k]) <= part._c[k], f"edge counters exceed visits at {src!r}"
+                assert len(part._z[k]) <= part._layout.demand[src], f"buffer overgrew at {src!r}"
+        return verdict
+
+
 class TestHandTraces:
     def test_sum_over_two_visits(self):
         # path 1,2,1,3: both outcomes are forced draws from singleton pools
-        mon = build_mc_monitor(parse("T[1->2] + T[1->3]", ALPHA), 0.05,
-                               "pointwise", seed=0, check_invariants=True)
+        mon = Checked(build_mc_monitor(parse("T[1->2] + T[1->3]", ALPHA), 0.05,
+                                       "pointwise", seed=0))
         for s in ["1", "2", "1", "3"]:
             v = mon.next(s)
         assert mon.n_samples == 2
@@ -46,8 +67,8 @@ class TestHandTraces:
         assert v.kind == "ok"
 
     def test_dependent_product_waits_for_second_visit(self):
-        mon = build_mc_monitor(parse("T[1->2] * T[1->3]", ALPHA), 0.05,
-                               "pointwise", seed=0, check_invariants=True)
+        mon = Checked(build_mc_monitor(parse("T[1->2] * T[1->3]", ALPHA), 0.05,
+                                       "pointwise", seed=0))
         kinds = [mon.next(s).kind for s in ["1", "2", "1", "3"]]
         assert kinds == ["inconclusive"] * 3 + ["ok"]
         assert mon.n_samples == 1
@@ -55,8 +76,7 @@ class TestHandTraces:
 
     def test_single_variable_on_reference_run(self):
         # run 121123 yields the outcome sequence 1, 0, 1
-        mon = build_mc_monitor(parse("T[1->2]", ALPHA), 0.05, "pointwise",
-                               seed=0, check_invariants=True)
+        mon = Checked(build_mc_monitor(parse("T[1->2]", ALPHA), 0.05, "pointwise", seed=0))
         assert running_means(mon, "121123") == [1.0, 0.5, pytest.approx(2 / 3)]
 
     def test_inconclusive_before_any_relevant_visit(self):
@@ -158,8 +178,8 @@ class TestExtractOutcome:
 class TestCountersAndRegisters:
     def test_counter_conservation_along_run(self):
         model = three_state()
-        mon = build_mc_monitor(parse("T[1->2] * T[1->3]", ALPHA), 0.05,
-                               "pointwise", seed=5, check_invariants=True)
+        mon = Checked(build_mc_monitor(parse("T[1->2] * T[1->3]", ALPHA), 0.05,
+                                       "pointwise", seed=5))
         names = list(model.states)
         for c in simulate_states(model, 20_000, 1, seed=6)[0]:
             mon.next(names[c])
@@ -168,7 +188,7 @@ class TestCountersAndRegisters:
     def test_buffer_peak_bounded_by_expression_size(self):
         model = three_state()
         expr = parse("T[1->2] * T[1->3] + T[1->2] * T[1->2]", ALPHA)
-        mon = build_mc_monitor(expr, 0.05, "pointwise", seed=7, check_invariants=True)
+        mon = Checked(build_mc_monitor(expr, 0.05, "pointwise", seed=7))
         names = list(model.states)
         for c in simulate_states(model, 30_000, 1, seed=8)[0]:
             mon.next(names[c])

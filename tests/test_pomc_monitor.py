@@ -190,9 +190,8 @@ class TestAgainstVectorizedEvaluator:
         for model, expr in cases:
             codes = model.label_codes()[
                 simulate_states(model, horizon, 1, seed=21, start="stationary")[0]]
-            for mode in ("pointwise", "uniform"):
-                ev = PomcSeriesEvaluator(expr, model.alphabet, horizon, 0.05, mode, 7.45)
-                lo, hi, pt = ev.run(codes)
+            ev = PomcSeriesEvaluator(expr, model.alphabet, horizon, 0.05, 7.45)
+            for mode, (lo, hi, pt) in zip(("pointwise", "uniform"), ev.run(codes)):
                 mon = build_pomc_monitor(expr, 0.05, mode, 7.45, alphabet=model.alphabet)
                 for t in range(1, horizon + 1):
                     v = mon.next(model.alphabet[codes[t - 1]])
