@@ -80,21 +80,15 @@ def pomc_halfwidth(delta: float, n: int, a: float, b: float, tau_mix: float,
     return halfwidth
 
 
-def _ci_pomc(delta: float, t: int, n: int, a: float, b: float, tau_mix: float,
-             uniform: bool) -> float:
-    check_delta(delta)
-    if n < 1 or t < n:
-        raise ConfigError(f"need t >= n >= 1, got t={t}, n={n}")
-    return pomc_halfwidth(delta, n, a, b, tau_mix, uniform)(t)
-
-
 def ci_pomc_pointwise(delta: float, t: int, n: int, a: float, b: float,
                       tau_mix: float) -> float:
     """Half-width for the windowed estimator of an arity-n atom at time t.
 
     sqrt( ln(2/delta) * t * n^2 * (b-a)^2 * 9 * tau_mix / (2 (t-(n-1))^2) )
     """
-    return _ci_pomc(delta, t, n, a, b, tau_mix, False)
+    if t < n:
+        raise ConfigError(f"need t >= n >= 1, got t={t}, n={n}")
+    return pomc_halfwidth(delta, n, a, b, tau_mix, False)(t)
 
 
 def ci_pomc_uniform(delta: float, t: int, n: int, a: float, b: float,
@@ -104,7 +98,9 @@ def ci_pomc_uniform(delta: float, t: int, n: int, a: float, b: float,
     Same kernel with ln(pi^2 t^2 / (3 delta)); valid simultaneously for all
     t by a union bound with the summable schedule delta_t = 6 delta/(pi t)^2.
     """
-    return _ci_pomc(delta, t, n, a, b, tau_mix, True)
+    if t < n:
+        raise ConfigError(f"need t >= n >= 1, got t={t}, n={n}")
+    return pomc_halfwidth(delta, n, a, b, tau_mix, True)(t)
 
 
 def ci_mc_pointwise(t: int, delta: float, sigma_sq: float) -> float:

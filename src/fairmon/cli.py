@@ -166,6 +166,9 @@ def _parse_t_range(text: str):
         raise ConfigError(f"--t-range parts must be integers, got {text!r}") from None
     if start < 1 or stop < start or points < 1:
         raise ConfigError("--t-range values out of order")
+    # floats hold every integer up to 2**53; the formulas overflow far beyond it
+    if stop > 2 ** 53:
+        raise ConfigError("--t-range stop must be at most 2**53")
     if points == 1:
         return [start]
     ratio = (stop / start) ** (1.0 / (points - 1))

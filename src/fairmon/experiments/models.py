@@ -174,18 +174,3 @@ def two_state(p: float = 0.1, q: float = 0.2,
                             initial=np.array([1.0, 0.0]),
                             labels=labels or {"s0": "s0", "s1": "s1"})
 
-
-_GENERATORS = {
-    "hypercube": hypercube_pomc,
-    "lending-mc": lending_mc,
-    "lending-pomc": lending_pomc,
-    "admission": admission_mc,
-}
-
-
-def gen_model(name: str, **params) -> ObservationModel:
-    try:
-        gen = _GENERATORS[name]
-    except KeyError:
-        raise ModelError(f"unknown model {name!r}; available: {sorted(_GENERATORS)}") from None
-    return gen(**params)

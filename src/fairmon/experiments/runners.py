@@ -416,8 +416,7 @@ def timing_table(entries=None, events: int = 1_000_000, seed: int = 0,
         ]
     rows = []
     for scenario, model, text in entries:
-        alphabet = tuple(model.labels[s] for s in model.states)
-        expr = parse(text, alphabet)
+        expr = parse(text, model.alphabet)
         monitor = build_mc_monitor(expr, delta, "pointwise", seed=seed)
         symbols = list(simulate(model, events, seed, start="stationary"))
         per_event = []
@@ -445,8 +444,7 @@ def soak_registers(model: ObservationModel, text: str, events: int = 10_000_000,
                    delta: float = 0.05) -> List[Dict]:
     """Register-count snapshots along a long stream; growth means a leak."""
     from ..speclang.parser import parse
-    alphabet = tuple(model.labels[s] for s in model.states)
-    expr = parse(text, alphabet)
+    expr = parse(text, model.alphabet)
     monitor = build_mc_monitor(expr, delta, "pointwise", seed=seed)
     chunk = max(1, events // snapshots)
     out = []
@@ -475,13 +473,14 @@ def _write_csv(path, rows: List[Dict]):
         writer.writerows(rows)
 
 
-# the type of each override key, and the keys each named experiment reads
-_OVERRIDE_TYPES = {"runs": int, "horizon": int, "delta": float, "events": int, "k_max": int}
-_COVERAGE_KEYS = ("runs", "horizon", "delta")
-_EXPERIMENT_KEYS = {
-    "fig3-ratio": ("delta",), "fig4-uniform": ("delta",), "lending-mc": _COVERAGE_KEYS,
-    "admission": _COVERAGE_KEYS, "lending-pomc": _COVERAGE_KEYS, "hypercube": _COVERAGE_KEYS,
-    "table1-timing": ("events",), "nonconvergent": ("k_max",),
+_COVERAGE = {"runs": 100, "horizon": 100_000, "delta": 0.05}
+# each named experiment's parameters, with their defaults; an override is
+# converted to its default's type
+_EXPERIMENTS = {
+    "fig3-ratio": {"delta": 0.05}, "fig4-uniform": {"delta": 0.05},
+    "lending-mc": _COVERAGE, "admission": {**_COVERAGE, "runs": 20},
+    "lending-pomc": _COVERAGE, "hypercube": _COVERAGE,
+    "table1-timing": {"events": 200_000}, "nonconvergent": {"k_max": 30},
 }
 
 
@@ -495,16 +494,16 @@ def run_named_experiment(name: str, seed: int, out_dir, **overrides) -> Dict:
     from pathlib import Path
     from ..speclang.parser import parse
 
-    if name not in _EXPERIMENT_KEYS:
-        raise ConfigError(f"unknown experiment {name!r}; available: {', '.join(_EXPERIMENT_KEYS)}")
-    known = _EXPERIMENT_KEYS[name]
+    if name not in _EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {name!r}; available: {', '.join(_EXPERIMENTS)}")
+    args = dict(_EXPERIMENTS[name])
     for key, value in overrides.items():
-        if key not in known:
+        if key not in args:
             raise ConfigError(f"experiment {name!r} has no parameter {key!r}; "
-                              f"known: {', '.join(known)}")
-        kind = _OVERRIDE_TYPES[key]
+                              f"known: {', '.join(args)}")
+        kind = type(args[key])
         try:
-            overrides[key] = kind(value)
+            args[key] = kind(value)
         except ValueError:
             raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
                               f"got {value!r}") from None
@@ -513,28 +512,20 @@ def run_named_experiment(name: str, seed: int, out_dir, **overrides) -> Dict:
     target = Path(out_dir) / name
     target.mkdir(parents=True, exist_ok=True)
     report: Dict = {}
-    series: List[Dict] = []
     params: Dict = {"seed": seed}
 
-    def cover(model, text, engine, tau=None, runs=100, horizon=100_000,
-              delta=0.05, allow_tv=True):
-        runs = overrides.get("runs", runs)
-        horizon = overrides.get("horizon", horizon)
-        delta = overrides.get("delta", delta)
-        alphabet = model.alphabet if engine == "pomc" else tuple(model.labels[s] for s in model.states)
-        expr = parse(text, alphabet, allow_transvars=allow_tv)
-        rep = run_coverage(model, expr, engine, runs, horizon, delta, seed,
-                           tau_mix=tau, name=name)
+    def cover(model, text, engine):
+        expr = parse(text, model.alphabet, allow_transvars=engine == "mc")
+        rep = run_coverage(model, expr, engine, args["runs"], args["horizon"], args["delta"],
+                           seed, name=name)
         params.update(rep.params)
         params["property"] = text
         return json.loads(rep.to_json()), rep.rows
 
     if name == "hypercube":
-        model = models.hypercube_pomc(3)
-        report, series = cover(model, "P[a a] - P[b b]", "pomc", allow_tv=False)
+        report, series = cover(models.hypercube_pomc(3), "P[a a] - P[b b]", "pomc")
     elif name == "lending-pomc":
-        model = models.lending_pomc()
-        report, series = cover(model, "P[y | a] - P[y | b]", "pomc", allow_tv=False)
+        report, series = cover(models.lending_pomc(), "P[y | a] - P[y | b]", "pomc")
         # formula-only projection of how the per-atom half-width tapers with
         # t; the observed intervals above stay wide at desk-scale horizons
         tau = report["params"]["tau_mix"]
@@ -547,30 +538,19 @@ def run_named_experiment(name: str, seed: int, out_dir, **overrides) -> Dict:
         ]
         report["projection"] = {"is_projection": True, "rows": projection}
     elif name == "lending-mc":
-        model = models.lending_mc()
-        report, series = cover(model, "T[g->gy] - T[gbar->gbary]", "mc")
+        report, series = cover(models.lending_mc(), "T[g->gy] - T[gbar->gbary]", "mc")
     elif name == "admission":
-        model = models.admission_mc(levels=9)
-        report, series = cover(model, models.social_burden_text(9), "mc", runs=20)
+        report, series = cover(models.admission_mc(levels=9), models.social_burden_text(9), "mc")
     elif name == "fig3-ratio":
-        series = fig3_ratio_series(delta=overrides.get("delta", 0.05))
-        report = {"name": name, "rows": series}
-        params["delta"] = overrides.get("delta", 0.05)
+        series = fig3_ratio_series(delta=args["delta"])
     elif name == "fig4-uniform":
-        series = fig4_uniform_series(delta=overrides.get("delta", 0.05))
-        report = {"name": name, "rows": series}
-        params["delta"] = overrides.get("delta", 0.05)
+        series = fig4_uniform_series(delta=args["delta"])
     elif name == "table1-timing":
-        events = overrides.get("events", 200_000)
-        series = timing_table(events=events, seed=seed)
-        report = {"name": name, "rows": series}
-        params["events"] = events
-    elif name == "nonconvergent":
-        k_max = overrides.get("k_max", 30)
-        rows = run_nonconvergent(k_max)
-        series = [{"k": k, "t": t, "mean": m} for k, t, m in rows]
-        report = {"name": name, "rows": series}
-        params["k_max"] = k_max
+        series = timing_table(events=args["events"], seed=seed)
+    else:  # nonconvergent
+        series = [{"k": k, "t": t, "mean": m} for k, t, m in run_nonconvergent(args["k_max"])]
+    report = report or {"name": name, "rows": series}
+    params.update(args)  # in place for a coverage study, whose params hold these keys
 
     wall = time.perf_counter() - t0
     manifest = {"name": name, "seed": seed, "params": params,

@@ -8,15 +8,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Tuple
 
 INF = math.inf
 
 
-def _prod(a: float, b: float) -> float:
-    # 0 * inf = 0 keeps products sound when one factor is exactly zero.
-    if a == 0.0 or b == 0.0:
-        return 0.0
-    return a * b
+def product(alo: float, ahi: float, blo: float, bhi: float) -> Tuple[float, float]:
+    """The least and the greatest of the four corner products of [alo, ahi]
+    and [blo, bhi].  0 * inf = 0 keeps a product sound when one factor is
+    exactly zero."""
+    ps = (0.0 if alo == 0.0 or blo == 0.0 else alo * blo,
+          0.0 if alo == 0.0 or bhi == 0.0 else alo * bhi,
+          0.0 if ahi == 0.0 or blo == 0.0 else ahi * blo,
+          0.0 if ahi == 0.0 or bhi == 0.0 else ahi * bhi)
+    return min(ps), max(ps)
+
+
+def reciprocal(lo: float, hi: float) -> Tuple[float, float]:
+    """The endpoints of 1 / [lo, hi]: unbounded when the interval contains 0."""
+    if lo <= 0.0 <= hi:
+        return -INF, INF
+    return 1.0 / hi, 1.0 / lo
 
 
 @dataclass(frozen=True)
@@ -56,18 +68,10 @@ class Interval:
         return Interval(self.lo - other.hi, self.hi - other.lo)
 
     def __mul__(self, other: "Interval") -> "Interval":
-        ps = (
-            _prod(self.lo, other.lo),
-            _prod(self.lo, other.hi),
-            _prod(self.hi, other.lo),
-            _prod(self.hi, other.hi),
-        )
-        return Interval(min(ps), max(ps))
+        return Interval(*product(self.lo, self.hi, other.lo, other.hi))
 
     def inverse(self) -> "Interval":
-        if self.lo <= 0.0 <= self.hi:
-            return UNBOUNDED
-        return Interval(1.0 / self.hi, 1.0 / self.lo)
+        return Interval(*reciprocal(self.lo, self.hi))
 
     def __truediv__(self, other: "Interval") -> "Interval":
         return self * other.inverse()

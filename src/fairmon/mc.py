@@ -24,9 +24,9 @@ while the mean's bits stay the same, which after the first round they do.
 
 Expressions with division are first normalized to ``phi_a + phi_b / phi_c``
 (all parts division free) and monitored by three sub-monitors, each carrying
-a third of the confidence budget.  The combined verdict is rebuilt, with the
-formulas of :class:`Interval` over floats, only on an event that changed a
-part's verdict.
+a third of the confidence budget.  The combined verdict is rebuilt, with
+:func:`~fairmon.intervals.product` and :func:`~fairmon.intervals.reciprocal`
+on the parts' endpoints, only on an event that changed a part's verdict.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 
 from .bounds import check_delta, ci_mc_pointwise, ci_mc_uniform, squared_width
 from .errors import ConfigError, SpecValidationError
-from .intervals import INF, Interval
+from .intervals import Interval, product, reciprocal
 from .pomc import INCONCLUSIVE, Verdict
 from .speclang.ast import (Add, Const, Expr, Mul, Sub, TransVar, contains_division,
                            fold, is_pse)
@@ -118,7 +118,6 @@ class MCMonitorDivFree:
         self._point_range = self._lo == self._hi
         self.sigma_sq = squared_width(self._lo, self._hi)
         self._delta = delta
-        self._mode = mode
         self._ci = _CI[mode]
         self._rng = _UniformPool(seed)
         self._alphabet = frozenset(alphabet) if alphabet else None
@@ -283,31 +282,15 @@ class DivisionMonitor:
         return max(m.peak_buffer for m in self._subs)
 
     def _combine(self) -> Verdict:
-        """``va + vb / vc`` clipped to the range, by the formulas of
-        :class:`Interval` over floats."""
+        """``va + vb / vc`` clipped to the range, on the parts' endpoints."""
         va, vb, vc = (m._verdict for m in self._subs)
         if va.interval is None or vb.interval is None or vc.interval is None:
             return INCONCLUSIVE
-        clo, chi = vc.interval.lo, vc.interval.hi
-        if clo <= 0.0 <= chi:
-            ilo, ihi = -INF, INF
-        else:
-            ilo, ihi = 1.0 / chi, 1.0 / clo
-            if not ilo <= ihi:
-                Interval(ilo, ihi)  # raises the NaN or empty-interval error
-        blo, bhi = vb.interval.lo, vb.interval.hi
-        # 0 * inf = 0 keeps a product sound when a factor is exactly zero
-        ps = (0.0 if blo == 0.0 or ilo == 0.0 else blo * ilo,
-              0.0 if blo == 0.0 or ihi == 0.0 else blo * ihi,
-              0.0 if bhi == 0.0 or ilo == 0.0 else bhi * ilo,
-              0.0 if bhi == 0.0 or ihi == 0.0 else bhi * ihi)
-        lo, hi = min(ps), max(ps)
-        if not lo <= hi:
-            Interval(lo, hi)  # raises the NaN or empty-interval error
+        ilo, ihi = reciprocal(vc.interval.lo, vc.interval.hi)
+        lo, hi = product(vb.interval.lo, vb.interval.hi, ilo, ihi)
         lo, hi = va.interval.lo + lo, va.interval.hi + hi
-        if not lo <= hi:
-            Interval(lo, hi)  # raises the NaN or empty-interval error
         point = va.point + vb.point / vc.point if vc.point != 0.0 else None
+        # max and min keep a NaN first argument, so Interval sees it and raises
         return Verdict(interval=Interval(max(lo, self._range.lo), min(hi, self._range.hi)),
                        point=point)
 

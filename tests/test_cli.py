@@ -547,6 +547,18 @@ class TestCompareBounds:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error:") and "--t-range" in err
 
+    @pytest.mark.parametrize("t_range,methods", [
+        (f"1:{10**400}:5", "mc-pointwise"),  # stop / start
+        (f"{10**400}:{10**401}:1", "mc-pointwise"),  # 2.0 * t
+        (f"1:{10**300}:2", "pomc-uniform"),  # 2.0 * (t - n1) ** 2
+    ], ids=["stop-over-start", "huge-start", "pomc-square"])
+    def test_huge_t_range_exits_2(self, capsys, t_range, methods):
+        code, out, err = run_cli(capsys, "compare-bounds", "--t-range", t_range,
+                                 "--methods", methods)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and "--t-range" in err
+
 
 class TestExperimentCommand:
     def test_experiment_writes_manifest(self, capsys, tmp_path):

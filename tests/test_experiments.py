@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -10,7 +11,7 @@ from fairmon.markov import (simulate_states, stationary_distribution,
 from fairmon.mc import build_mc_monitor
 from fairmon.speclang import expression_size, parse
 from fairmon.experiments import (admission_mc, fig3_ratio_series,
-                                 fig4_uniform_series, gen_model,
+                                 fig4_uniform_series,
                                  hypercube_pomc, lending_mc, lending_pomc,
                                  nonconvergent_block_stream, run_coverage,
                                  run_named_experiment, run_nonconvergent,
@@ -58,11 +59,6 @@ class TestGenerators:
                       lending_pomc(), admission_mc(3)):
             assert model.n_states >= 2
             assert model.is_irreducible()
-
-    def test_gen_model_dispatch(self):
-        assert gen_model("hypercube", n=2).n_states == 4
-        with pytest.raises(ModelError):
-            gen_model("unknown-model")
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ModelError):
@@ -222,6 +218,51 @@ class TestTimingTable:
         assert rows[0]["outcomes"] > 0
 
 
+# each named experiment's parameters, in the order the error lists them
+NAMED_PARAMETERS = {
+    "fig3-ratio": "delta", "fig4-uniform": "delta",
+    "lending-mc": "runs, horizon, delta", "admission": "runs, horizon, delta",
+    "lending-pomc": "runs, horizon, delta", "hypercube": "runs, horizon, delta",
+    "table1-timing": "events", "nonconvergent": "k_max",
+}
+
+# tiny sizes, given as text as ``fairmon experiment --set`` gives them
+NAMED_OVERRIDES = {
+    "fig3-ratio": {"delta": "0.1"}, "fig4-uniform": {"delta": "0.1"},
+    "lending-mc": {"runs": "2", "horizon": "300"},
+    "admission": {"runs": "2", "horizon": "300"},
+    "lending-pomc": {"runs": "2", "horizon": "300"},
+    "hypercube": {"runs": "2", "horizon": "300"},
+    "table1-timing": {"events": "2000"}, "nonconvergent": {"k_max": "10"},
+}
+
+# recorded before the experiments' parameters were declared in one table
+NAMED_DIGESTS = {
+    "fig3-ratio": "956dadd93b4af5f5c2017d397ccf5f6e9273e0584099e33e86a1cb1bc67eb676",
+    "fig4-uniform": "39c10e66f63a291215c7ff16ecab3b88532cc071722edd7bb5162e1edbcd1bc4",
+    "lending-mc": "de249afd561bce8a5377f99a5d1ac32de190e85be30473f4bfb44db55e834ce3",
+    "admission": "64d766b18e33f1a4fe5e6f8a5a99ff15c61868c71d5a1eaa45a96c35ddcc2ed8",
+    "lending-pomc": "053cfcc033cd8de2bc30ba21c42e5f1e56dea5e17279a7304c70c0c26409c832",
+    "hypercube": "05a2c9c36ef5613852ee9a93fe982ed573d7433527a48ac38401f2c504254313",
+    "table1-timing": "28b9fa9db9ed3913b63904dc920bd3c413301e78233391e5b16514a8e1eb132d",
+    "nonconvergent": "ea809c3d8361f8e792c5efd9644ce1696c3c675804077b7c3184da9a27002420",
+}
+
+
+def artifact_digest(base, name):
+    """sha256 of ``report.json``, ``series.csv`` and the manifest without its
+    wall-clock fields; of the timing table only the keys and the row count."""
+    report = (base / "report.json").read_text()
+    series = (base / "series.csv").read_text()
+    manifest = json.loads((base / "manifest.json").read_text())
+    del manifest["wall_clock_s"], manifest["per_step_s"]
+    if name == "table1-timing":  # its timings differ from run to run
+        doc = json.loads(report)
+        report = [list(doc), [list(row) for row in doc["rows"]]]
+        series = [series.splitlines()[0], series.count("\n")]
+    return hashlib.sha256(json.dumps([report, series, manifest]).encode()).hexdigest()
+
+
 class TestNamedExperiments:
     def test_nonconvergent_writes_artifacts(self, tmp_path):
         manifest = run_named_experiment("nonconvergent", seed=0, out_dir=tmp_path)
@@ -248,6 +289,17 @@ class TestNamedExperiments:
     def test_unknown_experiment(self, tmp_path):
         with pytest.raises(ConfigError):
             run_named_experiment("mystery", seed=0, out_dir=tmp_path)
+
+    @pytest.mark.parametrize("name", list(NAMED_OVERRIDES))
+    def test_artifacts_match_recorded(self, tmp_path, name):
+        run_named_experiment(name, seed=3, out_dir=tmp_path, **NAMED_OVERRIDES[name])
+        assert artifact_digest(tmp_path / name, name) == NAMED_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", list(NAMED_OVERRIDES))
+    def test_unknown_parameter_lists_the_experiments_own(self, tmp_path, name):
+        with pytest.raises(ConfigError) as err:
+            run_named_experiment(name, seed=0, out_dir=tmp_path, bogus="1")
+        assert str(err.value).endswith("known: " + NAMED_PARAMETERS[name])
 
 
 def assert_matches_recorded(report, recorded, path="report"):

@@ -5,6 +5,7 @@ reference implementations."""
 import math
 import operator
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from scipy.sparse.csgraph import connected_components
 from fairmon.bounds import (ci_mc_pointwise, ci_mc_uniform, ci_pomc_pointwise,
                             ci_pomc_uniform, split_delta)
 from fairmon.errors import ModelError
-from fairmon.intervals import UNBOUNDED, Interval
+from fairmon.intervals import UNBOUNDED, Interval, product, reciprocal
 from fairmon.markov import ObservationModel
 from fairmon.mc import MCMonitorDivFree, build_mc_monitor
 from fairmon.pomc import INCONCLUSIVE, Verdict, atom_window, build_pomc_monitor
@@ -189,6 +190,46 @@ def test_interval_operations_enclose_sampled_points(a, b):
         # a / b means a * (1 / b); the rounded quotient x / y itself can lie
         # one unit in the last place outside, as for 5 / 3
         assert (xs / ys).contains(x * (1.0 / y))
+
+
+def corners_reference(alo, ahi, blo, bhi):
+    """The corner rule as ``Interval.__mul__`` and ``DivisionMonitor._combine``
+    each wrote it before they shared ``product``."""
+    def prod(a, b):
+        if a == 0.0 or b == 0.0:
+            return 0.0
+        return a * b
+    ps = (prod(alo, blo), prod(alo, bhi), prod(ahi, blo), prod(ahi, bhi))
+    return min(ps), max(ps)
+
+
+def reciprocal_reference(lo, hi):
+    if lo <= 0.0 <= hi:
+        return -math.inf, math.inf
+    return 1.0 / hi, 1.0 / lo
+
+
+any_float = st.floats(allow_nan=False)
+
+
+@PROPERTY
+@given(any_float, any_float, any_float, any_float)
+@example(0.0, math.inf, -math.inf, -0.0)  # 0 * inf on every corner
+@example(-math.inf, math.inf, 0.0, 0.0)
+@example(-0.0, 0.0, -math.inf, math.inf)
+@example(-math.inf, -2.0, 2.0, math.inf)  # reciprocals -0.0 and 0.0
+# corners -0.0 (an underflow) and 0.0 (the zero rule or an underflow) tie,
+# so the corner order shows in the sign of a zero endpoint
+@example(-1e-200, 0.0, 1e-200, 1.0)
+@example(-1e-200, 1e-200, 1e-200, 1e-200)
+def test_product_and_reciprocal_match_the_formulas_bit_for_bit(alo, ahi, blo, bhi):
+    def bits(pair):
+        return struct.pack("<2d", *pair)
+
+    assert bits(product(alo, ahi, blo, bhi)) == bits(corners_reference(alo, ahi, blo, bhi))
+    for lo, hi in ((alo, ahi), (blo, bhi)):
+        lo, hi = min(lo, hi), max(lo, hi)
+        assert bits(reciprocal(lo, hi)) == bits(reciprocal_reference(lo, hi))
 
 
 # --- the pomc monitor's compiled plan against the expression-tree fold ---
