@@ -167,8 +167,8 @@ def _parse_t_range(text: str):
     if start < 1 or stop < start or points < 1:
         raise ConfigError("--t-range values out of order")
     # floats hold every integer up to 2**53; the formulas overflow far beyond it
-    if stop > 2 ** 53:
-        raise ConfigError("--t-range stop must be at most 2**53")
+    if stop > 2 ** 53 or points > 2 ** 53:
+        raise ConfigError("--t-range stop and points must be at most 2**53")
     if points == 1:
         return [start]
     ratio = (stop / start) ** (1.0 / (points - 1))

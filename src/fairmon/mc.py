@@ -18,19 +18,19 @@ other symbol shares one last code.  An event costs one dict lookup for its
 code; after it the monitor works on lists: visit counters per source, edge
 counters per source in sorted target order, a row per source from a code to
 a target index (-1 for a target that is not relevant), and buffers of
-target indices (-1 for none of the relevant ones).  Over a point range the
-verdict depends only on the running mean, so it is built once and kept
-while the mean's bits stay the same, which after the first round they do.
+target indices (-1 for none of the relevant ones).
 
 Expressions with division are first normalized to ``phi_a + phi_b / phi_c``
-(all parts division free) and monitored by three sub-monitors, each carrying
-a third of the confidence budget.  The combined verdict is rebuilt, with
-:func:`~fairmon.intervals.product` and :func:`~fairmon.intervals.reciprocal`
-on the parts' endpoints, only on an event that changed a part's verdict.
+(all parts division free).  A part with transition variables gets a
+sub-monitor carrying a third of the confidence budget; a constant part is its
+value.  The combined verdict is rebuilt, with :func:`~fairmon.intervals.product`
+and :func:`~fairmon.intervals.reciprocal` on the parts' endpoints, only on an
+event on which a sub-monitor completed a round.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from typing import List, Optional, Sequence
 
@@ -86,7 +86,29 @@ def _binary(op):
     return handler
 
 
-class MCMonitorDivFree:
+class _Monitor:
+    """``next`` and ``feed``: the alphabet check, then ``_step``, which keeps
+    ``_verdict`` current."""
+
+    def __init__(self, value_range: Interval, alphabet: Optional[Sequence[str]]):
+        self.value_range = value_range
+        self._alphabet = frozenset(alphabet) if alphabet else None
+        self._verdict: Verdict = INCONCLUSIVE
+
+    def next(self, symbol: str) -> Verdict:
+        if self._alphabet is not None and symbol not in self._alphabet:
+            raise ConfigError(f"symbol {symbol!r} outside the state alphabet")
+        self._step(symbol)
+        return self._verdict
+
+    def feed(self, symbols) -> Verdict:
+        v = self._verdict
+        for s in symbols:
+            v = self.next(s)
+        return v
+
+
+class MCMonitorDivFree(_Monitor):
     """Streaming monitor for a division-free PSE on a fully observed chain."""
 
     def __init__(self, expr: Expr, delta: float, mode: str, seed: int = 0,
@@ -113,14 +135,12 @@ class MCMonitorDivFree:
             for j, tgt in enumerate(tgts):
                 row[codes[tgt]] = j
             self._rows.append(row)
-        self._range = expr_range(expr)
-        self._lo, self._hi = self._range.lo, self._range.hi
-        self._point_range = self._lo == self._hi
+        super().__init__(expr_range(expr), alphabet)
+        self._lo, self._hi = self.value_range.lo, self.value_range.hi
         self.sigma_sq = squared_width(self._lo, self._hi)
         self._delta = delta
         self._ci = _CI[mode]
         self._rng = _UniformPool(seed)
-        self._alphabet = frozenset(alphabet) if alphabet else None
 
         self._n_sources = len(self._sources)
         self._c = [0] * self._n_sources
@@ -135,12 +155,7 @@ class MCMonitorDivFree:
         self._blocked: Optional[int] = None  # source code the round waits on
         self.n_samples = 0
         self.mean = 0.0
-        self._verdict: Verdict = INCONCLUSIVE
         self.peak_buffer = 0
-
-    @property
-    def value_range(self) -> Interval:
-        return self._range
 
     def register_count(self) -> int:
         """Live registers: counters, buffer cells, caches, and scalars."""
@@ -194,31 +209,25 @@ class MCMonitorDivFree:
 
         return read
 
-    def _round(self, w: float) -> bool:
-        """Fold a completed round's outcome in; True when the verdict changed."""
+    def _round(self, w: float) -> None:
+        """Fold a completed round's outcome in and rebuild the verdict."""
         n = self.n_samples + 1
         self.n_samples = n
         lo, hi = self._lo, self._hi
         # the recurrence can round the running mean out of the range
         mu = min(max((self.mean * (n - 1) + w) / n, lo), hi)
         self.mean = mu
-        # Over a point range [c, c] every finite outcome is c, so the mean is
-        # c, or +0.0 when c is a zero: an equal mean has the same bits and
-        # gives the same verdict.  A NaN mean fails the test and raises below.
-        changed = not (self._point_range and mu == self._verdict.point)
-        if changed:
-            eps = self._ci(n, self._delta, self.sigma_sq)
-            iv = Interval(max(mu - eps, lo), min(mu + eps, hi))
-            self._verdict = Verdict(interval=iv, point=mu)
+        eps = self._ci(n, self._delta, self.sigma_sq)
+        iv = Interval(max(mu - eps, lo), min(mu + eps, hi))
+        self._verdict = Verdict(interval=iv, point=mu)
         for z in self._z:
             z.clear()
         cache = self._cache
         cache[:] = [None] * len(cache)
         self._blocked = None
-        return changed
 
     def _step(self, symbol: str) -> bool:
-        """One event, the alphabet unchecked; True when the verdict changed."""
+        """One event, the alphabet unchecked; True when a round completed."""
         code = self._codes.get(symbol, self._other)
         prev = self._prev
         self._prev = code
@@ -234,41 +243,31 @@ class MCMonitorDivFree:
         if self._blocked is None:
             w = self._eval()
             if w is not None:
-                return self._round(w)
+                self._round(w)
+                return True
         return False
 
-    def next(self, symbol: str) -> Verdict:
-        if self._alphabet is not None and symbol not in self._alphabet:
-            raise ConfigError(f"symbol {symbol!r} outside the state alphabet")
-        self._step(symbol)
-        return self._verdict
 
-    def feed(self, symbols) -> Verdict:
-        v = self._verdict
-        for s in symbols:
-            v = self.next(s)
-        return v
-
-
-class DivisionMonitor:
-    """Three division-free sub-monitors realizing ``phi_a + phi_b / phi_c``."""
+class DivisionMonitor(_Monitor):
+    """``phi_a + phi_b / phi_c``: a division-free sub-monitor for each part
+    with transition variables, and each constant part as its value."""
 
     def __init__(self, parts, delta: float, mode: str, seed: int = 0,
                  alphabet: Optional[Sequence[str]] = None):
         check_delta(delta)
-        share = delta / 3.0
-        self._subs = [
-            MCMonitorDivFree(part, share, mode, seed=seed * 3 + k, alphabet=alphabet)
-            for k, part in enumerate(parts)
-        ]
-        self._alphabet = frozenset(alphabet) if alphabet else None
-        ra, rb, rc = (m.value_range for m in self._subs)
-        self._range = ra + rb / rc
-        self._verdict: Verdict = INCONCLUSIVE
-
-    @property
-    def value_range(self) -> Interval:
-        return self._range
+        # A constant c's sub-monitor would say [c, c] from its first round on,
+        # at event 2, before any other part can complete a round.  The other
+        # parts keep their seeds and a third of delta each; the constant's
+        # third stays unspent, because every half-width, and so every bit,
+        # depends on it.
+        self._parts = [_constant(part) if isinstance(part, Const)
+                       else MCMonitorDivFree(part, delta / 3.0, mode, seed=seed * 3 + k)
+                       for k, part in enumerate(parts)]
+        self._subs = [p for p in self._parts if isinstance(p, MCMonitorDivFree)]
+        if not self._subs:
+            raise ConfigError("a division monitor needs a part with transition variables")
+        ra, rb, rc = (expr_range(part) for part in parts)
+        super().__init__(ra + rb / rc, alphabet)
 
     @property
     def n_samples(self) -> int:
@@ -283,7 +282,7 @@ class DivisionMonitor:
 
     def _combine(self) -> Verdict:
         """``va + vb / vc`` clipped to the range, on the parts' endpoints."""
-        va, vb, vc = (m._verdict for m in self._subs)
+        va, vb, vc = (p if isinstance(p, Verdict) else p._verdict for p in self._parts)
         if va.interval is None or vb.interval is None or vc.interval is None:
             return INCONCLUSIVE
         ilo, ihi = reciprocal(vc.interval.lo, vc.interval.hi)
@@ -291,23 +290,20 @@ class DivisionMonitor:
         lo, hi = va.interval.lo + lo, va.interval.hi + hi
         point = va.point + vb.point / vc.point if vc.point != 0.0 else None
         # max and min keep a NaN first argument, so Interval sees it and raises
-        return Verdict(interval=Interval(max(lo, self._range.lo), min(hi, self._range.hi)),
-                       point=point)
+        r = self.value_range
+        return Verdict(interval=Interval(max(lo, r.lo), min(hi, r.hi)), point=point)
 
-    def next(self, symbol: str) -> Verdict:
-        if self._alphabet is not None and symbol not in self._alphabet:
-            raise ConfigError(f"symbol {symbol!r} outside the state alphabet")
-        a, b, c = self._subs
-        # `|` does not short-circuit: every part sees every event
-        if a._step(symbol) | b._step(symbol) | c._step(symbol):
+    def _step(self, symbol: str) -> None:
+        # a list, not a generator: every part sees every event
+        if any([m._step(symbol) for m in self._subs]):
             self._verdict = self._combine()
-        return self._verdict
 
-    def feed(self, symbols) -> Verdict:
-        v = self._verdict
-        for s in symbols:
-            v = self.next(s)
-        return v
+
+def _constant(part: Const) -> Verdict:
+    """A constant part's verdict: its value, which must be finite."""
+    if not math.isfinite(part.value):
+        raise ConfigError(f"constant part {part.value!r} of a division is not finite")
+    return Verdict(interval=Interval(part.value, part.value), point=part.value)
 
 
 def build_mc_monitor(expr: Expr, delta: float, mode: str, seed: int = 0,

@@ -75,13 +75,12 @@ def _tokenize(text: str):
 
 class _Parser:
     def __init__(self, text: str, alphabet: Sequence[str], atoms: Dict[str, AtomDef],
-                 allow_transvars: bool, first_line: int = 1):
+                 allow_transvars: bool):
         self._tokens = _tokenize(text)
         self._idx = 0
         self._alphabet = set(alphabet)
         self._atoms = atoms
         self._allow_transvars = allow_transvars
-        self._line_offset = first_line - 1
 
     def _peek(self) -> _Token:
         return self._tokens[self._idx]
@@ -93,7 +92,7 @@ class _Parser:
 
     def _error(self, message: str, tok: Optional[_Token] = None):
         tok = tok or self._peek()
-        raise SpecSyntaxError(message, tok.line + self._line_offset, tok.column)
+        raise SpecSyntaxError(message, tok.line, tok.column)
 
     def _expect(self, text: str) -> _Token:
         tok = self._advance()
@@ -216,7 +215,7 @@ class _Parser:
 
 
 def parse(text: str, alphabet: Sequence[str] = (), atoms: Sequence[AtomDef] = (),
-          allow_transvars: bool = True, first_line: int = 1) -> Expr:
+          allow_transvars: bool = True) -> Expr:
     """Parse specification text into an expression tree.
 
     An empty alphabet disables symbol membership checks.  With
@@ -224,7 +223,7 @@ def parse(text: str, alphabet: Sequence[str] = (), atoms: Sequence[AtomDef] = ()
     is rejected.
     """
     atom_map = {a.name: a for a in atoms}
-    return _Parser(text, alphabet, atom_map, allow_transvars, first_line).parse()
+    return _Parser(text, alphabet, atom_map, allow_transvars).parse()
 
 
 @dataclass(frozen=True)
@@ -290,7 +289,6 @@ def parse_spec_file(text: str, allow_transvars: bool = True) -> SpecDocument:
     alphabet: Tuple[str, ...] = ()
     atoms = []
     property_text = None
-    property_line = 0
 
     i = 0
     while i < len(lines):
@@ -318,10 +316,13 @@ def parse_spec_file(text: str, allow_transvars: bool = True) -> SpecDocument:
             i += 1
         elif stripped.startswith("property:"):
             property_text = stripped[len("property:"):]
-            property_line = i + 1
             # the property may continue on following lines
             rest = [lines[j].split("#", 1)[0] for j in range(i + 1, len(lines))]
             property_text = "\n".join([property_text] + rest)
+            # parsed with blanks in place of all before it, so that every
+            # position in an error is the file's
+            start = raw.index("property:") + len("property:")
+            padded = "\n" * i + " " * start + property_text
             i = len(lines)
         else:
             raise SpecSyntaxError(f"unrecognized directive {stripped.split()[0]!r}", i + 1)
@@ -335,6 +336,6 @@ def parse_spec_file(text: str, allow_transvars: bool = True) -> SpecDocument:
     if len(set(names)) != len(names):
         raise SpecSyntaxError("duplicate atom names")
 
-    expr = parse(property_text, alphabet, atoms, allow_transvars, first_line=property_line)
+    expr = parse(padded, alphabet, atoms, allow_transvars)
     return SpecDocument(alphabet=alphabet, atoms=tuple(atoms), expression=expr,
                         property_text=property_text.strip())

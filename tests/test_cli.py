@@ -13,7 +13,7 @@ from fairmon.cli import _emit, main
 from fairmon.intervals import Interval
 from fairmon.pomc import INCONCLUSIVE, Verdict
 from fairmon.experiments import hypercube_pomc, lending_mc, lending_pomc
-from fairmon.markov import simulate
+from fairmon.markov import mixing_time_bound, simulate
 from test_pomc_monitor import TABLE_SPEC
 
 LENDING_SPEC = """alphabet: init g gbar gy gbary ybar z zbar
@@ -397,6 +397,60 @@ class TestMonitor:
         assert len(outs[0].splitlines()) == 2000
         assert outs[0] == outs[1]
 
+    def test_events_on_standard_input(self, capsys, monkeypatch, lending_files, tmp_path):
+        # simulate | monitor: the same records as from a file
+        model, spec = lending_files
+        _, stream, _ = run_cli(capsys, "simulate", "--model", str(model),
+                               "--steps", "500", "--seed", "6")
+        events = tmp_path / "events.txt"
+        events.write_text(stream)
+        _, expected, _ = run_cli(capsys, "monitor", "--spec", str(spec), "--events", str(events))
+        stdin = io.TextIOWrapper(io.BytesIO(stream.encode()), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = run_cli(capsys, "monitor", "--spec", str(spec))
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 500
+        assert out == expected
+
+    def test_undecodable_byte_on_standard_input_exits_3(self, capsys, monkeypatch,
+                                                        hypercube_files):
+        _, spec = hypercube_files
+        stdin = io.TextIOWrapper(io.BytesIO(b"a\nb\n\xff\n"), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = run_cli(capsys, "monitor", "--spec", str(spec), "--engine", "pomc",
+                                 "--tau-mix", "1")
+        assert code == 3
+        assert len(out.splitlines()) == 2
+        assert err.count("\n") == 1 and err.startswith("error: line 3:")
+
+    def test_pomc_model_gives_its_mixing_time(self, capsys, hypercube_files, tmp_path):
+        model, spec = hypercube_files
+        tau = mixing_time_bound(hypercube_pomc(3)).tau_mix
+        _, stream, _ = run_cli(capsys, "simulate", "--model", str(model),
+                               "--steps", "300", "--seed", "8")
+        events = tmp_path / "events.txt"
+        events.write_text(stream)
+        outs = []
+        for source in (["--model", str(model)], ["--tau-mix", repr(tau)]):
+            code, out, err = run_cli(capsys, "monitor", "--spec", str(spec), "--engine", "pomc",
+                                     *source, "--events", str(events))
+            assert (code, err) == (0, "")
+            outs.append(out)
+        assert len(outs[0].splitlines()) == 300
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("option, value", [("--stride", "0"), ("--spec", "no-such.spec")],
+                             ids=["zero-stride", "missing-spec"])
+    def test_bad_monitor_argument_exits_2(self, capsys, lending_files, tmp_path, option, value):
+        _, spec = lending_files
+        events = tmp_path / "events.txt"
+        events.write_text("init\ng\n")
+        code, out, err = run_cli(capsys, "monitor", "--spec", str(spec), option, value,
+                                 "--events", str(events))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
+
 
 class TestMonitorOutputDigests:
     """Every byte of ``fairmon monitor --engine pomc --tau-mix 1``, recorded once.
@@ -551,7 +605,8 @@ class TestCompareBounds:
         (f"1:{10**400}:5", "mc-pointwise"),  # stop / start
         (f"{10**400}:{10**401}:1", "mc-pointwise"),  # 2.0 * t
         (f"1:{10**300}:2", "pomc-uniform"),  # 2.0 * (t - n1) ** 2
-    ], ids=["stop-over-start", "huge-start", "pomc-square"])
+        (f"1:10:{10**400}", "mc-pointwise"),  # 1.0 / (points - 1)
+    ], ids=["stop-over-start", "huge-start", "pomc-square", "huge-points"])
     def test_huge_t_range_exits_2(self, capsys, t_range, methods):
         code, out, err = run_cli(capsys, "compare-bounds", "--t-range", t_range,
                                  "--methods", methods)
@@ -593,6 +648,14 @@ class TestExperimentCommand:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error:") and "runs" in err
+        assert not any(tmp_path.iterdir())
+
+    def test_override_without_value_exits_2(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "experiment", "--name", "hypercube",
+                                 "--out-dir", str(tmp_path), "--set", "runs")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and "key=value" in err
         assert not any(tmp_path.iterdir())
 
     def test_unknown_override_key_exits_2(self, capsys, tmp_path):

@@ -11,6 +11,7 @@ from fairmon.intervals import Interval
 from fairmon.markov import (ObservationModel, simulate, simulate_states,
                             truth_value_pse)
 from fairmon.mc import DivisionMonitor, MCMonitorDivFree, build_mc_monitor
+from fairmon.pomc import Verdict
 from fairmon.speclang import expression_size, parse
 from fairmon.experiments import lending_mc
 
@@ -272,12 +273,25 @@ class TestOutcomeDistribution:
 
 
 class TestDivisionMonitor:
-    def test_disparate_impact_builds_three_parts(self):
+    def test_disparate_impact_monitors_two_parts(self):
+        # phi_a is the constant 0: it is its value and gets no sub-monitor
         model = lending_mc()
         expr = parse("T[g->gy] / T[gbar->gbary]", model.states)
         mon = build_mc_monitor(expr, 0.06, "pointwise", seed=17)
         assert isinstance(mon, DivisionMonitor)
-        assert [m._delta for m in mon._subs] == [pytest.approx(0.02)] * 3
+        assert [m._delta for m in mon._subs] == [pytest.approx(0.02)] * 2
+        assert [m._sources for m in mon._subs] == [["g"], ["gbar"]]
+        assert mon._parts[0] == Verdict(Interval(0.0, 0.0), 0.0)
+
+    def test_all_constant_parts_rejected(self):
+        parts = (parse("0.5", ALPHA), parse("1", ALPHA), parse("2", ALPHA))
+        with pytest.raises(ConfigError, match="transition variables"):
+            DivisionMonitor(parts, 0.05, "pointwise")
+
+    @pytest.mark.parametrize("text", ["1e999 / T[1->3]", "1e300 * 1e300 / T[1->3]"])
+    def test_infinite_constant_part_rejected_at_build(self, text):
+        with pytest.raises(ConfigError, match="not finite"):
+            build_mc_monitor(parse(text, ALPHA), 0.05, "pointwise")
 
     def test_division_free_short_circuits(self):
         expr = parse("T[1->2] + T[1->3]", ALPHA)
@@ -366,13 +380,13 @@ class TestVerdictDigests:
     # (spec, mode) -> (digest, n_samples, peak_buffer, register_count)
     EXPECTED = {
         ("ratio", "pointwise"):
-            ("8f505868f9868c8c4253f89c24341dbedb11549d4e5eec71521b5b694926bc7d", 512, 1, 21),
+            ("8f505868f9868c8c4253f89c24341dbedb11549d4e5eec71521b5b694926bc7d", 512, 1, 16),
         ("ratio", "uniform"):
-            ("592e634da3965d6a92dd812cd8747561898ec481b07fc669810c73e57fb2e7c9", 512, 1, 21),
+            ("592e634da3965d6a92dd812cd8747561898ec481b07fc669810c73e57fb2e7c9", 512, 1, 16),
         ("mixed", "pointwise"):
-            ("d7c3a28d7a4e29c23a350b2e0eb86dbf84d4778fc6a32706b524de116227ac81", 283, 2, 23),
+            ("d7c3a28d7a4e29c23a350b2e0eb86dbf84d4778fc6a32706b524de116227ac81", 283, 2, 18),
         ("mixed", "uniform"):
-            ("93967af4737642058038cb8bdfed48c4027266f642a3241603fdad38e436fef2", 283, 2, 23),
+            ("93967af4737642058038cb8bdfed48c4027266f642a3241603fdad38e436fef2", 283, 2, 18),
         ("difference", "pointwise"):
             ("b3da3b6f0fd566ab0d3c273ff1b694698c483285e66d9c4b3b1196e13feee552", 283, 2, 14),
         ("difference", "uniform"):

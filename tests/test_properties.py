@@ -475,22 +475,24 @@ class RefDivFree:
 
 class RefDivision:
     """``phi_a + phi_b / phi_c`` recombined with ``Interval`` arithmetic on
-    every event."""
+    every event, with a monitor for each part, constants too.  The summary
+    leaves constant parts out of the means and the register count."""
 
     def __init__(self, parts, delta, mode, seed=0):
-        self._subs = [RefDivFree(part, delta / 3.0, mode, seed=seed * 3 + k)
-                      for k, part in enumerate(parts)]
-        ra, rb, rc = (m.value_range for m in self._subs)
+        self._all = [RefDivFree(part, delta / 3.0, mode, seed=seed * 3 + k)
+                     for k, part in enumerate(parts)]
+        self._subs = [m for m, part in zip(self._all, parts) if not isinstance(part, Const)]
+        ra, rb, rc = (m.value_range for m in self._all)
         self._range = ra + rb / rc
 
-    n_samples = property(lambda self: min(m.n_samples for m in self._subs))
-    peak_buffer = property(lambda self: max(m.peak_buffer for m in self._subs))
+    n_samples = property(lambda self: min(m.n_samples for m in self._all))
+    peak_buffer = property(lambda self: max(m.peak_buffer for m in self._all))
 
     def register_count(self):
         return sum(m.register_count() for m in self._subs)
 
     def next(self, symbol):
-        va, vb, vc = [m.next(symbol) for m in self._subs]
+        va, vb, vc = [m.next(symbol) for m in self._all]
         if any(v.is_inconclusive for v in (va, vb, vc)):
             return INCONCLUSIVE
         interval = (va.interval + vb.interval / vc.interval).intersect(self._range)
@@ -530,6 +532,11 @@ ratio_pse = st.builds(lambda a, b, v: Add(a, Mul(b, Inv(v))),
 @example(Mul(TransVar("1", "2"), Const(-0.0)), ["1", "2", "1", "3"] * 5, 0, 0.05)
 @example(Add(Const(0.0), Mul(TransVar("1", "2"), Inv(TransVar("1", "3")))),
          ["1", "2", "1", "3", "1", "4"] * 30, 1, 0.05)
+# two constant parts, 0 and 2, and one monitored part
+@example(Mul(Const(2.0), Inv(TransVar("1", "3"))), ["1", "2", "1", "3", "1", "4"] * 30, 3, 0.05)
+# a nonzero constant phi_a
+@example(Add(Const(0.5), Mul(TransVar("1", "2"), Inv(TransVar("1", "3")))),
+         ["1", "3", "1", "2", "2", "1"] * 30, 4, 0.5)
 # source 1 is visited twice as often as the two draws from 2 that a round
 # needs, so its pool grows and the target order decides what u picks
 @example(Add(Sub(TransVar("1", "2"), TransVar("1", "3")),

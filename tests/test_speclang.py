@@ -115,6 +115,46 @@ property: F[f]
         with pytest.raises(SpecSyntaxError):
             parse_spec_file("alphabet: a b")
 
+    MULTILINE_ATOM = """alphabet: a b
+atom f arity 1 range [0,1] {  # a block over several lines
+  a -> 1;  # the rule
+  default -> 0
+}
+"""
+
+    def test_atom_block_over_several_lines(self):
+        one_line = "alphabet: a b\natom f arity 1 range [0,1] { a -> 1; default -> 0 }\n"
+        doc = parse_spec_file(self.MULTILINE_ATOM + "property: F[f]\n")
+        assert doc.atoms == parse_spec_file(one_line + "property: F[f]\n").atoms
+
+    ATOM = "alphabet: a b\natom f arity 1 range [0,1] "
+
+    @pytest.mark.parametrize("text, position", [
+        ("alphabet: a b y\n# note\nproperty: P[y | a] $ P[y | b]\n", (3, 20)),
+        ("alphabet: a b y\n# note\nproperty: P[y | a] ) P[y | b]\n", (3, 20)),
+        ("alphabet: a b\n  property:P[a] + P[c]\n", (2, 21)),
+        ("alphabet: a b\nproperty: P[a] +\n  P[c]  # c is not a symbol\n", (3, 5)),
+        (MULTILINE_ATOM + "property: F[g]\n", (6, 13)),
+        (ATOM + "{ a -> 1;\n  default -> 0\nproperty: F[f]\n", (2, None)),
+        ("alphabet: a b\natom f arity one range [0,1] { default -> 0 }\n", (2, None)),
+        (ATOM + "{ a 1; default -> 0 }\n", (2, None)),
+        (ATOM + "{ a -> one; default -> 0 }\n", (2, None)),
+        (ATOM + "{ c -> 1; default -> 0 }\n", (2, None)),
+        (ATOM + "{ a -> 1 }\n", (2, None)),
+        (ATOM + "{ a -> 2; default -> 0 }\n", (2, None)),
+        ("# empty\nalphabet:\nproperty: 1\n", (2, None)),
+        ("alphabet: a b a\nproperty: 1\n", (1, None)),
+        ("alphabet: a b\nproperties: 1\n", (2, None)),
+    ], ids=["bad-character", "trailing-input", "indented-property", "second-line",
+            "after-multiline-atom", "no-closing-brace", "malformed-head", "no-arrow",
+            "value-not-number", "pattern-outside-alphabet", "no-default",
+            "value-outside-range", "empty-alphabet", "duplicate-symbols",
+            "unrecognized-directive"])
+    def test_error_position_is_the_files(self, text, position):
+        with pytest.raises(SpecSyntaxError) as err:
+            parse_spec_file(text)
+        assert (err.value.line, err.value.column) == position
+
 
 def _random_pse(rng, size):
     """Random PSE with `size` operators; reciprocals only on variables."""
