@@ -13,6 +13,7 @@ Natural logarithms throughout.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
@@ -45,15 +46,32 @@ def _check_sigma_sq(sigma_sq: float):
         raise ConfigError(f"sigma^2 must be nonnegative, got {sigma_sq}")
 
 
-def pomc_halfwidth(delta: float, n: int, a: float, b: float, tau_mix: float,
-                   uniform: bool) -> Callable[[int], float]:
-    """The half-width of an arity-n atom with range [a, b] as a function of t >= n.
+def pomc_log_source(delta: float, uniform: bool, key: str) -> Tuple[str, dict]:
+    """The log term of the pomc half-widths at share ``delta``, ln(pi^2 t^2 /
+    (3 delta)) uniform or ln(2/delta) pointwise, as Python source over ``t``
+    and the names bound in the returned dict, which end in ``key``.
 
-    The arguments are checked here, once; the returned function only
-    computes.  Every ``ci_pomc_*`` value comes from it, so the arithmetic and
-    its order are the same wherever a half-width is needed.
+    Each form is written once, here, for :func:`pomc_halfwidth` and for the
+    generated step of :mod:`fairmon.pomc`, which computes each share's log
+    term once per event.
     """
     check_delta(delta)
+    if uniform:
+        d3 = f"d3{key}"
+        return f"log(pi2 * t * t / {d3})", {"log": math.log, "pi2": _PI * _PI, d3: 3.0 * delta}
+    name = f"log_term{key}"
+    return name, {name: math.log(2.0 / delta)}
+
+
+def pomc_halfwidth_source(n: int, a: float, b: float, tau_mix: float,
+                          log_term: str, key: str) -> Tuple[str, dict]:
+    """The half-width of an arity-n atom with range [a, b] at time t >= n, as
+    Python source over ``t``, the log term's source ``log_term`` (see
+    :func:`pomc_log_source`, which checks delta) and the names bound in the
+    returned dict, which end in ``key``.  The arguments are checked here, once.
+
+    sqrt( log_term * t * n^2 * (b-a)^2 * 9 * tau_mix / (2 (t-(n-1))^2) )
+    """
     if n < 1:
         raise ConfigError(f"need t >= n >= 1, got n={n}")
     if not b >= a:
@@ -61,23 +79,32 @@ def pomc_halfwidth(delta: float, n: int, a: float, b: float, tau_mix: float,
     if not tau_mix >= 1.0:
         raise ConfigError(f"mixing-time bound must be >= 1, got {tau_mix}")
     if b == a:
-        return lambda t: 0.0
-    log, sqrt = math.log, math.sqrt
-    # t * nn equals t * n * n, an exact integer, so every float operation
-    # below rounds as in the one-line formula
-    nn, sq, n1 = n * n, squared_width(a, b), n - 1
-    if uniform:
-        pi2, d3 = _PI * _PI, 3.0 * delta
+        return "0.0", {}
+    sq, tau = f"sq{key}", f"tau_mix{key}"
+    # t * {n * n} equals t * n * n, an exact integer, so every float operation
+    # rounds as in the one-line formula
+    return (f"sqrt({log_term} * (t * {n * n} * {sq} * 9.0 * {tau} / (2.0 * (t - {n - 1}) ** 2)))",
+            {"sqrt": math.sqrt, sq: squared_width(a, b), tau: tau_mix})
 
-        def halfwidth(t: int) -> float:
-            return sqrt(log(pi2 * t * t / d3)
-                        * (t * nn * sq * 9.0 * tau_mix / (2.0 * (t - n1) ** 2)))
-    else:
-        log_term = log(2.0 / delta)
 
-        def halfwidth(t: int) -> float:
-            return sqrt(log_term * (t * nn * sq * 9.0 * tau_mix / (2.0 * (t - n1) ** 2)))
-    return halfwidth
+@functools.lru_cache(maxsize=64)
+def _compiled(source: str):
+    """The code of ``source``; half-width sources differ only by arity and mode."""
+    return compile(source, "<fairmon.bounds halfwidth>", "eval")
+
+
+def pomc_halfwidth(delta: float, n: int, a: float, b: float, tau_mix: float,
+                   uniform: bool) -> Callable[[int], float]:
+    """The half-width of an arity-n atom with range [a, b] as a function of t >= n.
+
+    The arguments are checked here, once; the returned function only
+    computes.  Every ``ci_pomc_*`` value comes from it, and it runs the
+    source that the generated ``pomc`` step inlines, so the arithmetic and
+    its order are the same wherever a half-width is needed.
+    """
+    log_term, names = pomc_log_source(delta, uniform, "")
+    width, more = pomc_halfwidth_source(n, a, b, tau_mix, log_term, "")
+    return eval(_compiled(f"lambda t: {width}"), {**names, **more})
 
 
 def ci_pomc_pointwise(delta: float, t: int, n: int, a: float, b: float,
@@ -103,13 +130,36 @@ def ci_pomc_uniform(delta: float, t: int, n: int, a: float, b: float,
     return pomc_halfwidth(delta, n, a, b, tau_mix, True)(t)
 
 
+def mc_halfwidth(delta: float, sigma_sq: float, uniform: bool) -> Callable[[int], float]:
+    """The half-width of t bounded i.i.d. outcomes as a function of t >= 1.
+
+    δ and σ² are checked here, once; the returned function only computes.
+    Every ``ci_mc_*`` value comes from it, so the arithmetic is the same
+    wherever a half-width is needed.
+    """
+    check_delta(delta)
+    _check_sigma_sq(sigma_sq)
+    log, sqrt = math.log, math.sqrt
+    log_term, sqrt6 = log(2.0 / delta), sqrt(6.0)
+
+    def pointwise(t: int) -> float:
+        return sqrt(sigma_sq / (2.0 * t) * log_term)
+
+    def stitched(t: int) -> float:
+        s = max(1.0, sigma_sq * t)
+        inner = max(1.0, log(s))
+        width = sqrt(1.064 * s * (2.0 * log(_PI * inner / sqrt6) + log_term)) / t
+        return max(width, pointwise(t))
+
+    return stitched if uniform else pointwise
+
+
 def ci_mc_pointwise(t: int, delta: float, sigma_sq: float) -> float:
     """Hoeffding half-width sqrt(sigma^2/(2t) * ln(2/delta)) for t outcomes."""
-    check_delta(delta)
+    halfwidth = mc_halfwidth(delta, sigma_sq, False)
     if t < 1:
         raise ConfigError(f"need t >= 1, got {t}")
-    _check_sigma_sq(sigma_sq)
-    return math.sqrt(sigma_sq / (2.0 * t) * math.log(2.0 / delta))
+    return halfwidth(t)
 
 
 def ci_mc_uniform(t: int, delta: float, sigma_sq: float) -> float:
@@ -124,15 +174,10 @@ def ci_mc_uniform(t: int, delta: float, sigma_sq: float) -> float:
     and the result is clipped from below by the pointwise width; both
     adjustments only widen the interval, so the guarantee is preserved.
     """
-    check_delta(delta)
+    halfwidth = mc_halfwidth(delta, sigma_sq, True)
     if t < 1:
         raise ConfigError(f"need t >= 1, got {t}")
-    _check_sigma_sq(sigma_sq)
-    s = max(1.0, sigma_sq * t)
-    inner = max(1.0, math.log(s))
-    width = math.sqrt(1.064 * s * (2.0 * math.log(_PI * inner / math.sqrt(6.0))
-                                   + math.log(2.0 / delta))) / t
-    return max(width, ci_mc_pointwise(t, delta, sigma_sq))
+    return halfwidth(t)
 
 
 def naive_uniform_lift(delta: float, t: int, scaling: str,

@@ -7,6 +7,7 @@ ignored.  Exit codes: 0 success, 2 configuration error, 3 malformed event.
 from __future__ import annotations
 
 import argparse
+import bisect
 import json
 import math
 import os
@@ -35,6 +36,7 @@ def _load_spec(path: str, allow_transvars: bool):
 
 
 INF = math.inf
+_repr = float.__repr__
 
 
 def _emit(write, fmt: str, t: int, verdict) -> None:
@@ -43,19 +45,27 @@ def _emit(write, fmt: str, t: int, verdict) -> None:
     A number that is missing or not finite is ``null`` in JSONL and empty in
     CSV.  ``float.__repr__`` is the float text of ``json.dumps``, also for
     numpy floats, whose own ``repr`` names the type.  The kind is
-    ``verdict.kind``, read off the endpoints already at hand.
+    ``verdict.kind``, read off the endpoints already at hand.  The common
+    record, a consistent JSONL verdict with finite numbers, is one f-string.
     """
-    missing = "null" if fmt == "jsonl" else ""
     iv, point = verdict.interval, verdict.point
-    point = float.__repr__(point) if point is not None and -INF < point < INF else missing
+    if fmt == "jsonl" and iv is not None and verdict.consistent:
+        lo, hi = iv.lo, iv.hi
+        # as lo <= hi, both are finite
+        if -INF < lo and hi < INF and point is not None and -INF < point < INF:
+            write(f'{{"t": {t}, "lo": {_repr(lo)}, "hi": {_repr(hi)}, '
+                  f'"point": {_repr(point)}, "verdict": "ok"}}\n')
+            return
+    missing = "null" if fmt == "jsonl" else ""
+    point = _repr(point) if point is not None and -INF < point < INF else missing
     if iv is None:
         lo = hi = missing
         kind = "inconclusive"
     else:
         lo, hi = iv.lo, iv.hi
         kind = "ok" if -INF < lo and hi < INF else "unbounded"  # as lo <= hi
-        lo = float.__repr__(lo) if -INF < lo < INF else missing
-        hi = float.__repr__(hi) if -INF < hi < INF else missing
+        lo = _repr(lo) if -INF < lo < INF else missing
+        hi = _repr(hi) if -INF < hi < INF else missing
     if not verdict.consistent:
         kind = "inconsistent"
     if fmt == "jsonl":
@@ -172,7 +182,21 @@ def _parse_t_range(text: str):
     if points == 1:
         return [start]
     ratio = (stop / start) ** (1.0 / (points - 1))
-    ts = sorted({max(1, round(start * ratio ** i)) for i in range(points)})
+
+    def at(i: int) -> int:
+        return max(1, round(start * ratio ** i))
+
+    # The grid never decreases, since ratio >= 1: from the first index of
+    # each distinct value, gallop past its run, then bisect for the run's end,
+    # at a cost of O(log(run)) grid points per distinct value.
+    ts, i = [], 0
+    while i < points:
+        v = at(i)
+        ts.append(v)
+        step = 1
+        while i + step < points and at(i + step) == v:
+            i, step = i + step, 2 * step
+        i = bisect.bisect_right(range(points), v, i + 1, min(i + step, points), key=at)
     return ts
 
 

@@ -7,7 +7,6 @@ unboundedness is a value, not an error, so verdicts can always be combined.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Tuple
 
 INF = math.inf
@@ -31,16 +30,27 @@ def reciprocal(lo: float, hi: float) -> Tuple[float, float]:
     return 1.0 / hi, 1.0 / lo
 
 
-@dataclass(frozen=True)
 class Interval:
-    lo: float
-    hi: float
+    """A closed interval [lo, hi].  A value: nothing assigns to its fields
+    after ``__init__``, so instances are shared and hashed freely."""
 
-    def __post_init__(self):
-        if math.isnan(self.lo) or math.isnan(self.hi):
-            raise ValueError("interval endpoints must not be NaN")
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: float, hi: float):
+        if not lo <= hi:
+            if math.isnan(lo) or math.isnan(hi):
+                raise ValueError("interval endpoints must not be NaN")
+            raise ValueError(f"empty interval [{lo}, {hi}]")
+        self.lo = lo
+        self.hi = hi
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lo, self.hi) == (other.lo, other.hi)
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
 
     @staticmethod
     def point(x: float) -> "Interval":
@@ -81,4 +91,6 @@ class Interval:
 
 
 UNBOUNDED = Interval(-INF, INF)
+"""The whole real line: one value shared by every user, which nobody mutates."""
 UNIT = Interval(0.0, 1.0)
+"""[0, 1]: one value shared by every user, which nobody mutates."""

@@ -36,7 +36,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .bounds import check_delta, ci_mc_pointwise, ci_mc_uniform, squared_width
+from .bounds import check_delta, mc_halfwidth, squared_width
 from .errors import ConfigError, SpecValidationError
 from .intervals import Interval, product, reciprocal
 from .pomc import INCONCLUSIVE, Verdict
@@ -45,7 +45,7 @@ from .speclang.ast import (Add, Const, Expr, Mul, Sub, TransVar, contains_divisi
 from .speclang.normal_form import decompose_division, to_polynomial
 from .speclang.ranges import assign_slots, expr_range
 
-_CI = {"pointwise": ci_mc_pointwise, "uniform": ci_mc_uniform}
+_MODES = ("pointwise", "uniform")
 
 _BLOCK = 1024  # uniforms drawn per refill of the pool
 
@@ -113,7 +113,7 @@ class MCMonitorDivFree(_Monitor):
 
     def __init__(self, expr: Expr, delta: float, mode: str, seed: int = 0,
                  alphabet: Optional[Sequence[str]] = None):
-        if mode not in _CI:
+        if mode not in _MODES:
             raise ConfigError(f"mode must be 'pointwise' or 'uniform', got {mode!r}")
         check_delta(delta)
         if not is_pse(expr):
@@ -139,7 +139,8 @@ class MCMonitorDivFree(_Monitor):
         self._lo, self._hi = self.value_range.lo, self.value_range.hi
         self.sigma_sq = squared_width(self._lo, self._hi)
         self._delta = delta
-        self._ci = _CI[mode]
+        # a range whose squared width is NaN, such as [inf, inf], fails here
+        self._halfwidth = mc_halfwidth(delta, self.sigma_sq, mode == "uniform")
         self._rng = _UniformPool(seed)
 
         self._n_sources = len(self._sources)
@@ -217,7 +218,7 @@ class MCMonitorDivFree(_Monitor):
         # the recurrence can round the running mean out of the range
         mu = min(max((self.mean * (n - 1) + w) / n, lo), hi)
         self.mean = mu
-        eps = self._ci(n, self._delta, self.sigma_sq)
+        eps = self._halfwidth(n)
         iv = Interval(max(mu - eps, lo), min(mu + eps, hi))
         self._verdict = Verdict(interval=iv, point=mu)
         for z in self._z:
@@ -300,7 +301,8 @@ class DivisionMonitor(_Monitor):
 
 
 def _constant(part: Const) -> Verdict:
-    """A constant part's verdict: its value, which must be finite."""
+    """A constant part's verdict: its value, which must be finite.  The
+    division monitor reads it on every combine; a value nobody mutates."""
     if not math.isfinite(part.value):
         raise ConfigError(f"constant part {part.value!r} of a division is not finite")
     return Verdict(interval=Interval(part.value, part.value), point=part.value)

@@ -9,35 +9,42 @@ interval arithmetic, an equal confidence share per atom.
 When the monitor is built, ``fold`` walks the tree once and writes its
 per-event step as straight-line Python source, compiled once with
 ``compile()`` and bound as the monitor's ``next``; the state (time, window
-words, means, running intersection) lives in closure cells, and constants,
-ranges and half-width functions are objects of the code's namespace, never
-text.  With a declared alphabet a symbol becomes an integer code with one
-dict lookup, and a symbol outside the alphabet raises before any state
-moves.  Each arity keeps one rolling window word, ``w = (w * |O| + c) %
-|O|**n``, and an atom reads its window value as ``table[w]`` from a list of
-its values on every word of its arity, in base-|O| order, filled at build.
-Without an alphabet, or for an atom of more than ``_MEMO_WORDS`` words, the
-atom's line calls its window function on a tuple of the last symbols.
-Atoms with the same (share, arity, range) share one half-width per event,
-from :func:`fairmon.bounds.pomc_halfwidth`, whose argument checks run at
-build.  The lines keep the formulas of :class:`Interval` with the same
+words, means, running intersection) lives in closure cells, and constants
+and ranges are objects of the code's namespace, never text.  With a
+declared alphabet a symbol becomes an integer code with one dict lookup,
+and a symbol outside the alphabet raises before any state moves.  Each
+arity keeps one rolling window word, ``w = (w * |O| + c) % |O|**n``, and an
+atom reads its window value as ``table[w]`` from a list of its values on
+every word of its arity, in base-|O| order, filled at build.  Without an
+alphabet, or for an atom of more than ``_MEMO_WORDS`` words, the atom's
+line calls its window function on a tuple of the last symbols.
+
+The half-width lines come first.  Each confidence share's log term is one
+line, ``L0 = log(pi2 * t * t / d3_0)`` in uniform mode, so an event computes
+it once however many atoms share it.  Atoms with the same (share, arity,
+range) share one half-width line, ``e0 = sqrt(L0 * (...))``, which makes no
+Python call.  Both lines are source text from
+:func:`fairmon.bounds.pomc_log_source` and
+:func:`fairmon.bounds.pomc_halfwidth_source`, which check their arguments
+at build; :func:`fairmon.bounds.pomc_halfwidth` runs the same text, so the
+arithmetic and its order are the same everywhere.
+
+The other lines keep the formulas of :class:`Interval` with the same
 operand order in every ``min`` and ``max``, each written out as the
-comparisons the builtin makes, the ``0 * inf = 0`` product
-rule, the NaN and empty check of every interval, the point rules (a sum's,
-difference's or product's point is kept when it is finite, a reciprocal's
-when the operand's point is nonzero), the clip to the expression's range
-and the running intersection.  Only the clipped result becomes an
-``Interval``.
+comparisons the builtin makes, the ``0 * inf = 0`` product rule, the NaN
+and empty check of every interval, the point rules (a sum's, difference's
+or product's point is kept when it is finite, a reciprocal's when the
+operand's point is nonzero), the clip to the expression's range and the
+running intersection.  Only the clipped result becomes an ``Interval``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
-from .bounds import pomc_halfwidth, split_delta
+from .bounds import pomc_halfwidth_source, pomc_log_source, split_delta
 from .errors import ConfigError
 from .intervals import Interval
 from .speclang.ast import (Add, Atom, Const, Expr, Inv, Mul, SeqProb, Sub,
@@ -52,13 +59,33 @@ INF = math.inf
 _MEMO_WORDS = 4096
 
 
-@dataclass(frozen=True)
 class Verdict:
-    """Monitor output: an interval with a point estimate, or no claim yet."""
+    """Monitor output: an interval with a point estimate, or no claim yet.
 
-    interval: Optional[Interval]
-    point: Optional[float] = None
-    consistent: bool = True
+    A value: nothing assigns to its fields after ``__init__``, so a monitor
+    may hand out the same verdict on several events.
+    """
+
+    __slots__ = ("interval", "point", "consistent")
+
+    def __init__(self, interval: Optional[Interval], point: Optional[float] = None,
+                 consistent: bool = True):
+        self.interval = interval
+        self.point = point
+        self.consistent = consistent
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.interval, self.point, self.consistent)
+                == (other.interval, other.point, other.consistent))
+
+    def __hash__(self):
+        return hash((self.interval, self.point, self.consistent))
+
+    def __repr__(self):
+        return (f"Verdict(interval={self.interval!r}, point={self.point!r}, "
+                f"consistent={self.consistent!r})")
 
     @property
     def kind(self) -> str:
@@ -76,6 +103,7 @@ class Verdict:
 
 
 INCONCLUSIVE = Verdict(interval=None, point=None)
+"""No claim yet: one value shared by every monitor, which nobody mutates."""
 
 
 _WINDOWS = {
@@ -115,7 +143,9 @@ def _generate_step(expr: Expr, delta: float, uniform: bool, tau_mix: float,
     state = ["t = 0"]
     step = []  # lines of a warm event, after the half-widths
     warmup = []  # lines of an event before the largest arity is filled
+    logs: dict = {}  # share -> name of its log term
     keys: dict = {}  # (share, n, low, high) -> index of its half-width
+    halfwidths = []  # lines of a warm event computing log terms and half-widths
     words: set = set()  # arities above 1 read from value tables
     windows = [atom_window(leaf) for leaf in atoms]
     width = max((n for _, n, _, _ in windows), default=1)
@@ -136,7 +166,15 @@ def _generate_step(expr: Expr, delta: float, uniform: bool, tau_mix: float,
         k = keys.get((share, n, low, high))
         if k is None:
             k = keys[share, n, low, high] = len(keys)
-            ns[f"halfwidth{k}"] = pomc_halfwidth(share, n, low, high, tau_mix, uniform)
+            if share not in logs:
+                j = len(logs)
+                logs[share] = f"L{j}"
+                log_term, names = pomc_log_source(share, uniform, f"_{j}")
+                ns.update(names)
+                halfwidths.append(f"L{j} = {log_term}")
+            text, names = pomc_halfwidth_source(n, low, high, tau_mix, logs[share], f"_{k}")
+            ns.update(names)
+            halfwidths.append(f"e{k} = {text}")
         state.append(f"m{i} = 0.0")
         count = "t" if n == 1 else f"(t - {n - 1})"  # windows seen, as an int
         # the recurrence can round the running mean out of the range
@@ -148,7 +186,7 @@ def _generate_step(expr: Expr, delta: float, uniform: bool, tau_mix: float,
                  *_extreme(f"lo{i}", [f"m{i} - e{k}", f"low{i}"], ">"),
                  *_extreme(f"hi{i}", [f"m{i} + e{k}", f"high{i}"], "<"),
                  f"if not lo{i} <= hi{i}: Interval(lo{i}, hi{i})"]
-    step[:0] = [f"e{k} = halfwidth{k}(t)" for k in range(len(keys))]
+    step[:0] = halfwidths
 
     leaf_index, temp = itertools.count(), itertools.count()
 

@@ -5,7 +5,8 @@ import pytest
 from fairmon.bounds import (DeltaBudget, baseline_union_interval,
                             ci_mc_pointwise, ci_mc_uniform,
                             ci_pomc_pointwise, ci_pomc_uniform,
-                            naive_uniform_lift, pomc_halfwidth, split_delta)
+                            mc_halfwidth, naive_uniform_lift, pomc_halfwidth,
+                            split_delta)
 from fairmon.errors import ConfigError
 from fairmon.intervals import Interval
 from fairmon.speclang import parse
@@ -128,6 +129,33 @@ class TestMcBounds:
 
     def test_zero_variance(self):
         assert ci_mc_pointwise(10, 0.05, 0.0) == 0.0
+
+    @pytest.mark.parametrize("uniform", [False, True])
+    def test_halfwidth_function_keeps_the_one_line_formula(self, uniform):
+        # bit for bit the displays as written before their constants moved
+        # to the per-monitor function
+        def one_line(t, d, s2):
+            pointwise = math.sqrt(s2 / (2.0 * t) * math.log(2.0 / d))
+            if not uniform:
+                return pointwise
+            s = max(1.0, s2 * t)
+            inner = max(1.0, math.log(s))
+            width = math.sqrt(1.064 * s * (2.0 * math.log(PI * inner / math.sqrt(6.0))
+                                           + math.log(2.0 / d))) / t
+            return max(width, pointwise)
+
+        for d in [0.05 / 3, 0.0125, 0.1 / 7, 0.5]:
+            for s2 in [0.0, 1e-9, 0.25, 1.0, 2.25, 4.0, 1e6, math.inf]:
+                halfwidth = mc_halfwidth(d, s2, uniform)
+                for t in [1, 2, 3, 17, 1000, 12_345, 2**20 + 3, 10**9]:
+                    assert halfwidth(t) == one_line(t, d, s2)
+
+    @pytest.mark.parametrize("uniform", [False, True])
+    def test_halfwidth_function_checks_at_build(self, uniform):
+        for delta, sigma_sq in [(0.0, 1.0), (1.0, 1.0), (math.nan, 1.0), (0.05, -1.0),
+                                (0.05, math.nan)]:
+            with pytest.raises(ConfigError):
+                mc_halfwidth(delta, sigma_sq, uniform)
 
     def test_uniform_frozen_value(self):
         # inner log = ln 1e4; recomputed at 30-digit precision beforehand

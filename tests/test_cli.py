@@ -5,11 +5,15 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fairmon.cli import _emit, main
+from fairmon.cli import _emit, _parse_t_range, main
 from fairmon.intervals import Interval
 from fairmon.pomc import INCONCLUSIVE, Verdict
 from fairmon.experiments import hypercube_pomc, lending_mc, lending_pomc
@@ -439,6 +443,19 @@ class TestMonitor:
         assert len(outs[0].splitlines()) == 300
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("prop", ["1e999", "1e300 * 1e300 * T[1->2] / T[1->3]"])
+    def test_mc_range_with_nan_square_exits_2_at_build(self, capsys, tmp_path, prop):
+        # the range [inf, inf] has a NaN squared width, so no half-width exists
+        spec = tmp_path / "inf.spec"
+        spec.write_text(f"alphabet: 1 2 3\nproperty: {prop}\n")
+        events = tmp_path / "events.txt"
+        events.write_text("1\n2\n1\n3\n" * 3)
+        code, out, err = run_cli(capsys, "monitor", "--spec", str(spec), "--engine", "mc",
+                                 "--events", str(events))
+        assert code == 2
+        assert out == ""
+        assert err == "error: sigma^2 must be nonnegative, got nan\n"
+
     @pytest.mark.parametrize("option, value", [("--stride", "0"), ("--spec", "no-such.spec")],
                              ids=["zero-stride", "missing-spec"])
     def test_bad_monitor_argument_exits_2(self, capsys, lending_files, tmp_path, option, value):
@@ -528,6 +545,10 @@ EMIT_VERDICTS = [
     Verdict(None, 0.1 + 0.2, consistent=False),
     Verdict(Interval(math.inf, math.inf), math.inf),
     Verdict(Interval(-math.inf, -math.inf), -math.inf),
+    # numpy floats print as the floats they equal, not as their own repr
+    Verdict(Interval(np.float64(-0.25), np.float64(0.1 + 0.2)), np.float64(1 / 3)),
+    Verdict(Interval(np.float64(-math.inf), np.float64(5e-324)), np.float64(math.nan)),
+    Verdict(Interval(np.float64(-0.0), np.float64(1e300)), None, consistent=False),
 ]
 
 
@@ -548,7 +569,7 @@ class TestEmit:
     def reference_csv(self, t, verdict):
         iv = verdict.interval
         cells = [None, None] if iv is None else [iv.lo, iv.hi]
-        cells = ["" if x is None else repr(x)
+        cells = ["" if x is None else repr(float(x))
                  for x in map(self.finite, cells + [verdict.point])]
         return ",".join([str(t), *cells, verdict.kind]) + "\n"
 
@@ -563,6 +584,23 @@ class TestEmit:
         out = io.StringIO()
         _emit(out.write, "csv", 4321, verdict)
         assert out.getvalue() == self.reference_csv(4321, verdict)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.none() | st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)),
+           st.none() | st.floats(), st.booleans(), st.booleans(), st.integers(1, 2**63))
+    @example((-0.0, 0.0), -0.0, True, False, 1)
+    @example((5e-324, math.inf), -5e-324, True, False, 2)
+    @example((-math.inf, -math.inf), math.inf, False, True, 3)
+    @example((-1.0, 1.0), None, True, True, 4)
+    @example((-1.0, 1.0), 0.25, False, False, 5)
+    def test_any_verdict_matches_the_reference(self, ends, point, consistent, numpy, t):
+        as_float = np.float64 if numpy else float
+        iv = None if ends is None else Interval(*map(as_float, sorted(ends)))
+        verdict = Verdict(iv, None if point is None else as_float(point), consistent)
+        for fmt, reference in (("jsonl", self.reference), ("csv", self.reference_csv)):
+            out = io.StringIO()
+            _emit(out.write, fmt, t, verdict)
+            assert out.getvalue() == reference(t, verdict)
 
 
 class TestCompareBounds:
@@ -613,6 +651,34 @@ class TestCompareBounds:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error:") and "--t-range" in err
+
+    @staticmethod
+    def every_point(start, stop, points):
+        """The grid's distinct values from a loop over every point."""
+        if points == 1:
+            return [start]
+        ratio = (stop / start) ** (1.0 / (points - 1))
+        return sorted({max(1, round(start * ratio ** i)) for i in range(points)})
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 10**6), st.integers(0, 200) | st.integers(0, 10**15),
+           st.integers(1, 40) | st.integers(1, 5000))
+    @example(1, 9, 3_000)
+    @example(10**15, 1, 7)
+    @example(2**53 - 5, 5, 200)
+    def test_t_range_grid_is_the_loop_over_every_point(self, start, extra, points):
+        text = f"{start}:{start + extra}:{points}"
+        assert _parse_t_range(text) == self.every_point(start, start + extra, points)
+
+    @pytest.mark.parametrize("points", [10**15, 2**53])
+    def test_t_range_costs_distinct_values_not_points(self, capsys, points):
+        began = time.perf_counter()
+        code, out, err = run_cli(capsys, "compare-bounds", "--t-range", f"1:10:{points}",
+                                 "--methods", "mc-pointwise")
+        assert time.perf_counter() - began < 1.0
+        assert (code, err) == (0, "")
+        ts = [int(line.split(",")[0]) for line in out.splitlines()[1:]]
+        assert ts[0] == 1 and ts == sorted(set(ts)) and ts[-1] <= 10
 
 
 class TestExperimentCommand:

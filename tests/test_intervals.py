@@ -77,3 +77,28 @@ def test_width_and_membership():
     assert iv.contains(1.0) and iv.contains(3.0) and not iv.contains(3.5)
     assert not UNBOUNDED.is_bounded
     assert math.isinf(UNBOUNDED.lo)
+
+
+class TestValueSemantics:
+    def test_equal_values_are_equal_and_hash_equal(self):
+        a, b = Interval(-0.0, 2.5), Interval(0.0, 2.5)
+        assert a == b and hash(a) == hash(b)
+        assert a != Interval(0.0, 3.0)
+        assert a != (0.0, 2.5)
+        assert Interval(-math.inf, math.inf) == UNBOUNDED
+        assert {a, b, UNBOUNDED} == {b, UNBOUNDED}
+
+    def test_repr(self):
+        assert repr(Interval(-0.5, 1e16)) == "[-0.5, 1e+16]"
+        assert repr(UNBOUNDED) == "[-inf, inf]"
+
+    @pytest.mark.parametrize("lo,hi", [(math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan),
+                                       (-math.inf, math.nan)])
+    def test_nan_endpoint_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="NaN"):
+            Interval(lo, hi)
+
+    @pytest.mark.parametrize("lo,hi", [(1.0, 0.0), (math.inf, -math.inf), (5e-324, 0.0)])
+    def test_empty_interval_rejected_with_its_endpoints(self, lo, hi):
+        with pytest.raises(ValueError, match="empty interval"):
+            Interval(lo, hi)

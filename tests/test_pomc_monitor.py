@@ -1,5 +1,7 @@
 import hashlib
 import math
+import struct
+import sys
 
 import pytest
 
@@ -8,8 +10,8 @@ from fairmon.errors import ConfigError
 from fairmon.markov import simulate, simulate_states, truth_value_bse
 from fairmon.intervals import Interval
 from fairmon import pomc
-from fairmon.pomc import build_pomc_monitor
-from fairmon.speclang import Atom, AtomDef, bse_range, parse, parse_spec_file
+from fairmon.pomc import INCONCLUSIVE, Verdict, atom_window, build_pomc_monitor
+from fairmon.speclang import Atom, AtomDef, bse_range, leaves, parse, parse_spec_file
 from fairmon.experiments import PomcSeriesEvaluator, hypercube_pomc, lending_pomc
 
 ALPHA = ["A", "B", "Y", "N"]
@@ -100,6 +102,94 @@ class TestAtomicMonitor:
                     mon.next("Q")
                 for s in stream[before:before + 50]:
                     assert repr(mon.next(s)) == repr(clean.next(s))
+
+
+# atoms of arity 1, 2 and 3, two with the same (share, arity, range) key, one
+# of zero width and one table far wider than [0, 1]
+HALFWIDTH_SPECS = {
+    "arity-1": """alphabet: a b c
+atom wide arity 1 range [-40, 60] { a -> 60; b -> -40; default -> 1 }
+property: P[a] - F[wide] * P[b]
+""",
+    "arities-1-3": """alphabet: a b c
+atom flat arity 2 range [0.25, 0.25] { default -> 0.25 }
+atom wide arity 3 range [-40, 60] { a _ b -> 60; c c _ -> -40; default -> 1 }
+property: P[a b] - F[flat] * F[wide] + P[b c] / P[a]
+""",
+}
+
+
+def step_locals(step, symbol):
+    """The local variables of one call ``step(symbol)`` as it returns."""
+    seen = {}
+
+    def trace(frame, event, arg):
+        if frame.f_code is not step.__code__:
+            return None
+
+        def local(frame, event, arg):
+            if event == "return":
+                seen.update(frame.f_locals)
+            return local
+        return local
+
+    old = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        step(symbol)
+    finally:
+        sys.settrace(old)
+    return seen
+
+
+class TestGeneratedHalfwidths:
+    """The step inlines one half-width per (share, arity, range) key, ``e0``,
+    ``e1``, ... in order of first use, each bit for bit the ``ci_pomc_*``
+    value.  The verdicts cannot show this: at τ = 35 every ``pomc-jsonl``
+    interval is clipped to [-1, 1]."""
+
+    @pytest.mark.parametrize("tau", [1.0, 7.45, 35.0])
+    @pytest.mark.parametrize("mode", ["pointwise", "uniform"])
+    @pytest.mark.parametrize("spec", sorted(HALFWIDTH_SPECS))
+    def test_halfwidths_are_the_bounds_bit_for_bit(self, spec, mode, tau):
+        doc = parse_spec_file(HALFWIDTH_SPECS[spec])
+        atoms = leaves(doc.expression)
+        shares = split_delta(0.05, doc.expression).shares()
+        keys = list(dict.fromkeys((share, *atom_window(leaf)[1:])
+                                  for leaf, share in zip(atoms, shares)))
+        assert len(keys) < len(atoms)
+        ci = {"pointwise": ci_pomc_pointwise, "uniform": ci_pomc_uniform}[mode]
+        step = build_pomc_monitor(doc.expression, 0.05, mode, tau, alphabet=doc.alphabet).next
+        width = max(n for _, n, _, _ in keys)
+        for _ in range(width - 1):
+            step("a")
+        # t from the largest arity to 1e5, log-spaced: the next event sets t
+        clock = step.__closure__[step.__code__.co_freevars.index("t")]
+        for t in sorted({round(width * (1e5 / width) ** (i / 60)) for i in range(61)}):
+            clock.cell_contents = t - 1
+            seen = step_locals(step, "c")
+            assert seen["t"] == t
+            got = [struct.pack("<d", seen[f"e{k}"]) for k in range(len(keys))]
+            assert got == [struct.pack("<d", ci(share, t, n, a, b, tau))
+                           for share, n, a, b in keys], t
+
+
+class TestVerdictValue:
+    def test_equal_values_are_equal_and_hash_equal(self):
+        a = Verdict(Interval(-0.5, 0.25), 0.125)
+        b = Verdict(point=0.125, interval=Interval(-0.5, 0.25), consistent=True)
+        assert a == b and hash(a) == hash(b)
+        assert a != Verdict(Interval(-0.5, 0.25), 0.125, False)
+        assert a != Verdict(Interval(-0.5, 0.5), 0.125)
+        assert a != (Interval(-0.5, 0.25), 0.125, True)
+        assert {a, b, INCONCLUSIVE} == {a, Verdict(None)}
+
+    def test_repr_as_the_dataclass_printed_it(self):
+        assert repr(Verdict(Interval(0.0, 1.0), 0.5)) == \
+            "Verdict(interval=[0.0, 1.0], point=0.5, consistent=True)"
+        assert repr(INCONCLUSIVE) == "Verdict(interval=None, point=None, consistent=True)"
+        assert repr(Verdict(None, -0.0, consistent=False)) == \
+            "Verdict(interval=None, point=-0.0, consistent=False)"
 
 
 class TestCompositeMonitor:
