@@ -9,8 +9,8 @@ chains, exact model-based oracles, and experiment drivers.
 from .bounds import (DeltaBudget, baseline_union_interval, ci_mc_pointwise,
                      ci_mc_uniform, ci_pomc_pointwise, ci_pomc_uniform,
                      naive_uniform_lift, split_delta)
-from .errors import (ConfigError, EvaluationError, FairmonError, ModelError,
-                     SpecSyntaxError, SpecValidationError)
+from .errors import (ConfigError, EvaluationError, EventError, FairmonError,
+                     ModelError, SpecSyntaxError, SpecValidationError)
 from .intervals import UNBOUNDED, UNIT, Interval
 from .markov import (MixingBound, ObservationModel, StationaryDistribution,
                      mixing_time_bound, simulate, simulate_states,
@@ -25,7 +25,7 @@ __all__ = [
     "DeltaBudget", "baseline_union_interval", "ci_mc_pointwise",
     "ci_mc_uniform", "ci_pomc_pointwise", "ci_pomc_uniform",
     "naive_uniform_lift", "split_delta",
-    "ConfigError", "EvaluationError", "FairmonError", "ModelError",
+    "ConfigError", "EvaluationError", "EventError", "FairmonError", "ModelError",
     "SpecSyntaxError", "SpecValidationError",
     "UNBOUNDED", "UNIT", "Interval",
     "MixingBound", "ObservationModel", "StationaryDistribution",

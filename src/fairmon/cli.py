@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .bounds import (ci_mc_pointwise, ci_mc_uniform, ci_pomc_pointwise,
                      ci_pomc_uniform, naive_uniform_lift)
-from .errors import ConfigError, FairmonError
+from .errors import ConfigError, EventError, FairmonError
 from .markov import ObservationModel, mixing_time_bound, simulate, truth_value
 from .mc import build_mc_monitor
 from .pomc import build_pomc_monitor
@@ -112,26 +112,25 @@ def cmd_monitor(args) -> int:
 
     source = _open_events(args.events)
     step, write, stride, fmt = monitor.next, sys.stdout.write, args.stride, args.format
-    alphabet = set(spec.alphabet)
     t = 0
     try:
         if fmt == "csv":
             write("t,lo,hi,point,verdict\n")
+        # the monitor rejects a symbol outside the alphabet before any state moves
         for line_no, line in enumerate(source, start=1):
             symbol = line.strip()
             if not symbol:
                 continue
-            if symbol not in alphabet:
-                if any("\udc80" <= c <= "\udcff" for c in symbol):
-                    sys.stderr.write(f"error: line {line_no}: bytes that are not UTF-8\n")
-                else:
-                    sys.stderr.write(
-                        f"error: line {line_no}: symbol {symbol!r} is not in the alphabet\n")
-                return EXIT_EVENT
             t += 1
             verdict = step(symbol)
             if t % stride == 0:
                 _emit(write, fmt, t, verdict)
+    except EventError as exc:
+        if any("\udc80" <= c <= "\udcff" for c in exc.symbol):
+            sys.stderr.write(f"error: line {line_no}: bytes that are not UTF-8\n")
+        else:
+            sys.stderr.write(f"error: line {line_no}: {exc}\n")
+        return EXIT_EVENT
     finally:
         if source is not sys.stdin:
             source.close()
@@ -186,17 +185,13 @@ def _parse_t_range(text: str):
     def at(i: int) -> int:
         return max(1, round(start * ratio ** i))
 
-    # The grid never decreases, since ratio >= 1: from the first index of
-    # each distinct value, gallop past its run, then bisect for the run's end,
-    # at a cost of O(log(run)) grid points per distinct value.
+    # The grid never decreases, since ratio >= 1: one bisection per distinct
+    # value finds the end of its run, at a cost of O(log(points)) grid points.
     ts, i = [], 0
     while i < points:
         v = at(i)
         ts.append(v)
-        step = 1
-        while i + step < points and at(i + step) == v:
-            i, step = i + step, 2 * step
-        i = bisect.bisect_right(range(points), v, i + 1, min(i + step, points), key=at)
+        i = bisect.bisect_right(range(points), v, i + 1, points, key=at)
     return ts
 
 

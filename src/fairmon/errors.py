@@ -30,3 +30,11 @@ class EvaluationError(FairmonError):
 
 class ConfigError(FairmonError):
     """Invalid monitoring session configuration."""
+
+
+class EventError(ConfigError):
+    """An event symbol outside the declared alphabet; raised before any state moves."""
+
+    def __init__(self, symbol: str):
+        self.symbol = symbol
+        super().__init__(f"symbol {symbol!r} is not in the alphabet")

@@ -266,7 +266,7 @@ def run_coverage(model: ObservationModel, expr: Expr, engine: str, runs: int,
 
 def _pomc_run(model, expr, horizon, delta, tau_mix, truth):
     """Per-run step of the windowed engine: one vectorized pass for both modes."""
-    state_codes = model.label_codes(model.alphabet)
+    state_codes = model.label_codes()
     evaluator = PomcSeriesEvaluator(expr, model.alphabet, horizon, delta, tau_mix)
     warm = evaluator.warmup
     emitted = slice(warm, horizon + 1)

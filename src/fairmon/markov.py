@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -20,6 +20,8 @@ from .speclang.ast import (ARITHMETIC, Atom, Const, Expr, Inv, SeqProb,
 
 _ROW_TOL = 1e-9
 _FIXPOINT_TOL = 1e-10
+_MIXING_TV = 0.25  # the total-variation distance that defines the mixing time
+_MIXING_MAX_STEPS = 100_000
 _BLOCK = 4096  # uniforms the sampler draws at a time
 
 
@@ -98,10 +100,9 @@ class ObservationModel:
         except KeyError:
             raise ModelError(f"unknown state {state!r}") from None
 
-    def label_codes(self, alphabet: Optional[Sequence[str]] = None) -> np.ndarray:
-        """Observation index of each state under the given alphabet order."""
-        alpha = list(alphabet) if alphabet is not None else list(self.alphabet)
-        code = {o: i for i, o in enumerate(alpha)}
+    def label_codes(self) -> np.ndarray:
+        """Observation index of each state in the order of ``alphabet``."""
+        code = {o: i for i, o in enumerate(self.alphabet)}
         return np.array([code[self.labels[s]] for s in self.states], dtype=np.int64)
 
     def is_irreducible(self) -> bool:
@@ -188,9 +189,8 @@ def stationary_distribution(model: ObservationModel) -> StationaryDistribution:
     return StationaryDistribution(pi=pi, residual=residual)
 
 
-def mixing_time_bound(model: ObservationModel, tv_threshold: float = 0.25,
-                      max_steps: int = 100_000) -> MixingBound:
-    """Smallest t with worst-case total-variation distance to pi <= threshold.
+def mixing_time_bound(model: ObservationModel) -> MixingBound:
+    """Smallest t with worst-case total-variation distance to pi <= 1/4.
 
     Computed by powering the transition matrix; a valid input for the
     partially-observed confidence bounds.  Requires irreducibility and
@@ -205,13 +205,13 @@ def mixing_time_bound(model: ObservationModel, tv_threshold: float = 0.25,
     pi = stationary_distribution(model).pi
     m = model.transitions
     dist = m.copy()
-    for t in range(1, max_steps + 1):
+    for t in range(1, _MIXING_MAX_STEPS + 1):
         tv = 0.5 * float(np.abs(dist - pi).sum(axis=1).max())
-        if tv <= tv_threshold:
+        if tv <= _MIXING_TV:
             return MixingBound(tau_mix=float(max(t, 1)))
         dist = dist @ m
-    raise ModelError(f"total-variation distance did not reach {tv_threshold} "
-                     f"within {max_steps} steps")
+    raise ModelError(f"total-variation distance did not reach {_MIXING_TV} "
+                     f"within {_MIXING_MAX_STEPS} steps")
 
 
 def _start_distribution(model: ObservationModel, start: str) -> np.ndarray:

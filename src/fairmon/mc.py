@@ -14,11 +14,13 @@ returns its value, and an operator calls both children, left then right.
 
 States are integer codes, fixed when the monitor is built: the relevant
 source states are ``0..S-1``, the other relevant targets follow, and every
-other symbol shares one last code.  An event costs one dict lookup for its
-code; after it the monitor works on lists: visit counters per source, edge
-counters per source in sorted target order, a row per source from a code to
-a target index (-1 for a target that is not relevant), and buffers of
-target indices (-1 for none of the relevant ones).
+other symbol shares one last code.  With a declared alphabet only its
+symbols have codes, and any other raises ``EventError`` before any state
+moves.  An event costs one dict lookup for its code; after it the monitor
+works on lists: visit counters per source, edge counters per source in
+sorted target order, a row per source from a code to a target index (-1 for
+a target that is not relevant), and buffers of target indices (-1 for none
+of the relevant ones).
 
 Expressions with division are first normalized to ``phi_a + phi_b / phi_c``
 (all parts division free).  A part with transition variables gets a
@@ -37,7 +39,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .bounds import check_delta, mc_halfwidth, squared_width
-from .errors import ConfigError, SpecValidationError
+from .errors import ConfigError, EventError, SpecValidationError
 from .intervals import Interval, product, reciprocal
 from .pomc import INCONCLUSIVE, Verdict
 from .speclang.ast import (Add, Const, Expr, Mul, Sub, TransVar, contains_division,
@@ -87,17 +89,13 @@ def _binary(op):
 
 
 class _Monitor:
-    """``next`` and ``feed``: the alphabet check, then ``_step``, which keeps
-    ``_verdict`` current."""
+    """``next`` and ``feed`` over ``_step``, which keeps ``_verdict`` current."""
 
-    def __init__(self, value_range: Interval, alphabet: Optional[Sequence[str]]):
+    def __init__(self, value_range: Interval):
         self.value_range = value_range
-        self._alphabet = frozenset(alphabet) if alphabet else None
         self._verdict: Verdict = INCONCLUSIVE
 
     def next(self, symbol: str) -> Verdict:
-        if self._alphabet is not None and symbol not in self._alphabet:
-            raise ConfigError(f"symbol {symbol!r} outside the state alphabet")
         self._step(symbol)
         return self._verdict
 
@@ -127,15 +125,16 @@ class MCMonitorDivFree(_Monitor):
         for tgts in layout.targets.values():
             for tgt in tgts:
                 codes.setdefault(tgt, len(codes))
-        self._codes = codes
-        self._other = len(codes)  # every symbol that is not relevant
+        other = len(codes)  # every symbol that is not relevant
         self._rows = []
         for tgts in layout.targets.values():
-            row = [-1] * (len(codes) + 1)
+            row = [-1] * (other + 1)
             for j, tgt in enumerate(tgts):
                 row[codes[tgt]] = j
             self._rows.append(row)
-        super().__init__(expr_range(expr), alphabet)
+        self._codes = {s: codes.get(s, other) for s in alphabet} if alphabet else codes
+        self._miss = None if alphabet else other  # the code of a symbol without one
+        super().__init__(expr_range(expr))
         self._lo, self._hi = self.value_range.lo, self.value_range.hi
         self.sigma_sq = squared_width(self._lo, self._hi)
         self._delta = delta
@@ -191,7 +190,7 @@ class MCMonitorDivFree(_Monitor):
         cache = self._cache
         k = len(cache)
         cache.append(None)
-        source = self._codes[node.source]
+        source = self._sources.index(node.source)
         target = self._layout.targets[node.source].index(node.target)
         slot = self._layout.slots[k][1]
         z = self._z[source]
@@ -228,8 +227,10 @@ class MCMonitorDivFree(_Monitor):
         self._blocked = None
 
     def _step(self, symbol: str) -> bool:
-        """One event, the alphabet unchecked; True when a round completed."""
-        code = self._codes.get(symbol, self._other)
+        """One event; True when a round completed."""
+        code = self._codes.get(symbol, self._miss)
+        if code is None:
+            raise EventError(symbol)
         prev = self._prev
         self._prev = code
         if prev < 0:
@@ -262,13 +263,14 @@ class DivisionMonitor(_Monitor):
         # third stays unspent, because every half-width, and so every bit,
         # depends on it.
         self._parts = [_constant(part) if isinstance(part, Const)
-                       else MCMonitorDivFree(part, delta / 3.0, mode, seed=seed * 3 + k)
+                       else MCMonitorDivFree(part, delta / 3.0, mode, seed=seed * 3 + k,
+                                             alphabet=alphabet)
                        for k, part in enumerate(parts)]
         self._subs = [p for p in self._parts if isinstance(p, MCMonitorDivFree)]
         if not self._subs:
             raise ConfigError("a division monitor needs a part with transition variables")
         ra, rb, rc = (expr_range(part) for part in parts)
-        super().__init__(ra + rb / rc, alphabet)
+        super().__init__(ra + rb / rc)
 
     @property
     def n_samples(self) -> int:
@@ -295,7 +297,8 @@ class DivisionMonitor(_Monitor):
         return Verdict(interval=Interval(max(lo, r.lo), min(hi, r.hi)), point=point)
 
     def _step(self, symbol: str) -> None:
-        # a list, not a generator: every part sees every event
+        # a list, not a generator: every part sees every event; the first
+        # rejects a symbol outside the alphabet before any part moves
         if any([m._step(symbol) for m in self._subs]):
             self._verdict = self._combine()
 

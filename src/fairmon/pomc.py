@@ -12,7 +12,7 @@ per-event step as straight-line Python source, compiled once with
 words, means, running intersection) lives in closure cells, and constants
 and ranges are objects of the code's namespace, never text.  With a
 declared alphabet a symbol becomes an integer code with one dict lookup,
-and a symbol outside the alphabet raises before any state moves.  Each
+and a symbol outside it raises ``EventError`` before any state moves.  Each
 arity keeps one rolling window word, ``w = (w * |O| + c) % |O|**n``, and an
 atom reads its window value as ``table[w]`` from a list of its values on
 every word of its arity, in base-|O| order, filled at build.  Without an
@@ -45,7 +45,7 @@ import math
 from typing import Callable, Optional, Sequence, Tuple
 
 from .bounds import pomc_halfwidth_source, pomc_log_source, split_delta
-from .errors import ConfigError
+from .errors import ConfigError, EventError
 from .intervals import Interval
 from .speclang.ast import (Add, Atom, Const, Expr, Inv, Mul, SeqProb, Sub,
                            TransVar, fold, leaves, reject)
@@ -137,8 +137,8 @@ def _generate_step(expr: Expr, delta: float, uniform: bool, tau_mix: float,
     atoms = leaves(expr)
     shares = split_delta(delta, expr).shares() if atoms else []
     codes = {s: c for c, s in enumerate(dict.fromkeys(alphabet))} if alphabet else None
-    ns = {"INF": INF, "Interval": Interval, "Verdict": Verdict,
-          "INCONCLUSIVE": INCONCLUSIVE, "ConfigError": ConfigError,
+    ns = {"INF": INF, "NAN": math.nan, "Interval": Interval, "Verdict": Verdict,
+          "INCONCLUSIVE": INCONCLUSIVE, "EventError": EventError,
           "range_lo": rng.lo, "range_hi": rng.hi}
     state = ["t = 0"]
     step = []  # lines of a warm event, after the half-widths
@@ -190,7 +190,7 @@ def _generate_step(expr: Expr, delta: float, uniform: bool, tau_mix: float,
 
     leaf_index, temp = itertools.count(), itertools.count()
 
-    # each node's (lo, hi, point) names; a point is None where it is not kept
+    # each node's (lo, hi, point) names; a point is NaN where it is not kept
     def leaf(_):
         i = next(leaf_index)
         return f"lo{i}", f"hi{i}", f"m{i}"
@@ -217,8 +217,8 @@ def _generate_step(expr: Expr, delta: float, uniform: bool, tau_mix: float,
                 qs = [f"q{c}_{j}" for c in range(4)]
                 step.extend(_extreme(lo, qs, "<") + _extreme(hi, qs, ">"))
             # a sum's, difference's or product's point is kept when it is finite
-            step.extend([f"{p} = None if {ap} is None or {bp} is None else {ap} {op} {bp}",
-                         f"if {p} is not None and not -INF < {p} < INF: {p} = None",
+            step.extend([f"{p} = {ap} {op} {bp}",
+                         f"if not -INF < {p} < INF: {p} = NAN",
                          f"if not {lo} <= {hi}: Interval({lo}, {hi})"])
             return lo, hi, p
         return emit
@@ -227,7 +227,7 @@ def _generate_step(expr: Expr, delta: float, uniform: bool, tau_mix: float,
         j = next(temp)
         lo, hi, p = f"lo_{j}", f"hi_{j}", f"p_{j}"
         alo, ahi, ap = a
-        step.extend([f"{p} = None if {ap} is None or {ap} == 0.0 else 1.0 / {ap}",
+        step.extend([f"{p} = 1.0 / {ap} if {ap} else NAN",
                      f"if {alo} <= 0.0 <= {ahi}:",
                      f"    {lo}, {hi} = -INF, INF",
                      "else:",
@@ -239,6 +239,8 @@ def _generate_step(expr: Expr, delta: float, uniform: bool, tau_mix: float,
         Atom: leaf, SeqProb: leaf, Const: const,
         Add: binary("+"), Sub: binary("-"), Mul: binary("*"), Inv: inverse,
     })
+    # not the root's own name, which may be a mean cell or a namespace constant
+    step.append(f"point = None if {p} != {p} else {p}")
     step += _extreme("lo", [root_lo, "range_lo"], ">") + _extreme("hi", [root_hi, "range_hi"], "<")
     if intersect:
         state += ["running = None", "consistent = True"]
@@ -246,18 +248,17 @@ def _generate_step(expr: Expr, delta: float, uniform: bool, tau_mix: float,
                  "rlo, rhi = running or (lo, hi)",
                  "consistent &= rlo <= hi and lo <= rhi",
                  "if not consistent:",
-                 f"    return Verdict(interval=None, point={p}, consistent=False)",
+                 "    return Verdict(interval=None, point=point, consistent=False)",
                  "lo, hi = lo if lo > rlo else rlo, hi if hi < rhi else rhi",  # max, min
                  "running = lo, hi"]
-    step.append(f"return Verdict(Interval(lo, hi), {p})")
+    step.append("return Verdict(Interval(lo, hi), point)")
 
     # each event: its code, then the window words, then warm-up or a verdict
     head = []
     if codes is not None:
-        ns["code_of"] = codes.get
-        head += ["c = code_of(symbol)",
-                 "if c is None:",
-                 "    raise ConfigError(f'symbol {symbol!r} outside the declared alphabet')"]
+        ns["codes"] = codes
+        head += ["try: c = codes[symbol]",
+                 "except KeyError: raise EventError(symbol) from None"]
     head.append("t += 1")
     base = len(codes or ())
     for n in sorted(words):

@@ -161,10 +161,6 @@ def reject(error, message: str):
     return handler
 
 
-def _both(_, a, b):
-    return a and b
-
-
 def _either(_, a, b):
     return a or b
 
@@ -208,16 +204,9 @@ def expression_size(expr: Expr) -> int:
     return fold(expr, _SIZE)
 
 
-_IS_PSE = {
-    Const: lambda _: True, TransVar: lambda _: True,
-    Atom: lambda _: False, SeqProb: lambda _: False,
-    Add: _both, Sub: _both, Mul: _both, Inv: _first,
-}
-
-
 def is_pse(expr: Expr) -> bool:
     """True when the expression only uses constants and transition variables."""
-    return fold(expr, _IS_PSE)
+    return all(isinstance(leaf, TransVar) for leaf in leaves(expr))
 
 
 _HAS_DIVISION = {

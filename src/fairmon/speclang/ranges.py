@@ -23,6 +23,7 @@ from .ast import (ARITHMETIC, Add, Atom, Const, Expr, Inv, Mul, SeqProb, Sub,
                   TransVar, const_value, fold, reject)
 
 TOP = "⊤"  # drawn visit led to no relevant successor
+_SLOT_LIMIT = 16  # draw slots above which expr_range encloses, not enumerates
 
 
 @dataclass(frozen=True)
@@ -86,18 +87,18 @@ def _eval_assignment(expr: Expr, layout: SlotLayout, assignment) -> float:
     return fold(expr, {**ARITHMETIC, Const: const_value, TransVar: var})
 
 
-def expr_range(expr: Expr, slot_limit: int = 16) -> Interval:
+def expr_range(expr: Expr) -> Interval:
     """Exact min/max of the per-round outcome over all joint draw results.
 
     Each draw slot independently takes one of the relevant successors of its
     source state, or none of them; the expression value is extremized over
-    the full joint assignment.  Above ``slot_limit`` slots the exponential
+    the full joint assignment.  Above ``_SLOT_LIMIT`` slots the exponential
     enumeration is replaced by per-occurrence interval arithmetic, which is
     an enclosure rather than exact.
     """
     layout = assign_slots(expr)
     slots = layout.draw_slots
-    if not slots or len(slots) > slot_limit:
+    if not slots or len(slots) > _SLOT_LIMIT:
         return bse_range(expr)
 
     domains = [layout.targets[src] + (TOP,) for src, _ in slots]

@@ -170,24 +170,48 @@ class TestMonitor:
         assert code == 0
         assert len(out.splitlines()) == 3
 
-    def test_unknown_event_exits_3_with_line(self, capsys, lending_files, tmp_path):
-        model, spec = lending_files
-        events = tmp_path / "events.txt"
-        events.write_text("init\ng\nQ\n")
-        code, _, err = run_cli(capsys, "monitor", "--spec", str(spec),
-                               "--engine", "mc", "--events", str(events))
-        assert code == 3
-        assert "line 3" in err
+    # engine flags, spec and the model whose stream the spec reads
+    BAD_EVENT_CASES = {
+        "pomc": (["--engine", "pomc", "--tau-mix", "1"],
+                 "alphabet: s y n a b\nproperty: P[y | a] - P[y | b]\n", lending_pomc),
+        "mc": (["--engine", "mc"], LENDING_SPEC, lending_mc),
+        "mc-ratio": (["--engine", "mc"],
+                     "alphabet: init g gbar gy gbary ybar z zbar\n"
+                     "property: T[gbar->gbary] / T[g->gy]\n", lending_mc),
+    }
 
-    def test_undecodable_event_exits_3_with_line(self, capsys, hypercube_files, tmp_path):
-        _, spec = hypercube_files
-        events = tmp_path / "events.txt"
-        events.write_bytes(b"a\n\xff\xfe\n")
-        code, out, err = run_cli(capsys, "monitor", "--spec", str(spec), "--engine", "pomc",
-                                 "--tau-mix", "1", "--events", str(events))
+    @pytest.mark.parametrize("case", sorted(BAD_EVENT_CASES))
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("bad,message", [
+        (b"q", "symbol 'q' is not in the alphabet"),
+        (b"\xff\xfe", "bytes that are not UTF-8"),
+        (b"g\xe9", "bytes that are not UTF-8"),
+    ])
+    @pytest.mark.parametrize("stdin", [False, True])
+    def test_bad_event_exits_3_after_the_records_before_it(
+            self, capsys, monkeypatch, tmp_path, case, fmt, bad, message, stdin):
+        flags, spec_text, model = self.BAD_EVENT_CASES[case]
+        spec = tmp_path / "s.spec"
+        spec.write_text(spec_text)
+        good = "".join(s + "\n" for s in simulate(model(), 300, 5, start="stationary"))
+        before = tmp_path / "before.txt"
+        before.write_text(good)
+        argv = ["monitor", "--spec", str(spec), *flags, "--mode", "uniform", "--format", fmt]
+        code, expected, err = run_cli(capsys, *argv, "--events", str(before))
+        assert (code, err) == (0, "")
+        # a blank line before the bad one counts in its line number
+        stream = good.encode() + b"\n" + bad + b"\n" + good.encode()
+        if stdin:
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stream),
+                                                               encoding="utf-8"))
+        else:
+            events = tmp_path / "events.txt"
+            events.write_bytes(stream)
+            argv += ["--events", str(events)]
+        code, out, err = run_cli(capsys, *argv)
         assert code == 3
-        assert len(out.splitlines()) == 1
-        assert err.count("\n") == 1 and err.startswith("error: line 2:")
+        assert out == expected
+        assert err == f"error: line 302: {message}\n"
 
     def test_closed_pipe_is_quiet(self, hypercube_files, tmp_path):
         _, spec = hypercube_files
@@ -415,17 +439,6 @@ class TestMonitor:
         assert (code, err) == (0, "")
         assert len(out.splitlines()) == 500
         assert out == expected
-
-    def test_undecodable_byte_on_standard_input_exits_3(self, capsys, monkeypatch,
-                                                        hypercube_files):
-        _, spec = hypercube_files
-        stdin = io.TextIOWrapper(io.BytesIO(b"a\nb\n\xff\n"), encoding="utf-8")
-        monkeypatch.setattr(sys, "stdin", stdin)
-        code, out, err = run_cli(capsys, "monitor", "--spec", str(spec), "--engine", "pomc",
-                                 "--tau-mix", "1")
-        assert code == 3
-        assert len(out.splitlines()) == 2
-        assert err.count("\n") == 1 and err.startswith("error: line 3:")
 
     def test_pomc_model_gives_its_mixing_time(self, capsys, hypercube_files, tmp_path):
         model, spec = hypercube_files

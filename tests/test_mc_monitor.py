@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from fairmon.bounds import ci_mc_pointwise
-from fairmon.errors import ConfigError, SpecValidationError
+from fairmon.errors import ConfigError, EventError, SpecValidationError
 from fairmon.intervals import Interval
 from fairmon.markov import (ObservationModel, simulate, simulate_states,
                             truth_value_pse)
@@ -93,11 +93,25 @@ class TestHandTraces:
             v = mon.next(s)
             assert (v.interval.lo, v.interval.hi, v.point) == (0.1, 0.1, 0.1)
 
-    def test_unknown_symbol_rejected(self):
-        mon = build_mc_monitor(parse("T[1->2]", ALPHA), 0.05, "pointwise",
-                               seed=0, alphabet=ALPHA)
-        with pytest.raises(ConfigError):
+    @pytest.mark.parametrize("spec,kind", [("T[1->2] - T[1->3]", MCMonitorDivFree),
+                                           ("T[1->2] / T[1->3]", DivisionMonitor)])
+    def test_unknown_symbol_rejected_before_any_state_moves(self, spec, kind):
+        expr = parse(spec, ALPHA)
+        mon, clean, free = (build_mc_monitor(expr, 0.05, "pointwise", seed=0, alphabet=alphabet)
+                            for alphabet in (ALPHA, ALPHA, None))
+        assert type(mon) is kind
+        for m in (mon, clean, free):
+            m.next("1")
+        with pytest.raises(EventError) as err:
             mon.next("zzz")
+        assert isinstance(err.value, ConfigError) and err.value.symbol == "zzz"
+        # without an alphabet every symbol is valid, and an undeclared one
+        # counts as the declared symbol 4, which no variable mentions
+        stream = "21312413432" * 20
+        verdicts = [clean.next(s) for s in stream]
+        assert [mon.next(s) for s in stream] == verdicts
+        assert [free.next("zzz" if s == "4" else s) for s in stream] == verdicts
+        assert verdicts[-1].kind == "ok"
 
     def test_verdict_width_matches_formula(self):
         mon = build_mc_monitor(parse("T[1->2]", ALPHA), 0.05, "pointwise", seed=0)
@@ -307,17 +321,6 @@ class TestDivisionMonitor:
         kinds = [v.kind for v in verdicts]
         assert kinds[0] == "inconclusive"
         assert "inconclusive" not in kinds[-1:]
-
-    def test_unknown_symbol_rejected_before_any_part_moves(self):
-        expr = parse("T[1->2] / T[1->3]", ALPHA)
-        mon, clean = (build_mc_monitor(expr, 0.05, "pointwise", seed=0, alphabet=ALPHA)
-                      for _ in range(2))
-        mon.next("1")
-        clean.next("1")
-        with pytest.raises(ConfigError):
-            mon.next("zzz")
-        stream = "2131213" * 20
-        assert [mon.next(s) for s in stream] == [clean.next(s) for s in stream]
 
     def test_zero_crossing_denominator_is_unbounded(self):
         v_a = Interval.point(0.0)

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from fairmon.bounds import ci_pomc_pointwise, ci_pomc_uniform, split_delta
-from fairmon.errors import ConfigError
+from fairmon.errors import ConfigError, EventError
 from fairmon.markov import simulate, simulate_states, truth_value_bse
 from fairmon.intervals import Interval
 from fairmon import pomc
@@ -98,8 +98,9 @@ class TestAtomicMonitor:
                 for s in stream[:before]:
                     mon.next(s)
                     clean.next(s)
-                with pytest.raises(ConfigError):
+                with pytest.raises(EventError) as err:
                     mon.next("Q")
+                assert isinstance(err.value, ConfigError) and err.value.symbol == "Q"
                 for s in stream[before:before + 50]:
                     assert repr(mon.next(s)) == repr(clean.next(s))
 
@@ -453,3 +454,73 @@ class TestVerdictDigests:
             unclipped += lo is not None and (rng.lo < lo or hi < rng.hi)
             digest.update(f"{t} {lo!r} {hi!r} {v.point!r} {v.kind}\n".encode())
         assert (digest.hexdigest(), unclipped) == self.DIGESTS_TAU_745[(spec, mode, intersect)]
+
+    # Every route to a verdict without a point: the reciprocal of a zero point
+    # (no a before event 16), a product that overflows, 0 * inf followed by a
+    # product with a missing point, and a reciprocal at the root.
+    NO_POINT_SPECS = {
+        "zero-denominator": "alphabet: s y n a b\nproperty: P[b] / P[a]",
+        "overflow": "alphabet: s y n a b\nproperty: P[a] * 1e300 * 1e300",
+        "zero-times-infinity": "alphabet: s y n a b\nproperty: P[a] * 1e999 * 0",
+        "reciprocal-root": "alphabet: s y n a b\nproperty: 1 / P[a]",
+    }
+    # (spec, mode, intersect) -> (digest, count of verdicts without a point)
+    NO_POINT_DIGESTS = {
+        ("zero-denominator", "pointwise", False):
+            ("4b8c4990a69585dcb0617c29bee470501142a6ecabddb39fc0d2c6d30eddda0e", 16),
+        ("zero-denominator", "uniform", False):
+            ("6819663c85bacaee8f6ad2fd311e80bcca3f2e920720db46306034ff2f3c0c34", 16),
+        ("zero-denominator", "uniform", True):
+            ("7d57bcd528eb267122e249e28344753b4c180585f7e810ae878e4e45d8ca1310", 16),
+        ("overflow", "pointwise", False):
+            ("9fab0f649b7cf86c0930547e4e8db903e3c5c251c8a8e931decdc86f419aab3f", 4984),
+        ("overflow", "uniform", False):
+            ("6ee9b127158908e8aedcb9482dd740a7e70e870d97e73b467c96e20416db53a6", 4984),
+        ("overflow", "uniform", True):
+            ("6ee9b127158908e8aedcb9482dd740a7e70e870d97e73b467c96e20416db53a6", 4984),
+        ("zero-times-infinity", "pointwise", False):
+            ("c6e575f265876febb1f59b00c602f9d4586665bcb9895ea879388a14801f4124", 5000),
+        ("zero-times-infinity", "uniform", False):
+            ("c6e575f265876febb1f59b00c602f9d4586665bcb9895ea879388a14801f4124", 5000),
+        ("zero-times-infinity", "uniform", True):
+            ("c6e575f265876febb1f59b00c602f9d4586665bcb9895ea879388a14801f4124", 5000),
+        ("reciprocal-root", "pointwise", False):
+            ("a0daa81d95d30a711e01b064b20c3f49f9b1dc02739ad44b1e73dece048e46e6", 16),
+        ("reciprocal-root", "uniform", False):
+            ("25f1c8dcc20db27db46d9164456392fd3bcfb08ffd383067059d2260ee59e9e8", 16),
+        ("reciprocal-root", "uniform", True):
+            ("4bba7f8201d6d46209867194400ac24bb8419e8e7196c71ea07e47af62c71a47", 16),
+    }
+
+    @pytest.mark.parametrize("spec", sorted(NO_POINT_SPECS))
+    @pytest.mark.parametrize("mode,intersect", [("pointwise", False), ("uniform", False),
+                                                ("uniform", True)])
+    def test_no_point_digest(self, stream, spec, mode, intersect):
+        doc = parse_spec_file(self.NO_POINT_SPECS[spec])
+        mon = build_pomc_monitor(doc.expression, 0.05, mode, 1.0, alphabet=doc.alphabet,
+                                 intersect_verdicts=intersect)
+        digest, missing = hashlib.sha256(), 0
+        for t, s in enumerate(stream, start=1):
+            v = mon.next(s)
+            lo, hi = (None, None) if v.interval is None else (v.interval.lo, v.interval.hi)
+            missing += v.point is None
+            digest.update(f"{t} {lo!r} {hi!r} {v.point!r} {v.kind}\n".encode())
+        assert (digest.hexdigest(), missing) == self.NO_POINT_DIGESTS[(spec, mode, intersect)]
+
+
+def test_generated_step_tests_no_point_for_none(monkeypatch):
+    """A missing point is NaN inside the step, so the step of
+    ``P[y | a] - P[y | b]``, whose leaf points are running means, makes no
+    ``is None`` test."""
+    sources = []
+
+    def spy(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(pomc, "compile", spy, raising=False)
+    doc = parse_spec_file(TestVerdictDigests.SPECS["conditional"])
+    for alphabet in (doc.alphabet, None):
+        build_pomc_monitor(doc.expression, 0.05, "uniform", 35.0, alphabet=alphabet)
+    assert len(sources) == 2
+    assert not any("is None" in source for source in sources)

@@ -388,7 +388,7 @@ class TestRanges:
         for i in range(20):
             term = TransVar("1", str(i + 2))
             e = term if e is None else Mul(e, term)
-        iv = expr_range(e, slot_limit=16)
+        iv = expr_range(e)
         assert (iv.lo, iv.hi) == (0.0, 1.0)
 
     def test_dependent_product_shifts_left_nested(self):
