@@ -16,7 +16,7 @@ from .markov import (MixingBound, ObservationModel, StationaryDistribution,
                      mixing_time_bound, simulate, simulate_states,
                      stationary_distribution, truth_value, truth_value_bse,
                      truth_value_pse)
-from .mc import DivisionMonitor, MCMonitorDivFree, build_mc_monitor
+from .mc import MCMonitor, build_mc_monitor
 from .pomc import INCONCLUSIVE, CompositeMonitor, Verdict, build_pomc_monitor
 
 __version__ = "0.1.0"
@@ -32,6 +32,6 @@ __all__ = [
     "mixing_time_bound", "simulate", "simulate_states",
     "stationary_distribution", "truth_value", "truth_value_bse",
     "truth_value_pse",
-    "DivisionMonitor", "MCMonitorDivFree", "build_mc_monitor",
+    "MCMonitor", "build_mc_monitor",
     "INCONCLUSIVE", "CompositeMonitor", "Verdict", "build_pomc_monitor",
 ]

@@ -35,10 +35,11 @@ from ..errors import ConfigError
 from ..intervals import Interval
 from ..markov import (ObservationModel, mixing_time_bound, simulate,
                       simulate_states, truth_value)
-from ..mc import MCMonitorDivFree, build_mc_monitor
+from ..mc import build_mc_monitor
 from ..pomc import INCONCLUSIVE, atom_window
 from ..speclang.ast import (Add, Atom, Const, Expr, Inv, Mul, SeqProb, Sub,
-                            TransVar, expression_size, fold, leaves)
+                            TransVar, contains_division, expression_size, fold, leaves)
+from ..speclang.normal_form import decompose_division, to_polynomial
 from ..speclang.ranges import bse_range
 from . import models
 
@@ -292,7 +293,7 @@ def _mc_run(model, expr, delta, seed, truth, stops):
     """
     names = [model.labels[s] for s in model.states]
     probe = build_mc_monitor(expr, delta, "uniform")
-    if not isinstance(probe, MCMonitorDivFree):
+    if contains_division(expr) and not decompose_division(to_polynomial(expr)).is_trivial:
         raise ConfigError("mc coverage studies need an expression that is division "
                           "free once normalized; a + b / c is not supported")
     s2, lo_range, hi_range = probe.sigma_sq, probe.value_range.lo, probe.value_range.hi

@@ -8,44 +8,54 @@ relevant ones") into a per-state shuffled buffer.  Variable occurrences
 those buffers, laid out so that factors of a product never share a visit.
 Every completed round contributes one i.i.d. outcome whose mean is the value
 of the expression; a Hoeffding or stitched half-width around the running
-mean gives the verdict.  A round is evaluated by a tree of closures that
-``fold`` builds once: a variable occurrence reads its slot, a constant
-returns its value, and an operator calls both children, left then right.
-
-States are integer codes, fixed when the monitor is built: the relevant
-source states are ``0..S-1``, the other relevant targets follow, and every
-other symbol shares one last code.  With a declared alphabet only its
-symbols have codes, and any other raises ``EventError`` before any state
-moves.  An event costs one dict lookup for its code; after it the monitor
-works on lists: visit counters per source, edge counters per source in
-sorted target order, a row per source from a code to a target index (-1 for
-a target that is not relevant), and buffers of target indices (-1 for none
-of the relevant ones).
+mean gives the verdict.
 
 Expressions with division are first normalized to ``phi_a + phi_b / phi_c``
-(all parts division free).  A part with transition variables gets a
-sub-monitor carrying a third of the confidence budget; a constant part is its
-value.  The combined verdict is rebuilt, with :func:`~fairmon.intervals.product`
-and :func:`~fairmon.intervals.reciprocal` on the parts' endpoints, only on an
-event on which a sub-monitor completed a round.
+(all parts division free).  Each part with transition variables runs rounds
+of its own, with a third of the confidence budget and a Philox stream of
+its own; a constant part is its value.  A division-free expression is one
+part with the whole budget.
+
+When the monitor is built it writes one per-event step for all its parts as
+straight-line Python, compiled once and bound as the monitor's ``next``, as
+:mod:`fairmon.pomc` does.  States are integer codes in one code space that
+every part shares: the source states of the parts come first, the other
+relevant targets follow, and every other symbol shares one last code.  An
+event costs one dict lookup for its code; with a declared alphabet a symbol
+outside it raises ``EventError`` there, before any state moves.  The
+counters are lists indexed by a number per (part, source): visits, edges in
+sorted target order, a row from a code to a target index (-1 for a target
+that is not relevant), and buffers of target indices (-1 for none of the
+relevant ones).  Then each part's round runs inline over its occurrences in
+``leaves`` order, none skipped when another is unavailable: all sources of a
+part draw from one Philox pool, so every draw a round needs is made in the
+order of a full post-order pass, as early as possible.  An occurrence keeps
+its outcome until the round ends and calls ``_extract`` only when its buffer
+is short, and a round waits on the last source that left one short.  The
+running mean, the half-width from :func:`~fairmon.bounds.mc_halfwidth` and
+the clip to the part's range follow.  On an event on which a part completed
+a round, ``a + b / c`` is folded with the reciprocal, corner-product, sum
+and clip lines of :mod:`fairmon.codegen`.  The state lives in closure cells
+and in the lists above; only the returned verdict is an object.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from typing import List, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bounds import check_delta, mc_halfwidth, squared_width
+from .codegen import (clip, compile_closure, extreme, interval_product,
+                      interval_reciprocal, interval_sum)
 from .errors import ConfigError, EventError, SpecValidationError
-from .intervals import Interval, product, reciprocal
+from .intervals import Interval
 from .pomc import INCONCLUSIVE, Verdict
 from .speclang.ast import (Add, Const, Expr, Mul, Sub, TransVar, contains_division,
                            fold, is_pse)
 from .speclang.normal_form import decompose_division, to_polynomial
-from .speclang.ranges import assign_slots, expr_range
+from .speclang.ranges import SlotLayout, assign_slots, expr_range
 
 _MODES = ("pointwise", "uniform")
 
@@ -70,44 +80,35 @@ class _UniformPool:
         return self._buf[i]
 
 
-def _binary(op):
-    """Handler for an operator: both children, left then right, then ``op``.
+class _Part(NamedTuple):
+    """A division-free part that runs rounds, as fixed at build."""
 
-    No child is skipped when its sibling is unavailable: every source draws
-    from one Philox pool, so all draws a round will need are made in the
-    order of a full post-order pass, as early as possible.
+    expr: Expr
+    delta: float
+    layout: SlotLayout
+    value_range: Interval
+    sigma_sq: float
+    halfwidth: Callable[[int], float]
+    pool: _UniformPool
+
+
+def _part(expr: Expr, delta: float, uniform: bool, seed: int) -> _Part:
+    layout = assign_slots(expr)
+    value_range = expr_range(expr)
+    sigma_sq = squared_width(value_range.lo, value_range.hi)
+    # a range whose squared width is NaN, such as [inf, inf], fails here
+    return _Part(expr, delta, layout, value_range, sigma_sq,
+                 mc_halfwidth(delta, sigma_sq, uniform), _UniformPool(seed))
+
+
+class MCMonitor:
+    """Streaming monitor for a PSE on a fully observed chain.
+
+    ``next(symbol)`` returns the verdict after one more event; it is
+    generated for the expression when the monitor is built, and ``source``
+    is its Python source.  The same verdict object comes back on every event
+    on which no round completed.
     """
-
-    def handler(_, left, right):
-        def evaluate():
-            a = left()
-            b = right()
-            return None if a is None or b is None else op(a, b)
-        return evaluate
-
-    return handler
-
-
-class _Monitor:
-    """``next`` and ``feed`` over ``_step``, which keeps ``_verdict`` current."""
-
-    def __init__(self, value_range: Interval):
-        self.value_range = value_range
-        self._verdict: Verdict = INCONCLUSIVE
-
-    def next(self, symbol: str) -> Verdict:
-        self._step(symbol)
-        return self._verdict
-
-    def feed(self, symbols) -> Verdict:
-        v = self._verdict
-        for s in symbols:
-            v = self.next(s)
-        return v
-
-
-class MCMonitorDivFree(_Monitor):
-    """Streaming monitor for a division-free PSE on a fully observed chain."""
 
     def __init__(self, expr: Expr, delta: float, mode: str, seed: int = 0,
                  alphabet: Optional[Sequence[str]] = None):
@@ -115,59 +116,104 @@ class MCMonitorDivFree(_Monitor):
             raise ConfigError(f"mode must be 'pointwise' or 'uniform', got {mode!r}")
         check_delta(delta)
         if not is_pse(expr):
-            raise SpecValidationError("fully-observed monitor needs a PSE")
+            raise SpecValidationError("fully-observed monitoring needs a PSE "
+                                      "(constants and transition variables only)")
+        uniform = mode == "uniform"
+        exprs = [expr]
         if contains_division(expr):
-            raise SpecValidationError("expression must be division free here")
-        layout = assign_slots(expr)
-        self._layout = layout
-        self._sources = list(layout.targets)  # state name by source code
-        codes = {src: k for k, src in enumerate(self._sources)}
-        for tgts in layout.targets.values():
-            for tgt in tgts:
-                codes.setdefault(tgt, len(codes))
-        other = len(codes)  # every symbol that is not relevant
-        self._rows = []
-        for tgts in layout.targets.values():
-            row = [-1] * (other + 1)
-            for j, tgt in enumerate(tgts):
-                row[codes[tgt]] = j
-            self._rows.append(row)
-        self._codes = {s: codes.get(s, other) for s in alphabet} if alphabet else codes
-        self._miss = None if alphabet else other  # the code of a symbol without one
-        super().__init__(expr_range(expr))
-        self._lo, self._hi = self.value_range.lo, self.value_range.hi
-        self.sigma_sq = squared_width(self._lo, self._hi)
-        self._delta = delta
-        # a range whose squared width is NaN, such as [inf, inf], fails here
-        self._halfwidth = mc_halfwidth(delta, self.sigma_sq, mode == "uniform")
-        self._rng = _UniformPool(seed)
+            dd = decompose_division(to_polynomial(expr))
+            exprs = [dd.phi_a] if dd.is_trivial else [dd.phi_a, dd.phi_b, dd.phi_c]
+        if len(exprs) == 1:
+            self._parts: list = [_part(exprs[0], delta, uniform, seed)]  # _Part or constant
+            self.value_range = self._parts[0].value_range
+        else:
+            # A constant c's rounds would say [c, c] from event 2 on, before any
+            # other part can complete a round.  The other parts keep their seeds
+            # and a third of delta each; the constant's third stays unspent,
+            # because every half-width, and so every bit, depends on it.
+            self._parts = []
+            for k, part in enumerate(exprs):
+                if not isinstance(part, Const):
+                    self._parts.append(_part(part, delta / 3.0, uniform, seed * 3 + k))
+                elif math.isfinite(part.value):
+                    self._parts.append(part.value)
+                else:
+                    raise ConfigError(f"constant part {part.value!r} of a division "
+                                      "is not finite")
+            ra, rb, rc = (p.value_range if isinstance(p, _Part) else Interval(p, p)
+                          for p in self._parts)
+            self.value_range = ra + rb / rc
+        monitored = [p for p in self._parts if isinstance(p, _Part)]
 
-        self._n_sources = len(self._sources)
-        self._c = [0] * self._n_sources
-        self._cij = [[0] * len(tgts) for tgts in layout.targets.values()]
-        self._z: List[list] = [[] for _ in self._sources]
-        self._cache: List[Optional[float]] = []  # per occurrence, until the round ends
-        self._eval = fold(expr, {
-            Const: lambda node: lambda: node.value, TransVar: self._reader,
-            Add: _binary(operator.add), Sub: _binary(operator.sub), Mul: _binary(operator.mul),
-        })
-        self._prev = -1  # code of the previous symbol; -1 before the first
-        self._blocked: Optional[int] = None  # source code the round waits on
-        self.n_samples = 0
-        self.mean = 0.0
+        # one code space: every part's sources, then their other targets
+        sources = list(dict.fromkeys(s for p in monitored for s in p.layout.targets))
+        codes = {s: c for c, s in enumerate(sources)}
+        for p in monitored:
+            for tgts in p.layout.targets.values():
+                for tgt in tgts:
+                    codes.setdefault(tgt, len(codes))
+        other = len(codes)  # every symbol that is not relevant
+        self._codes = {s: codes.get(s, other) for s in alphabet} if alphabet else codes
+        # counters per (part, source), numbered in part order, then source order
+        self._c: List[int] = []
+        self._cij: List[List[int]] = []
+        self._z: List[list] = []
+        self._rows: List[List[int]] = []
+        self._draw: List[Callable[[], float]] = []
+        for p in monitored:
+            for tgts in p.layout.targets.values():
+                row = [-1] * (other + 1)
+                for j, tgt in enumerate(tgts):
+                    row[codes[tgt]] = j
+                self._rows.append(row)
+                self._c.append(0)
+                self._cij.append([0] * len(tgts))
+                self._z.append([])
+                self._draw.append(p.pool.random)
+        # counters, edges, outcome caches and five scalars per part; buffers vary
+        self._registers = (len(self._c) + sum(map(len, self._cij))
+                           + sum(len(p.layout.slots) + 5 for p in monitored))
         self.peak_buffer = 0
+        (self.next, self._state), self.source = _generate_step(
+            self, codes, None if alphabet else other)
+
+    @property
+    def n_samples(self) -> int:
+        """Completed rounds: the fewest of any part."""
+        return min(n for n, _ in self._state()[1])
+
+    @property
+    def mean(self) -> float:
+        """The running mean of a division-free expression's round outcomes."""
+        return self._single("mean", self._state()[1][0][1])
+
+    @property
+    def sigma_sq(self) -> float:
+        """The squared width of a division-free expression's range."""
+        return self._single("sigma_sq", self._parts[0].sigma_sq)
+
+    def _single(self, name: str, value):
+        if len(self._parts) > 1:
+            raise AttributeError(f"{name}: each part of a + b / c has its own")
+        return value
 
     def register_count(self) -> int:
         """Live registers: counters, buffer cells, caches, and scalars."""
-        edges = sum(len(row) for row in self._cij)
-        buf = sum(len(z) for z in self._z)
-        return len(self._c) + edges + buf + len(self._cache) + 5
+        return self._registers + sum(map(len, self._z))
 
-    def _extract(self, source: int, upto: int):
-        z = self._z[source]
-        ci = self._c[source]
-        counts = self._cij[source]
-        rnd = self._rng.random
+    def feed(self, symbols) -> Verdict:
+        v = self._state()[0]
+        step = self.next
+        for s in symbols:
+            v = step(s)
+        return v
+
+    def _extract(self, k: int, upto: int):
+        """Draw into buffer ``k`` until it holds ``upto`` or its pool is empty."""
+        z = self._z[k]
+        ci = self._c[k]
+        counts = self._cij[k]
+        rnd = self._draw[k]
         while len(z) < upto and ci > 0:
             u = rnd() * ci
             acc = 0.0
@@ -180,148 +226,132 @@ class MCMonitorDivFree(_Monitor):
                     break
             ci -= 1
             z.append(pick)
-        self._c[source] = ci
+        self._c[k] = ci
         if len(z) > self.peak_buffer:
             self.peak_buffer = len(z)
 
-    def _reader(self, node: TransVar):
-        """Reader of the next occurrence (in ``leaves`` order): its cached
-        outcome, else its slot's draw, else None with the source blocked."""
-        cache = self._cache
-        k = len(cache)
-        cache.append(None)
-        source = self._sources.index(node.source)
-        target = self._layout.targets[node.source].index(node.target)
-        slot = self._layout.slots[k][1]
-        z = self._z[source]
-        extract = self._extract
 
-        def read() -> Optional[float]:
-            v = cache[k]
-            if v is None:
-                if len(z) < slot:
-                    extract(source, slot)
-                if len(z) >= slot:
-                    v = cache[k] = 1.0 if z[slot - 1] == target else 0.0
-                else:
-                    self._blocked = source
+# the name under which perfbench builds a monitor of one division-free part
+MCMonitorDivFree = MCMonitor
+
+
+def _generate_step(mon: MCMonitor, codes: dict, miss: Optional[int]) -> Tuple[tuple, str]:
+    """``next`` and ``state`` of ``mon`` as compiled Python, and their source.
+
+    ``codes`` maps each relevant state to its code; ``miss`` is the code of
+    any other symbol, or None when such a symbol raises ``EventError``.
+    """
+    ns = {"INF": math.inf, "Interval": Interval, "Verdict": Verdict,
+          "INCONCLUSIVE": INCONCLUSIVE, "EventError": EventError, "codes": mon._codes,
+          "extract": mon._extract, "cnt": mon._c, "edges": mon._cij, "rows": mon._rows}
+    state = ["prev = -1", "verdict = INCONCLUSIVE"]
+    if miss is None:
+        head = ["try: c = codes[symbol]",
+                "except KeyError: raise EventError(symbol) from None"]
+    else:
+        head = [f"c = codes.get(symbol, {miss})"]
+    head += ["p = prev", "prev = c", "if p < 0: return verdict"]
+    counters, rounds, terms, samples = [], [], [], []  # samples: (n, mean) per part
+    split = len(mon._parts) > 1
+    base = 0  # number of the part's first (part, source) counter
+    for t, part in enumerate(mon._parts):
+        if not isinstance(part, _Part):
+            ns[f"const{t}"] = part
+            terms.append((f"const{t}",) * 3)
+            continue
+        i = len(samples)
+        layout = part.layout
+        srcs = list(layout.targets)
+        ns[f"range_lo{i}"], ns[f"range_hi{i}"] = part.value_range.lo, part.value_range.hi
+        ns[f"halfwidth{i}"] = part.halfwidth
+        blocked, n, m, lo, hi = f"blocked{i}", f"n{i}", f"m{i}", f"lo{i}", f"hi{i}"
+        state += [f"{blocked} = None", f"{n} = 0", f"{m} = 0.0"]
+        if srcs:
+            where = [-1] * (len(codes) + 1)  # the part's counter by code, -1 for none
+            for s, src in enumerate(srcs):
+                where[codes[src]] = base + s
+                ns[f"z{base + s}"] = mon._z[base + s]
+            ns[f"where{i}"] = where
+            counters += [f"k = where{i}[p]",
+                         "if k >= 0:",
+                         "    cnt[k] += 1",
+                         "    j = rows[k][c]",
+                         "    if j >= 0: edges[k][j] += 1",
+                         f"    if {blocked} == k: {blocked} = None"]
+
+        # every occurrence, in leaves order: its cached outcome, else its slot's
+        # draw, else the round waits on its source
+        reads, cache = [], []
+
+        def var(node: TransVar):
+            source, slot = layout.slots[len(cache)]
+            k = base + srcs.index(source)
+            target = layout.targets[source].index(node.target)
+            v = f"v{i}_{len(cache)}"
+            cache.append(v)
+            reads.extend([f"if {v} is None:",
+                          f"    if len(z{k}) < {slot}: extract({k}, {slot})",
+                          f"    if len(z{k}) >= {slot}:",
+                          f"        {v} = 1.0 if z{k}[{slot - 1}] == {target} else 0.0",
+                          f"    else: {blocked} = {k}"])
             return v
 
-        return read
+        def const(node: Const):
+            name = f"const{i}_{len(ns)}"
+            ns[name] = node.value
+            return name
 
-    def _round(self, w: float) -> None:
-        """Fold a completed round's outcome in and rebuild the verdict."""
-        n = self.n_samples + 1
-        self.n_samples = n
-        lo, hi = self._lo, self._hi
+        def binary(op):
+            return lambda _, a, b: f"({a} {op} {b})"
+
+        w = fold(part.expr, {Const: const, TransVar: var,
+                             Add: binary("+"), Sub: binary("-"), Mul: binary("*")})
+        state += [f"{v} = None" for v in cache]
         # the recurrence can round the running mean out of the range
-        mu = min(max((self.mean * (n - 1) + w) / n, lo), hi)
-        self.mean = mu
-        eps = self._halfwidth(n)
-        iv = Interval(max(mu - eps, lo), min(mu + eps, hi))
-        self._verdict = Verdict(interval=iv, point=mu)
-        for z in self._z:
-            z.clear()
-        cache = self._cache
-        cache[:] = [None] * len(cache)
-        self._blocked = None
+        done = [f"{n} += 1",
+                *extreme(m, [f"({m} * ({n} - 1) + {w}) / {n}", f"range_lo{i}"], ">"),
+                *extreme(m, [m, f"range_hi{i}"], "<"),
+                f"e = halfwidth{i}({n})",
+                *clip((lo, hi), (f"{m} - e", f"{m} + e"), (f"range_lo{i}", f"range_hi{i}"))]
+        if split:
+            state += [f"{lo} = 0.0", f"{hi} = 0.0"]
+            done += [f"if not {lo} <= {hi}: Interval({lo}, {hi})", "done = True"]
+        else:
+            done.append(f"verdict = Verdict(Interval({lo}, {hi}), {m})")
+        done += [f"z{base + s}.clear()" for s in range(len(srcs))]
+        if cache:
+            done.append(" = ".join(cache) + " = None")
+        rounds += [f"if {blocked} is None:",
+                   *("    " + line for line in reads),
+                   f"    if {blocked} is None:",
+                   *("        " + line for line in done)]
+        terms.append((lo, hi, m))
+        samples.append((n, m))
+        base += len(srcs)
 
-    def _step(self, symbol: str) -> bool:
-        """One event; True when a round completed."""
-        code = self._codes.get(symbol, self._miss)
-        if code is None:
-            raise EventError(symbol)
-        prev = self._prev
-        self._prev = code
-        if prev < 0:
-            return False
-        if prev < self._n_sources:
-            self._c[prev] += 1
-            j = self._rows[prev][code]
-            if j >= 0:
-                self._cij[prev][j] += 1
-            if self._blocked == prev:
-                self._blocked = None
-        if self._blocked is None:
-            w = self._eval()
-            if w is not None:
-                self._round(w)
-                return True
-        return False
-
-
-class DivisionMonitor(_Monitor):
-    """``phi_a + phi_b / phi_c``: a division-free sub-monitor for each part
-    with transition variables, and each constant part as its value."""
-
-    def __init__(self, parts, delta: float, mode: str, seed: int = 0,
-                 alphabet: Optional[Sequence[str]] = None):
-        check_delta(delta)
-        # A constant c's sub-monitor would say [c, c] from its first round on,
-        # at event 2, before any other part can complete a round.  The other
-        # parts keep their seeds and a third of delta each; the constant's
-        # third stays unspent, because every half-width, and so every bit,
-        # depends on it.
-        self._parts = [_constant(part) if isinstance(part, Const)
-                       else MCMonitorDivFree(part, delta / 3.0, mode, seed=seed * 3 + k,
-                                             alphabet=alphabet)
-                       for k, part in enumerate(parts)]
-        self._subs = [p for p in self._parts if isinstance(p, MCMonitorDivFree)]
-        if not self._subs:
-            raise ConfigError("a division monitor needs a part with transition variables")
-        ra, rb, rc = (expr_range(part) for part in parts)
-        super().__init__(ra + rb / rc)
-
-    @property
-    def n_samples(self) -> int:
-        return min(m.n_samples for m in self._subs)
-
-    def register_count(self) -> int:
-        return sum(m.register_count() for m in self._subs)
-
-    @property
-    def peak_buffer(self) -> int:
-        return max(m.peak_buffer for m in self._subs)
-
-    def _combine(self) -> Verdict:
-        """``va + vb / vc`` clipped to the range, on the parts' endpoints."""
-        va, vb, vc = (p if isinstance(p, Verdict) else p._verdict for p in self._parts)
-        if va.interval is None or vb.interval is None or vc.interval is None:
-            return INCONCLUSIVE
-        ilo, ihi = reciprocal(vc.interval.lo, vc.interval.hi)
-        lo, hi = product(vb.interval.lo, vb.interval.hi, ilo, ihi)
-        lo, hi = va.interval.lo + lo, va.interval.hi + hi
-        point = va.point + vb.point / vc.point if vc.point != 0.0 else None
-        # max and min keep a NaN first argument, so Interval sees it and raises
-        r = self.value_range
-        return Verdict(interval=Interval(max(lo, r.lo), min(hi, r.hi)), point=point)
-
-    def _step(self, symbol: str) -> None:
-        # a list, not a generator: every part sees every event; the first
-        # rejects a symbol outside the alphabet before any part moves
-        if any([m._step(symbol) for m in self._subs]):
-            self._verdict = self._combine()
-
-
-def _constant(part: Const) -> Verdict:
-    """A constant part's verdict: its value, which must be finite.  The
-    division monitor reads it on every combine; a value nobody mutates."""
-    if not math.isfinite(part.value):
-        raise ConfigError(f"constant part {part.value!r} of a division is not finite")
-    return Verdict(interval=Interval(part.value, part.value), point=part.value)
+    body = head + counters
+    if split:
+        # a + b / c on the parts' endpoints, clipped to the range
+        (alo, ahi, ap), (blo, bhi, bp), (clo, chi, cp) = terms
+        ns["range_lo"], ns["range_hi"] = mon.value_range.lo, mon.value_range.hi
+        fold_lines = [*interval_reciprocal(("ilo", "ihi"), (clo, chi)),
+                      *interval_product(("plo", "phi"), (blo, bhi), ("ilo", "ihi"), ""),
+                      *interval_sum(("lo", "hi"), (alo, ahi), ("plo", "phi")),
+                      f"point = {ap} + {bp} / {cp} if {cp} != 0.0 else None",
+                      *clip(("lo", "hi"), ("lo", "hi"), ("range_lo", "range_hi")),
+                      "verdict = Verdict(Interval(lo, hi), point)"]
+        body += ["done = False", *rounds,
+                 f"if done and {' and '.join(n for n, _ in samples)}:",
+                 *("    " + line for line in fold_lines)]
+    else:
+        body += rounds
+    body.append("return verdict")
+    reader = ["return verdict, (" + "".join(f"({n}, {m}), " for n, m in samples) + ")"]
+    return compile_closure(state, [("next(symbol)", body), ("state()", reader)],
+                           ns, "<fairmon.mc step>")
 
 
 def build_mc_monitor(expr: Expr, delta: float, mode: str, seed: int = 0,
-                     alphabet: Optional[Sequence[str]] = None):
-    """Monitor for an arbitrary PSE: direct when division free, else decomposed."""
-    check_delta(delta)
-    if not is_pse(expr):
-        raise SpecValidationError("fully-observed monitoring needs a PSE "
-                                  "(constants and transition variables only)")
-    if not contains_division(expr):
-        return MCMonitorDivFree(expr, delta, mode, seed=seed, alphabet=alphabet)
-    dd = decompose_division(to_polynomial(expr))
-    if dd.is_trivial:
-        return MCMonitorDivFree(dd.phi_a, delta, mode, seed=seed, alphabet=alphabet)
-    return DivisionMonitor((dd.phi_a, dd.phi_b, dd.phi_c), delta, mode, seed=seed,
-                           alphabet=alphabet)
+                     alphabet: Optional[Sequence[str]] = None) -> MCMonitor:
+    """Monitor for an arbitrary PSE: one part when division free, else a + b / c."""
+    return MCMonitor(expr, delta, mode, seed=seed, alphabet=alphabet)

@@ -36,6 +36,8 @@ and empty check of every interval, the point rules (a sum's, difference's
 or product's point is kept when it is finite, a reciprocal's when the
 operand's point is nonzero), the clip to the expression's range and the
 running intersection.  Only the clipped result becomes an ``Interval``.
+The interval lines come from :mod:`fairmon.codegen`, which the ``mc``
+step shares.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ import math
 from typing import Callable, Optional, Sequence, Tuple
 
 from .bounds import pomc_halfwidth_source, pomc_log_source, split_delta
+from .codegen import (clip, compile_closure, extreme, interval_difference,
+                      interval_product, interval_reciprocal, interval_sum)
 from .errors import ConfigError, EventError
 from .intervals import Interval
 from .speclang.ast import (Add, Atom, Const, Expr, Inv, Mul, SeqProb, Sub,
@@ -118,21 +122,9 @@ def atom_window(leaf: Expr) -> Tuple[Callable, int, float, float]:
     return fold(leaf, _WINDOWS)
 
 
-def _extreme(target: str, items: Sequence[str], op: str) -> list:
-    """Lines setting ``target`` to ``max(*items)`` (op ``>``) or ``min(*items)``
-    (op ``<``) with the builtin's comparisons, in its order: a later item
-    replaces the one kept when it compares above (below) it, so ties, signed
-    zeros and NaN come out as the builtin's.  Only the first item may
-    mention ``target``.
-    """
-    first, *rest = items
-    lines = [] if first == target else [f"{target} = {first}"]
-    return lines + [f"if {x} {op} {target}: {target} = {x}" for x in rest]
-
-
 def _generate_step(expr: Expr, delta: float, uniform: bool, tau_mix: float,
-                   alphabet: Optional[Sequence[str]], intersect: bool) -> Callable:
-    """The per-event step of a monitor of ``expr``, as compiled Python."""
+                   alphabet: Optional[Sequence[str]], intersect: bool) -> Tuple[Callable, str]:
+    """The per-event step of a monitor of ``expr``, as compiled Python, and its source."""
     rng = bse_range(expr)
     atoms = leaves(expr)
     shares = split_delta(delta, expr).shares() if atoms else []
@@ -178,13 +170,13 @@ def _generate_step(expr: Expr, delta: float, uniform: bool, tau_mix: float,
         state.append(f"m{i} = 0.0")
         count = "t" if n == 1 else f"(t - {n - 1})"  # windows seen, as an int
         # the recurrence can round the running mean out of the range
-        mean = _extreme(f"m{i}", [f"(m{i} * (t - {n}) + {value}) / {count}", f"low{i}"], ">")
-        mean += _extreme(f"m{i}", [f"m{i}", f"high{i}"], "<")
+        mean = extreme(f"m{i}", [f"(m{i} * (t - {n}) + {value}) / {count}", f"low{i}"], ">")
+        mean += extreme(f"m{i}", [f"m{i}", f"high{i}"], "<")
         if n < width:
             warmup += mean if n == 1 else [f"if t >= {n}:", *("    " + x for x in mean)]
         step += [*mean,
-                 *_extreme(f"lo{i}", [f"m{i} - e{k}", f"low{i}"], ">"),
-                 *_extreme(f"hi{i}", [f"m{i} + e{k}", f"high{i}"], "<"),
+                 *extreme(f"lo{i}", [f"m{i} - e{k}", f"low{i}"], ">"),
+                 *extreme(f"hi{i}", [f"m{i} + e{k}", f"high{i}"], "<"),
                  f"if not lo{i} <= hi{i}: Interval(lo{i}, hi{i})"]
     step[:0] = halfwidths
 
@@ -206,16 +198,11 @@ def _generate_step(expr: Expr, delta: float, uniform: bool, tau_mix: float,
             lo, hi, p = f"lo_{j}", f"hi_{j}", f"p_{j}"
             (alo, ahi, ap), (blo, bhi, bp) = a, b
             if op == "+":
-                step.append(f"{lo}, {hi} = {alo} + {blo}, {ahi} + {bhi}")
+                step.extend(interval_sum((lo, hi), (alo, ahi), (blo, bhi)))
             elif op == "-":
-                step.append(f"{lo}, {hi} = {alo} - {bhi}, {ahi} - {blo}")
+                step.extend(interval_difference((lo, hi), (alo, ahi), (blo, bhi)))
             else:
-                # 0 * inf = 0 keeps a product sound when a factor is exactly zero
-                ps = [f"0.0 if {x} == 0.0 or {y} == 0.0 else {x} * {y}"
-                      for x in (alo, ahi) for y in (blo, bhi)]
-                step.extend(f"q{c}_{j} = {e}" for c, e in enumerate(ps))
-                qs = [f"q{c}_{j}" for c in range(4)]
-                step.extend(_extreme(lo, qs, "<") + _extreme(hi, qs, ">"))
+                step.extend(interval_product((lo, hi), (alo, ahi), (blo, bhi), f"_{j}"))
             # a sum's, difference's or product's point is kept when it is finite
             step.extend([f"{p} = {ap} {op} {bp}",
                          f"if not -INF < {p} < INF: {p} = NAN",
@@ -227,12 +214,8 @@ def _generate_step(expr: Expr, delta: float, uniform: bool, tau_mix: float,
         j = next(temp)
         lo, hi, p = f"lo_{j}", f"hi_{j}", f"p_{j}"
         alo, ahi, ap = a
-        step.extend([f"{p} = 1.0 / {ap} if {ap} else NAN",
-                     f"if {alo} <= 0.0 <= {ahi}:",
-                     f"    {lo}, {hi} = -INF, INF",
-                     "else:",
-                     f"    {lo}, {hi} = 1.0 / {ahi}, 1.0 / {alo}",
-                     f"    if not {lo} <= {hi}: Interval({lo}, {hi})"])
+        step.append(f"{p} = 1.0 / {ap} if {ap} else NAN")
+        step.extend(interval_reciprocal((lo, hi), (alo, ahi)))
         return lo, hi, p
 
     root_lo, root_hi, p = fold(expr, {
@@ -241,7 +224,7 @@ def _generate_step(expr: Expr, delta: float, uniform: bool, tau_mix: float,
     })
     # not the root's own name, which may be a mean cell or a namespace constant
     step.append(f"point = None if {p} != {p} else {p}")
-    step += _extreme("lo", [root_lo, "range_lo"], ">") + _extreme("hi", [root_hi, "range_hi"], "<")
+    step += clip(("lo", "hi"), (root_lo, root_hi), ("range_lo", "range_hi"))
     if intersect:
         state += ["running = None", "consistent = True"]
         step += ["if not lo <= hi: Interval(lo, hi)",
@@ -270,15 +253,7 @@ def _generate_step(expr: Expr, delta: float, uniform: bool, tau_mix: float,
     if width > 1:
         head += [f"if t < {width}:", *("    " + line for line in warmup),
                  "    return INCONCLUSIVE"]
-    cells = [line.split(" = ")[0] for line in state]
-    source = "\n".join(["def make():",
-                        *("    " + line for line in state),
-                        "    def next(symbol):",
-                        f"        nonlocal {', '.join(cells)}",
-                        *("        " + line for line in head + step),
-                        "    return next"])
-    exec(compile(source, "<fairmon.pomc step>", "exec"), ns)
-    return ns["make"]()
+    return compile_closure(state, [("next(symbol)", head + step)], ns, "<fairmon.pomc step>")
 
 
 class CompositeMonitor:
@@ -291,6 +266,7 @@ class CompositeMonitor:
     clipped to the expression's a-priori range, where the true value
     certainly lies.  Running intersection is only sound for uniform
     intervals; a verdict disjoint from it makes every later one inconsistent.
+    ``source`` is the Python source of the step.
     """
 
     def __init__(self, expr: Expr, delta: float, mode: str, tau_mix: float,
@@ -302,7 +278,8 @@ class CompositeMonitor:
             raise ConfigError(f"mixing-time bound must be >= 1, got {tau_mix}")
         if intersect_verdicts and mode != "uniform":
             raise ConfigError("intersecting verdicts over time needs uniform mode")
-        self.next: Callable[[str], Verdict] = _generate_step(
+        self.next: Callable[[str], Verdict]
+        self.next, self.source = _generate_step(
             expr, delta, mode == "uniform", tau_mix, alphabet, intersect_verdicts)
 
 

@@ -17,13 +17,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from ..errors import SpecValidationError
+from ..errors import ConfigError, SpecValidationError
 from ..intervals import UNIT, Interval
 from .ast import (ARITHMETIC, Add, Atom, Const, Expr, Inv, Mul, SeqProb, Sub,
                   TransVar, const_value, fold, reject)
 
 TOP = "⊤"  # drawn visit led to no relevant successor
 _SLOT_LIMIT = 16  # draw slots above which expr_range encloses, not enumerates
+_NAN_RANGE = "the expression's range is undefined: it contains NaN, as inf - inf or 0 * inf do"
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,8 @@ def expr_range(expr: Expr) -> Interval:
     source state, or none of them; the expression value is extremized over
     the full joint assignment.  Above ``_SLOT_LIMIT`` slots the exponential
     enumeration is replaced by per-occurrence interval arithmetic, which is
-    an enclosure rather than exact.
+    an enclosure rather than exact.  An outcome that can be NaN is a
+    ConfigError.
     """
     layout = assign_slots(expr)
     slots = layout.draw_slots
@@ -106,6 +108,8 @@ def expr_range(expr: Expr) -> Interval:
     for combo in itertools.product(*domains):
         assignment = dict(zip(slots, combo))
         v = _eval_assignment(expr, layout, assignment)
+        if v != v:
+            raise ConfigError(_NAN_RANGE)
         lo = v if lo is None or v < lo else lo
         hi = v if hi is None or v > hi else hi
     return Interval(lo, hi)
@@ -141,6 +145,10 @@ def bse_range(expr: Expr) -> Interval:
     """A-priori range of an expression by interval propagation.
 
     Conditional-probability ratios produced by ``P[v | u]`` are recognized
-    structurally and refined to [0, 1].
+    structurally and refined to [0, 1].  An endpoint that is NaN is a
+    ConfigError.
     """
-    return fold(expr, _BSE)
+    try:
+        return fold(expr, _BSE)
+    except ValueError:  # what Interval raises for a NaN endpoint
+        raise ConfigError(_NAN_RANGE) from None

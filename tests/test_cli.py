@@ -24,6 +24,8 @@ LENDING_SPEC = """alphabet: init g gbar gy gbary ybar z zbar
 property: T[g->gy] - T[gbar->gbary]
 """
 
+NAN_RANGE = "the expression's range is undefined: it contains NaN, as inf - inf or 0 * inf do"
+
 HYPERCUBE_SPEC = """alphabet: a b
 property: P[a a] - P[b b]
 """
@@ -456,9 +458,13 @@ class TestMonitor:
         assert len(outs[0].splitlines()) == 300
         assert outs[0] == outs[1]
 
-    @pytest.mark.parametrize("prop", ["1e999", "1e300 * 1e300 * T[1->2] / T[1->3]"])
-    def test_mc_range_with_nan_square_exits_2_at_build(self, capsys, tmp_path, prop):
+    @pytest.mark.parametrize("prop, message", [
         # the range [inf, inf] has a NaN squared width, so no half-width exists
+        ("1e999", "sigma^2 must be nonnegative, got nan"),
+        # a round of the part 1e300 * 1e300 * T[1->2] can give inf * 0
+        ("1e300 * 1e300 * T[1->2] / T[1->3]", NAN_RANGE),
+    ], ids=["1e999", "1e300 * 1e300 * T[1->2] / T[1->3]"])
+    def test_mc_range_with_nan_square_exits_2_at_build(self, capsys, tmp_path, prop, message):
         spec = tmp_path / "inf.spec"
         spec.write_text(f"alphabet: 1 2 3\nproperty: {prop}\n")
         events = tmp_path / "events.txt"
@@ -467,7 +473,20 @@ class TestMonitor:
                                  "--events", str(events))
         assert code == 2
         assert out == ""
-        assert err == "error: sigma^2 must be nonnegative, got nan\n"
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("engine, prop", [("mc", "1e999 - 1e999 + T[1->2]"),
+                                              ("pomc", "1e999 - 1e999 + P[1]")])
+    def test_nan_range_exits_2_at_build(self, capsys, tmp_path, engine, prop):
+        # inf - inf makes the a-priori range NaN, for either engine's range
+        spec = tmp_path / "nan.spec"
+        spec.write_text(f"alphabet: 1 2 3\nproperty: {prop}\n")
+        events = tmp_path / "events.txt"
+        events.write_text("1\n2\n1\n3\n" * 3)
+        tau = ["--tau-mix", "2"] if engine == "pomc" else []
+        code, out, err = run_cli(capsys, "monitor", "--spec", str(spec), "--engine", engine,
+                                 *tau, "--events", str(events))
+        assert (code, out, err) == (2, "", f"error: {NAN_RANGE}\n")
 
     @pytest.mark.parametrize("option, value", [("--stride", "0"), ("--spec", "no-such.spec")],
                              ids=["zero-stride", "missing-spec"])

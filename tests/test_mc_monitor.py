@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import math
 
@@ -10,8 +11,7 @@ from fairmon.errors import ConfigError, EventError, SpecValidationError
 from fairmon.intervals import Interval
 from fairmon.markov import (ObservationModel, simulate, simulate_states,
                             truth_value_pse)
-from fairmon.mc import DivisionMonitor, MCMonitorDivFree, build_mc_monitor
-from fairmon.pomc import Verdict
+from fairmon.mc import MCMonitor, MCMonitorDivFree, build_mc_monitor
 from fairmon.speclang import expression_size, parse
 from fairmon.experiments import lending_mc
 
@@ -37,22 +37,25 @@ def running_means(mon, symbols):
 
 class Checked:
     """A monitor that, after every event, asserts on each of its division-free
-    parts: edge counters <= visits, and buffer length <= the layout's demand,
-    per source state."""
+    parts that run rounds: edge counters <= visits, and buffer length <= the
+    layout's demand, per source state."""
 
     def __init__(self, monitor):
         self._monitor = monitor
-        self._parts = getattr(monitor, "_subs", [monitor])
+        # (part, source) counters are numbered in part order, then source order
+        self._counters = list(enumerate(
+            (src, part.layout.demand[src]) for part in monitor._parts
+            if hasattr(part, "layout") for src in part.layout.targets))
 
     def __getattr__(self, name):
         return getattr(self._monitor, name)
 
     def next(self, symbol):
         verdict = self._monitor.next(symbol)
-        for part in self._parts:
-            for k, src in enumerate(part._sources):
-                assert sum(part._cij[k]) <= part._c[k], f"edge counters exceed visits at {src!r}"
-                assert len(part._z[k]) <= part._layout.demand[src], f"buffer overgrew at {src!r}"
+        mon = self._monitor
+        for k, (src, demand) in self._counters:
+            assert sum(mon._cij[k]) <= mon._c[k], f"edge counters exceed visits at {src!r}"
+            assert len(mon._z[k]) <= demand, f"buffer overgrew at {src!r}"
         return verdict
 
 
@@ -93,13 +96,13 @@ class TestHandTraces:
             v = mon.next(s)
             assert (v.interval.lo, v.interval.hi, v.point) == (0.1, 0.1, 0.1)
 
-    @pytest.mark.parametrize("spec,kind", [("T[1->2] - T[1->3]", MCMonitorDivFree),
-                                           ("T[1->2] / T[1->3]", DivisionMonitor)])
-    def test_unknown_symbol_rejected_before_any_state_moves(self, spec, kind):
+    @pytest.mark.parametrize("spec,parts", [("T[1->2] - T[1->3]", 1),
+                                            ("T[1->2] / T[1->3]", 3)])
+    def test_unknown_symbol_rejected_before_any_state_moves(self, spec, parts):
         expr = parse(spec, ALPHA)
         mon, clean, free = (build_mc_monitor(expr, 0.05, "pointwise", seed=0, alphabet=alphabet)
                             for alphabet in (ALPHA, ALPHA, None))
-        assert type(mon) is kind
+        assert len(mon._parts) == parts
         for m in (mon, clean, free):
             m.next("1")
         with pytest.raises(EventError) as err:
@@ -220,9 +223,10 @@ class TestCountersAndRegisters:
         mon.feed([names[c] for c in states[20_000:]])
         assert mon.register_count() == first
 
-    def test_division_free_expression_required(self):
+    def test_nested_division_rejected(self):
+        # one class monitors every PSE whose normal form is a + b / c
         with pytest.raises(SpecValidationError):
-            MCMonitorDivFree(parse("1 / T[1->2]", ALPHA), 0.05, "pointwise")
+            MCMonitor(parse("1 / (T[1->2] + T[1->3])", ALPHA), 0.05, "pointwise")
 
     def test_non_pse_rejected(self):
         with pytest.raises(SpecValidationError):
@@ -241,9 +245,8 @@ class TestConfidenceParameter:
     def test_invalid_delta_fails_in_constructors(self, delta):
         with pytest.raises(ConfigError, match="confidence parameter"):
             MCMonitorDivFree(parse("T[1->2]", ALPHA), delta, "uniform")
-        parts = (parse("0", ALPHA), parse("T[1->2]", ALPHA), parse("T[1->3]", ALPHA))
         with pytest.raises(ConfigError, match="confidence parameter"):
-            DivisionMonitor(parts, delta, "uniform")
+            MCMonitor(parse("T[1->2] / T[1->3]", ALPHA), delta, "uniform")
 
 
 class TestOutcomeDistribution:
@@ -288,19 +291,24 @@ class TestOutcomeDistribution:
 
 class TestDivisionMonitor:
     def test_disparate_impact_monitors_two_parts(self):
-        # phi_a is the constant 0: it is its value and gets no sub-monitor
+        # phi_a is the constant 0: it is its value and runs no rounds
         model = lending_mc()
         expr = parse("T[g->gy] / T[gbar->gbary]", model.states)
         mon = build_mc_monitor(expr, 0.06, "pointwise", seed=17)
-        assert isinstance(mon, DivisionMonitor)
-        assert [m._delta for m in mon._subs] == [pytest.approx(0.02)] * 2
-        assert [m._sources for m in mon._subs] == [["g"], ["gbar"]]
-        assert mon._parts[0] == Verdict(Interval(0.0, 0.0), 0.0)
+        assert len(mon._parts) == 3
+        subs = mon._parts[1:]
+        assert [m.delta for m in subs] == [pytest.approx(0.02)] * 2
+        assert [list(m.layout.targets) for m in subs] == [["g"], ["gbar"]]
+        assert mon._parts[0] == 0.0
+        assert mon.source.count("n0 += 1") == mon.source.count("n1 += 1") == 1
+        assert "n2" not in mon.source
 
-    def test_all_constant_parts_rejected(self):
-        parts = (parse("0.5", ALPHA), parse("1", ALPHA), parse("2", ALPHA))
-        with pytest.raises(ConfigError, match="transition variables"):
-            DivisionMonitor(parts, 0.05, "pointwise")
+    def test_constant_parts_leave_the_denominator_monitored(self):
+        # a normalized denominator is a monomial of transition variables, so
+        # a division never has only constant parts
+        mon = build_mc_monitor(parse("0.5 + 1 / T[1->2]", ALPHA), 0.05, "pointwise")
+        assert mon._parts[:2] == [0.5, 1.0]
+        assert list(mon._parts[2].layout.targets) == ["1"]
 
     @pytest.mark.parametrize("text", ["1e999 / T[1->3]", "1e300 * 1e300 / T[1->3]"])
     def test_infinite_constant_part_rejected_at_build(self, text):
@@ -310,7 +318,7 @@ class TestDivisionMonitor:
     def test_division_free_short_circuits(self):
         expr = parse("T[1->2] + T[1->3]", ALPHA)
         mon = build_mc_monitor(expr, 0.05, "pointwise", seed=18)
-        assert isinstance(mon, MCMonitorDivFree)
+        assert len(mon._parts) == 1 and mon._parts[0].delta == 0.05
 
     def test_inconclusive_until_all_parts_ready(self):
         model = lending_mc()
@@ -337,6 +345,22 @@ class TestDivisionMonitor:
         v = mon.feed([names[c] for c in simulate_states(model, 150_000, 1, seed=22)[0]])
         assert v.point == pytest.approx(0.8 / 0.6, abs=0.05)
         assert v.interval.contains(0.8 / 0.6)
+
+
+def test_ratio_step_is_one_function():
+    """The ratio's step looks its symbol up once for both parts and runs both
+    rounds and the fold inline: its only calls are the sampler, the
+    half-widths, the buffers' ``len`` and ``clear``, and the error and value
+    constructors."""
+    states = lending_mc().states
+    mon = build_mc_monitor(parse("T[gbar->gbary] / T[g->gy]", states), 0.05, "uniform",
+                           alphabet=states)
+    assert mon.source.count("codes[symbol]") == 1
+    assert mon.source.count("codes[") == 1
+    calls = {ast.unparse(node.func) for node in ast.walk(ast.parse(mon.source))
+             if isinstance(node, ast.Call)}
+    assert calls == {"extract", "halfwidth0", "halfwidth1", "len", "z0.clear", "z1.clear",
+                     "EventError", "Interval", "Verdict"}
 
 
 class TestStreamDeterminism:

@@ -508,19 +508,47 @@ class TestVerdictDigests:
         assert (digest.hexdigest(), missing) == self.NO_POINT_DIGESTS[(spec, mode, intersect)]
 
 
-def test_generated_step_tests_no_point_for_none(monkeypatch):
+def test_generated_step_tests_no_point_for_none():
     """A missing point is NaN inside the step, so the step of
     ``P[y | a] - P[y | b]``, whose leaf points are running means, makes no
     ``is None`` test."""
-    sources = []
-
-    def spy(source, *args):
-        sources.append(source)
-        return compile(source, *args)
-
-    monkeypatch.setattr(pomc, "compile", spy, raising=False)
     doc = parse_spec_file(TestVerdictDigests.SPECS["conditional"])
-    for alphabet in (doc.alphabet, None):
-        build_pomc_monitor(doc.expression, 0.05, "uniform", 35.0, alphabet=alphabet)
+    sources = [build_pomc_monitor(doc.expression, 0.05, "uniform", 35.0, alphabet=alphabet).source
+               for alphabet in (doc.alphabet, None)]
     assert len(sources) == 2
     assert not any("is None" in source for source in sources)
+
+
+# (spec, mode, intersect, alphabet) -> sha256 of the generated source, recorded
+# when the interval lines moved to fairmon.codegen, which the mc step shares
+SOURCE_DIGESTS = {
+    ("conditional", "pointwise", False, True):
+        "a00431f547d228e4195c6931dfa5bf3257cee6758e7b4ec3b5234bb098890bf3",
+    ("conditional", "uniform", False, True):
+        "8a9994bba4e2e57edfa87be9dca4a76b4b529823ecdf2b0944a29f715ff359e0",
+    ("conditional", "uniform", True, True):
+        "0f77c23255f611886af5f546301874bf6f6678f6aedaead98b20065498f22ae5",
+    ("conditional", "uniform", False, False):
+        "9fb4565e2ce4e6438c58c6e3026dfe1f70dda35577727657efa0f5bbae78ac6b",
+    ("mixed", "pointwise", False, True):
+        "24bf2ac2f646132567808043cbe6a767113541339f20cab18a7169bbd408e3ac",
+    ("mixed", "uniform", True, True):
+        "ac071c5f8c3fef5213f1b619308a41c42a654f5cbe1ddc3c1db4fbe15ad539df",
+    ("table", "pointwise", False, True):
+        "3b0aaea6e9e8db27625c047b038fc53338b84d6a377ca2b9101d5c41c37ecd91",
+    ("table", "uniform", False, True):
+        "0da9a871c9b1ba646192198076f5b445599d4176ba0dba2b45ca71bc9a32f444",
+    ("table", "uniform", True, True):
+        "9a3acb2534ba98f52b6fa0933a6c67803c8a1d18241671fd41182d69c31ad859",
+    ("table", "uniform", True, False):
+        "70c7a9621e57961cfc1c77e327caaaea1242f6c7ae76ca2e92c3c47369fbf607",
+}
+
+
+@pytest.mark.parametrize("key", sorted(SOURCE_DIGESTS))
+def test_generated_source_is_unchanged(key):
+    spec, mode, intersect, alphabet = key
+    doc = parse_spec_file(TestVerdictDigests.SPECS[spec])
+    mon = build_pomc_monitor(doc.expression, 0.05, mode, 35.0, intersect_verdicts=intersect,
+                             alphabet=doc.alphabet if alphabet else None)
+    assert hashlib.sha256(mon.source.encode()).hexdigest() == SOURCE_DIGESTS[key]

@@ -15,10 +15,10 @@ from scipy.sparse.csgraph import connected_components
 
 from fairmon.bounds import (ci_mc_pointwise, ci_mc_uniform, ci_pomc_pointwise,
                             ci_pomc_uniform, split_delta)
-from fairmon.errors import ModelError
+from fairmon.errors import EventError, ModelError
 from fairmon.intervals import UNBOUNDED, Interval, product, reciprocal
 from fairmon.markov import ObservationModel
-from fairmon.mc import MCMonitorDivFree, build_mc_monitor
+from fairmon.mc import MCMonitor, build_mc_monitor
 from fairmon.pomc import INCONCLUSIVE, Verdict, atom_window, build_pomc_monitor
 from fairmon.speclang import (Add, Atom, AtomDef, Const, Inv, Mul, SeqProb,
                               Sub, TransVar, assign_slots, bse_range,
@@ -90,7 +90,9 @@ def test_expr_range_encloses_every_round_outcome(e, stream, seed):
     enclosure = bse_range(e)
     assert enclosure.lo <= iv.lo and iv.hi <= enclosure.hi
 
-    mon = MCMonitorDivFree(e, 0.05, "pointwise", seed=seed)
+    # the reference's rounds, which test_mc_coded_engine_matches_dict_engine
+    # ties to the engine's bit for bit
+    mon = RefDivFree(e, 0.05, "pointwise", seed=seed)
     evaluate = mon._eval
     outcomes = []
 
@@ -101,8 +103,11 @@ def test_expr_range_encloses_every_round_outcome(e, stream, seed):
         return w
 
     mon._eval = recording_eval
-    mon.feed(stream)
-    assert len(outcomes) == mon.n_samples
+    for s in stream:
+        mon.next(s)
+    engine = build_mc_monitor(e, 0.05, "pointwise", seed=seed)
+    engine.feed(stream)
+    assert len(outcomes) == mon.n_samples == engine.n_samples
     assert all(iv.lo <= w <= iv.hi for w in outcomes), (iv, outcomes)
 
 
@@ -193,7 +198,7 @@ def test_interval_operations_enclose_sampled_points(a, b):
 
 
 def corners_reference(alo, ahi, blo, bhi):
-    """The corner rule as ``Interval.__mul__`` and ``DivisionMonitor._combine``
+    """The corner rule as ``Interval.__mul__`` and the ``mc`` division combine
     each wrote it before they shared ``product``."""
     def prod(a, b):
         if a == 0.0 or b == 0.0:
@@ -515,7 +520,11 @@ def _mc_lines(make_monitor, stream):
         v = mon.next(s)
         lo, hi = (None, None) if v.interval is None else (v.interval.lo, v.interval.hi)
         yield f"{t} {lo!r} {hi!r} {v.point!r} {v.kind}"
-    means = [m.mean for m in getattr(mon, "_subs", [mon])]
+    # the running mean of each part that runs rounds
+    if isinstance(mon, MCMonitor):
+        means = [mean for _, mean in mon._state()[1]]
+    else:
+        means = [m.mean for m in getattr(mon, "_subs", [mon])]
     yield f"{mon.n_samples} {means!r} {mon.peak_buffer} {mon.register_count()}"
 
 
@@ -541,6 +550,11 @@ ratio_pse = st.builds(lambda a, b, v: Add(a, Mul(b, Inv(v))),
 # needs, so its pool grows and the target order decides what u picks
 @example(Add(Sub(TransVar("1", "2"), TransVar("1", "3")),
              Mul(TransVar("2", "3"), TransVar("2", "4"))), list("12131412") * 30, 2, 0.05)
+# T[1->2] * T[1->3] / T[2->3] / T[2->4]: a round of the numerator reads two
+# slots of source 1, one of the denominator two slots of source 2, which has
+# two targets, and parts b and c each draw from a Philox stream of their own
+@example(Mul(Mul(Mul(TransVar("1", "2"), TransVar("1", "3")), Inv(TransVar("2", "3"))),
+             Inv(TransVar("2", "4"))), list("1231241213") * 30, 5, 0.05)
 def test_mc_coded_engine_matches_dict_engine(e, stream, seed, delta):
     """Every bit of every verdict, the round count, the running means, the
     buffer peak and the register count, in both modes, and the same exception
@@ -550,3 +564,35 @@ def test_mc_coded_engine_matches_dict_engine(e, stream, seed, delta):
         got = _lines(lambda: _mc_lines(lambda: build_mc_monitor(e, delta, mode, seed=seed),
                                        stream))
         assert got == expected, (pretty_print(e), mode)
+
+
+def _without_a_rejected_symbol(mon, stream, bad, at):
+    """Verdict lines of ``stream`` with ``bad`` fed before event ``at`` and its
+    ``EventError`` caught."""
+    for t, s in enumerate(stream, start=1):
+        if t == at:
+            with pytest.raises(EventError):
+                mon.next(bad)
+        v = mon.next(s)
+        lo, hi = (None, None) if v.interval is None else (v.interval.lo, v.interval.hi)
+        yield f"{t} {lo!r} {hi!r} {v.point!r} {v.kind}"
+
+
+@PROPERTY
+@given(st.one_of(division_free_pse, ratio_pse, pomc_exprs(3)),
+       st.lists(st.sampled_from(STATES), min_size=2, max_size=200), st.data())
+def test_rejected_symbol_moves_no_state(e, stream, data):
+    """A symbol outside the alphabet, rejected anywhere in the stream, leaves
+    every later verdict of either engine as it would be without it."""
+    at = data.draw(st.integers(min_value=1, max_value=len(stream)))
+    if leaves(e) and isinstance(leaves(e)[0], TransVar):
+        def build():
+            return build_mc_monitor(e, 0.05, "uniform", seed=at, alphabet=STATES)
+    else:
+        stream = ["abc"[int(s) % 3] for s in stream]
+
+        def build():
+            return build_pomc_monitor(e, 0.05, "uniform", 1.0, alphabet=POMC_ALPHA)
+    expected = _lines(lambda: _without_a_rejected_symbol(build(), stream, None, 0))
+    got = _lines(lambda: _without_a_rejected_symbol(build(), stream, "zzz", at))
+    assert got == expected, pretty_print(e)
