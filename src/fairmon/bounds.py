@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
+import numpy as np
+
 from .errors import ConfigError
 from .intervals import Interval
 from .speclang.ast import (ARITHMETIC, Atom, Const, Expr, Inv, SeqProb,
@@ -51,9 +53,9 @@ def pomc_log_source(delta: float, uniform: bool, key: str) -> Tuple[str, dict]:
     (3 delta)) uniform or ln(2/delta) pointwise, as Python source over ``t``
     and the names bound in the returned dict, which end in ``key``.
 
-    Each form is written once, here, for :func:`pomc_halfwidth` and for the
-    generated step of :mod:`fairmon.pomc`, which computes each share's log
-    term once per event.
+    Each form is written once, here, for :func:`pomc_halfwidth`, for
+    :func:`pomc_halfwidth_table` and for the generated step of
+    :mod:`fairmon.pomc`, which computes each share's log term once per event.
     """
     check_delta(delta)
     if uniform:
@@ -105,6 +107,32 @@ def pomc_halfwidth(delta: float, n: int, a: float, b: float, tau_mix: float,
     log_term, names = pomc_log_source(delta, uniform, "")
     width, more = pomc_halfwidth_source(n, a, b, tau_mix, log_term, "")
     return eval(_compiled(f"lambda t: {width}"), {**names, **more})
+
+
+def _log_each(x: np.ndarray) -> np.ndarray:
+    """``math.log`` of each element: numpy's log may differ from libm's in the last bit."""
+    return np.fromiter(map(math.log, x), float, len(x))
+
+
+def pomc_halfwidth_table(delta: float, n: int, a: float, b: float, tau_mix: float,
+                         uniform: bool, horizon: int) -> np.ndarray:
+    """``eps[t]`` for t = 0..horizon, NaN below n, equal to
+    ``pomc_halfwidth(delta, n, a, b, tau_mix, uniform)(t)`` bit for bit.
+
+    It evaluates the same source over an int64 array of t, with ``np.sqrt``
+    (correctly rounded, as ``math.sqrt`` is) and ``math.log`` per element.
+    The source squares t - (n - 1) as an integer, so a horizon above about
+    3e9 would overflow int64 and is rejected.
+    """
+    log_term, names = pomc_log_source(delta, uniform, "")
+    width, more = pomc_halfwidth_source(n, a, b, tau_mix, log_term, "")
+    if max(horizon * n * n, (horizon - n + 1) ** 2) >= 2 ** 63:
+        raise ConfigError(f"horizon {horizon} is too long for a half-width table")
+    eps = np.full(horizon + 1, np.nan)
+    t = np.arange(n, horizon + 1, dtype=np.int64)
+    eps[n:] = eval(_compiled(width), {**names, **more, "log": _log_each,
+                                      "sqrt": np.sqrt, "t": t})
+    return eps
 
 
 def ci_pomc_pointwise(delta: float, t: int, n: int, a: float, b: float,

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..bounds import (baseline_union_interval, ci_mc_pointwise, ci_mc_uniform,
                       ci_pomc_pointwise, ci_pomc_uniform, naive_uniform_lift,
-                      pomc_halfwidth, split_delta)
+                      pomc_halfwidth_table, split_delta)
 from ..errors import ConfigError
 from ..intervals import Interval
 from ..markov import (ObservationModel, mixing_time_bound, simulate,
@@ -122,12 +122,9 @@ class PomcSeriesEvaluator:
         for leaf, share in zip(atoms, shares):
             fn, n, low, high = atom_window(leaf)
             if (share, n, low, high) not in tables:
-                pair = tables[share, n, low, high] = (np.full(horizon + 1, np.nan),
-                                                      np.full(horizon + 1, np.nan))
-                for eps, uniform in zip(pair, (False, True)):
-                    halfwidth = pomc_halfwidth(share, n, low, high, tau_mix, uniform)
-                    for t in range(n, horizon + 1):
-                        eps[t] = halfwidth(t)
+                tables[share, n, low, high] = tuple(
+                    pomc_halfwidth_table(share, n, low, high, tau_mix, uniform, horizon)
+                    for uniform in (False, True))
             values = np.array([fn(w) for w in itertools.product(self.alphabet, repeat=n)],
                               dtype=float)
             self._atoms.append((values, tables[share, n, low, high], n, low, high))
@@ -208,6 +205,8 @@ def run_coverage(model: ObservationModel, expr: Expr, engine: str, runs: int,
     plus two coverage counts: how many runs contain the truth at the final
     time (pointwise monitors) and at every emitted time (uniform monitors).
     """
+    if runs < 1:
+        raise ConfigError(f"a coverage study needs at least one run, got runs={runs}")
     truth = truth_value(model, expr)
     checkpoints = list(checkpoints or _default_checkpoints(horizon))
     if not all(1 <= t <= horizon for t in checkpoints):
@@ -406,6 +405,8 @@ def timing_table(entries=None, events: int = 1_000_000, seed: int = 0,
     spans expression sizes 1, 5 and 19.
     """
     from ..speclang.parser import parse
+    if events < 1:
+        raise ConfigError(f"timing needs at least one event, got events={events}")
     if entries is None:
         lend = models.lending_mc()
         adm5 = models.admission_mc(levels=2)
@@ -510,8 +511,6 @@ def run_named_experiment(name: str, seed: int, out_dir, **overrides) -> Dict:
                               f"got {value!r}") from None
 
     t0 = time.perf_counter()
-    target = Path(out_dir) / name
-    target.mkdir(parents=True, exist_ok=True)
     report: Dict = {}
     params: Dict = {"seed": seed}
 
@@ -557,6 +556,8 @@ def run_named_experiment(name: str, seed: int, out_dir, **overrides) -> Dict:
     manifest = {"name": name, "seed": seed, "params": params,
                 "wall_clock_s": wall,
                 "per_step_s": wall / max(1, params.get("horizon", 1))}
+    target = Path(out_dir) / name
+    target.mkdir(parents=True, exist_ok=True)
     (target / "report.json").write_text(json.dumps(report, indent=2, default=float))
     _write_csv(target / "series.csv", series)
     (target / "manifest.json").write_text(json.dumps(manifest, indent=2))

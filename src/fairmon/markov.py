@@ -3,18 +3,28 @@
 Provides model validation, stream simulation, the stationary distribution,
 numerical mixing-time bounds, and exact model-based evaluation of
 specifications, which serves as the ground-truth oracle for the monitors.
+
+Simulation is inverse-CDF sampling: a state s moves to
+``bisect_right(cumsum(row s)[:-1], u)`` for a uniform u.  For a small or
+many-run study the sampler gives exactly those states without a search per
+step: it ranks each uniform among the breakpoints of all rows, looks the
+successor up in a (rank, state) table, and for few runs composes the
+table's maps over segments of a block in numpy.  Few runs of a wide chain
+keep the search per step, which is faster there (see ``_sample``).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Tuple
+from itertools import chain
+from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
-from .errors import EvaluationError, ModelError
+from .errors import ConfigError, EvaluationError, ModelError
 from .speclang.ast import (ARITHMETIC, Atom, Const, Expr, Inv, SeqProb,
                            TransVar, const_value, fold, reject)
 
@@ -59,7 +69,8 @@ class ObservationModel:
             raise ModelError("states must be non-empty and distinct")
         if m.shape != (k, k):
             raise ModelError(f"transition matrix must be {k}x{k}, got {m.shape}")
-        if np.any(m < -1e-15) or np.any(m > 1.0 + 1e-12):
+        # written so that NaN fails the checks
+        if not np.all((m >= -1e-15) & (m <= 1.0 + 1e-12)):
             raise ModelError("transition entries must lie in [0, 1]")
         rows = m.sum(axis=1)
         if np.any(np.abs(rows - 1.0) > _ROW_TOL):
@@ -67,7 +78,7 @@ class ObservationModel:
             raise ModelError(f"row {self.states[bad]!r} sums to {rows[bad]!r}, not 1")
         if lam.shape != (k,):
             raise ModelError("initial distribution has the wrong length")
-        if np.any(lam < -1e-15) or abs(lam.sum() - 1.0) > _ROW_TOL:
+        if not (np.all(lam >= -1e-15) and abs(lam.sum() - 1.0) <= _ROW_TOL):
             raise ModelError("initial distribution must be a probability vector")
         missing = [s for s in self.states if s not in self.labels]
         if missing:
@@ -222,42 +233,140 @@ def _start_distribution(model: ObservationModel, start: str) -> np.ndarray:
     raise ModelError(f"unknown start mode {start!r} (use 'initial' or 'stationary')")
 
 
-def _sample(model: ObservationModel, steps: int, runs: int, seed: int,
-            start: str) -> Iterator[List[List[int]]]:
-    """Yield ``runs`` inverse-CDF trajectories in blocks, a state list per run;
-    uniforms are drawn step-major, after one per run for the start state."""
-    cum0 = np.cumsum(_start_distribution(model, start))[:-1].tolist()
-    rows = np.cumsum(model.transitions, axis=1)[:, :-1].tolist()  # u past all: last state
-    rng = np.random.default_rng(seed)
-    states = [bisect_right(cum0, u) for u in rng.random(runs).tolist()]
-    k = max(1, _BLOCK // max(runs, 1))
-    for t in range(0, steps, k):
-        block = rng.random((min(k, steps - t), runs)).T.tolist()
+def _check_sizes(**sizes: int):
+    for name, value in sizes.items():
+        if value < 0:
+            raise ConfigError(f"{name} must be nonnegative, got {value}")
+
+
+def _walk(rows: np.ndarray, state: np.ndarray, draws) -> Iterator[np.ndarray]:
+    """One ``bisect_right`` per uniform, run by run: fastest for few runs of a
+    wide chain, whose table would be large."""
+    rows, state = rows.tolist(), state.tolist()
+    for u in draws:
+        block = u.T.tolist()
         for r, path in enumerate(block):
-            s = states[r]
-            for i, u in enumerate(path):
-                path[i], s = s, bisect_right(rows[s], u)
-            states[r] = s
-        yield block
+            s = state[r]
+            for i, x in enumerate(path):
+                path[i], s = s, bisect_right(rows[s], x)
+            state[r] = s
+        yield np.array(block, dtype=np.int64).reshape(u.shape[::-1])
+
+
+def _gather(table: np.ndarray, n: int, state: np.ndarray, ranks) -> Iterator[np.ndarray]:
+    """One ``take`` in the table per step, over all runs: fastest for many runs."""
+    for rank in ranks:
+        rank *= n
+        path = np.empty(rank.shape, dtype=np.int64)
+        for i in range(len(rank)):
+            path[i] = state
+            state = table.take(rank[i] + state)
+        yield path.T
+
+
+def _compose(table: np.ndarray, n: int, state: np.ndarray, ranks) -> Iterator[np.ndarray]:
+    """Segment maps composed over all start states: fastest for few runs of a
+    small chain.  A block of width steps is cut into segments of about
+    sqrt(width) steps; one ``take`` per step composes every segment's map,
+    one gather per segment walks the runs from segment start to segment
+    start, and one gather fills the segments in."""
+    span = len(table) // n - 1  # the identity rank, which pads the last segment
+    runs = len(state)
+    base = np.arange(runs) * n  # run r in state s is r * n + s, its map entry's index
+    for rank in ranks:
+        width = len(rank)
+        seg = math.isqrt(width)
+        count = -(-width // seg)
+        padded = np.full((count, seg, runs), span)
+        padded.reshape(count * seg, runs)[:width] = rank
+        padded *= n
+        # maps[i, j, r, s]: run r's state i steps into segment j from state s
+        maps = np.empty((seg, count, runs, n), dtype=np.int64)
+        maps[0] = np.arange(n)
+        for i in range(1, seg):
+            table.take(padded[:, i - 1, :, None] + maps[i - 1], out=maps[i])
+        ends = (table.take(padded[:, -1, :, None] + maps[-1]) + base[:, None]).reshape(count, -1)
+        starts = np.empty((count, runs), dtype=np.int64)
+        at = base + state
+        for j in range(count):
+            starts[j] = at
+            at = ends[j].take(at)
+        state = at - base
+        starts += np.arange(count)[:, None] * (runs * n)  # segment j's maps start there
+        path = maps.reshape(seg, -1).take(starts, axis=1)
+        yield path.transpose(2, 1, 0).reshape(runs, count * seg)[:, :width]
+
+
+def _core(n: int, runs: int, span: int):
+    """The core that was fastest where timed across 7-1024 states and 1-1000
+    runs (see CHANGES.md).  The walk costs 0.12-0.3 us per uniform; a
+    gather step costs about 1 us over all runs, plus more once the table
+    outgrows the cache; composing costs 3-14 ns per state per uniform."""
+    if n <= 12 and n * runs <= 192:
+        return _compose
+    if runs >= 12 and span * n <= 64 * _BLOCK:
+        return _gather
+    return _walk
+
+
+def _sample(model: ObservationModel, steps: int, runs: int, seed: int,
+            start: str) -> Iterator[np.ndarray]:
+    """Yield ``runs`` inverse-CDF trajectories in blocks of shape (runs, width).
+
+    Each run moves from state s to ``bisect_right(cumsum(row s)[:-1], u)``
+    for a uniform u.  The draws are one uniform per run for the start state,
+    then step-major blocks of about ``_BLOCK`` uniforms.  A uniform's rank,
+    the number of the rows' distinct breakpoints ("cuts") at or below it,
+    fixes that successor for every state at once, so a (rank, state) table
+    built with one search per row replaces the search per step in
+    ``_gather`` and ``_compose``; ``_walk`` searches per step.  Every core
+    gives the same states, and ``_core`` picks the fastest.
+    """
+    cum0 = np.cumsum(_start_distribution(model, start))[:-1].tolist()
+    n = model.n_states
+    rows = np.cumsum(model.transitions, axis=1)[:, :-1]  # u past all: last state
+    cuts = np.sort(rows, axis=None)  # np.unique would import numpy.ma
+    distinct = np.ones(len(cuts), dtype=bool)
+    distinct[1:] = cuts[1:] != cuts[:-1]
+    cuts = cuts[distinct]
+    span = len(cuts) + 1  # ranks run from 0 to len(cuts)
+    rng = np.random.default_rng(seed)
+    state = np.array([bisect_right(cum0, u) for u in rng.random(runs).tolist()],
+                     dtype=np.int64)
+    per_block = max(1, _BLOCK // max(runs, 1))
+    draws = (rng.random((min(per_block, steps - t), runs)) for t in range(0, steps, per_block))
+    core = _core(n, runs, span)
+    if core is _walk:
+        yield from _walk(rows, state, draws)
+        return
+    # table[rank * n + s] = bisect_right(rows[s], u) for any u of that rank;
+    # rank 0 lies below every cut, and the last rank, one past them, is the identity
+    table = np.zeros((span + 1, n), dtype=np.int64)
+    for s in range(n):
+        table[1:span, s] = np.searchsorted(rows[s], cuts, side="right")
+    table[span] = np.arange(n)
+    ranks = (np.searchsorted(cuts, u, side="right") for u in draws)
+    yield from core(table.ravel(), n, state, ranks)
 
 
 def simulate(model: ObservationModel, steps: int, seed: int,
              start: str = "initial") -> Iterator[str]:
     """Lazily yield the observation sequence of one sampled trajectory."""
+    _check_sizes(steps=steps)
     labels = [model.labels[s] for s in model.states]
-    for (path,) in _sample(model, steps, 1, seed, start):
-        yield from map(labels.__getitem__, path)
+    return chain.from_iterable(map(labels.__getitem__, block[0].tolist())
+                               for block in _sample(model, steps, 1, seed, start))
 
 
 def simulate_states(model: ObservationModel, steps: int, runs: int, seed: int,
                     start: str = "initial") -> np.ndarray:
     """State-index trajectories for several runs at once, shape (runs, steps)."""
+    _check_sizes(steps=steps, runs=runs)
     out = np.empty((runs, steps), dtype=np.int64)
     t = 0
     for block in _sample(model, steps, runs, seed, start):
-        block = np.array(block, dtype=np.int64)
-        out[:, t:t + block.shape[-1]] = block
-        t += block.shape[-1]
+        out[:, t:t + block.shape[1]] = block
+        t += block.shape[1]
     return out
 
 

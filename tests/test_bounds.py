@@ -1,4 +1,5 @@
 import math
+import struct
 
 import pytest
 
@@ -6,7 +7,7 @@ from fairmon.bounds import (DeltaBudget, baseline_union_interval,
                             ci_mc_pointwise, ci_mc_uniform,
                             ci_pomc_pointwise, ci_pomc_uniform,
                             mc_halfwidth, naive_uniform_lift, pomc_halfwidth,
-                            split_delta)
+                            pomc_halfwidth_table, split_delta)
 from fairmon.errors import ConfigError
 from fairmon.intervals import Interval
 from fairmon.speclang import parse
@@ -115,6 +116,50 @@ class TestPomcBounds:
             ci(0.05, 10, 1, 0.0, 1.0, math.nan)  # tau
         with pytest.raises(ConfigError):
             ci(0.05, 10, 1, 0.0, math.nan, 1.0)  # range
+
+
+class TestHalfwidthTable:
+    """``pomc_halfwidth_table`` evaluates the half-width source over a t array;
+    every entry must be the per-t function's value, bit for bit."""
+
+    @staticmethod
+    def packed(values):
+        return [struct.pack("<d", v) for v in values]
+
+    @pytest.mark.parametrize("uniform", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_t_matches_the_function(self, n, uniform):
+        for d in [0.0125, 0.05 / 3]:
+            for a, b in [(0.0, 1.0), (-40.0, 60.0), (0.3, 0.3), (0.0, math.inf)]:
+                for tau in [1.0, 7.45, 35.0]:
+                    table = pomc_halfwidth_table(d, n, a, b, tau, uniform, 5000)
+                    halfwidth = pomc_halfwidth(d, n, a, b, tau, uniform)
+                    assert len(table) == 5001
+                    assert all(math.isnan(v) for v in table[:n])
+                    assert self.packed(table[n:]) == self.packed(
+                        halfwidth(t) for t in range(n, 5001))
+
+    def test_spot_checks_up_to_a_million(self):
+        for uniform in [False, True]:
+            table = pomc_halfwidth_table(0.0125, 2, 0.0, 1.0, 7.45, uniform, 10**6)
+            halfwidth = pomc_halfwidth(0.0125, 2, 0.0, 1.0, 7.45, uniform)
+            ts = list(range(2, 10**6 + 1, 9973)) + [10**6 - 1, 10**6]
+            assert self.packed(table[ts]) == self.packed(halfwidth(t) for t in ts)
+
+    def test_short_horizon_is_all_nan(self):
+        assert [math.isnan(v) for v in pomc_halfwidth_table(0.05, 3, 0, 1, 1.0, True, 2)] == \
+            [True, True, True]
+
+    def test_checks_as_the_function_does(self):
+        for args in [(0.0, 1, 0, 1, 1), (0.05, 0, 0, 1, 1), (0.05, 1, 1, 0, 1),
+                     (0.05, 1, 0, 1, 0.5)]:
+            with pytest.raises(ConfigError):
+                pomc_halfwidth_table(*args, True, 100)
+
+    def test_horizon_that_overflows_int64_rejected(self):
+        # (t - (n - 1)) ** 2 is computed in int64; 3.1e9 squared exceeds 2**63
+        with pytest.raises(ConfigError, match="horizon"):
+            pomc_halfwidth_table(0.05, 1, 0.0, 1.0, 1.0, False, 3_100_000_000)
 
 
 class TestMcBounds:

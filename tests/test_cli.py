@@ -765,6 +765,18 @@ class TestExperimentCommand:
         assert "bogus" in err and "runs, horizon, delta" in err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("name, override, word", [
+        ("lending-pomc", "runs=-1", "runs"), ("lending-mc", "runs=-2", "runs"),
+        ("hypercube", "runs=0", "runs"), ("table1-timing", "events=0", "events"),
+        ("table1-timing", "events=-5", "events")])
+    def test_bad_size_exits_2(self, capsys, tmp_path, name, override, word):
+        code, out, err = run_cli(capsys, "experiment", "--name", name,
+                                 "--out-dir", str(tmp_path), "--set", override)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and word in err
+        assert not any(tmp_path.iterdir())
+
 
 class TestUniformMode:
     def test_uniform_intervals_wider_than_pointwise(self, capsys, lending_files, tmp_path):

@@ -1,9 +1,14 @@
+import hashlib
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fairmon.errors import EvaluationError, ModelError
+from fairmon import markov
+from fairmon.errors import ConfigError, EvaluationError, ModelError
 from fairmon.markov import (ObservationModel, mixing_time_bound, simulate,
                             simulate_states, stationary_distribution,
                             truth_value, truth_value_bse, truth_value_pse)
@@ -32,6 +37,13 @@ class TestValidation:
     def test_initial_must_be_distribution(self):
         with pytest.raises(ModelError):
             chain([[0.5, 0.5], [0.5, 0.5]], initial=[0.7, 0.7])
+
+    @pytest.mark.parametrize("transitions, initial", [
+        ([[math.nan, 1.0], [0.5, 0.5]], [1.0, 0.0]),
+        ([[0.5, 0.5], [0.5, 0.5]], [math.nan, 1.0])])
+    def test_nan_entries_rejected(self, transitions, initial):
+        with pytest.raises(ModelError):
+            chain(transitions, initial=initial)
 
     def test_labeling_must_be_total(self):
         with pytest.raises(ModelError):
@@ -195,6 +207,128 @@ class TestSimulation:
         assert states[4090:4102].tolist() == [5, 0, 4, 6, 0, 2, 5, 0, 3, 6, 0, 3]
         labels = [model.labels[model.states[s]] for s in states]
         assert list(simulate(model, 10_000, seed=9, start=start)) == labels
+
+
+def reference_states(model, steps, runs, seed, start="initial"):
+    """The per-step bisect walk the sampler reproduces: one uniform per run for
+    the start state, then step-major uniforms, drawn here in one call (PCG64
+    gives the same numbers however the draws are chunked)."""
+    lam = model.initial if start == "initial" else stationary_distribution(model).pi
+    cum0 = np.cumsum(lam)[:-1].tolist()
+    rows = np.cumsum(model.transitions, axis=1)[:, :-1].tolist()
+    rng = np.random.default_rng(seed)
+    state = [bisect_right(cum0, u) for u in rng.random(runs).tolist()]
+    us = rng.random((steps, runs)).T.tolist()
+    out = np.empty((runs, steps), dtype=np.int64)
+    for r in range(runs):
+        s = state[r]
+        for i, u in enumerate(us[r]):
+            out[r, i] = s
+            s = bisect_right(rows[s], u)
+    return out
+
+
+@st.composite
+def sparse_chains(draw):
+    """Row-stochastic chains of 1-12 states with zero entries, repeated
+    breakpoints, and rows whose float cumsum may end below 1.0."""
+    k = draw(st.integers(min_value=1, max_value=12))
+    weights = np.array(draw(st.lists(st.lists(st.sampled_from([0, 0, 1, 1, 2, 7]),
+                                              min_size=k, max_size=k),
+                                     min_size=k, max_size=k)), dtype=float)
+    weights[weights.sum(axis=1) == 0, 0] = 1.0
+    if draw(st.booleans()):
+        weights[0] = 1.0  # a row of k equal shares: its cumsum ends below 1.0 for k = 10
+    states = tuple(str(i) for i in range(k))
+    initial = weights[-1] / weights[-1].sum()
+    return ObservationModel(states, weights / weights.sum(axis=1, keepdims=True),
+                            initial, {s: s for s in states})
+
+
+class TestSamplerBits:
+    # sha256 of every shape below, both starts and two seeds, recorded with the
+    # per-step bisect walk the sampler replaced
+    DIGESTS = {
+        "lending_pomc": "c9fc8754d9f253c63195abbcbd37fa043aaab276b2348923acc38bfaf59867e1",
+        "lending_mc": "a17c0be62c87a7bd0a1113e09d5d79bd523f8677dd2bfc5b119bfa72030bab23",
+        "admission_mc": "75a83b9f84cde55e5a4860b97336c1a4cb08ef91023e920770d73b341e4b714e",
+        "hypercube_pomc": "e9f09bc07b15b022fedd487fd3ac1a8780a1b21a4a31690de5bc5925e3e76baf",
+    }
+    MODELS = {"lending_pomc": lending_pomc, "lending_mc": lending_mc,
+              "admission_mc": lambda: admission_mc(9), "hypercube_pomc": lambda: hypercube_pomc(3)}
+    SHAPES = [(0, 3), (1, 1), (7, 3), (4097, 1), (10000, 25), (3000, 200), (500, 5000)]
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_pinned_digest(self, name):
+        model = self.MODELS[name]()
+        h = hashlib.sha256()
+        for start in ("initial", "stationary"):
+            for seed in (3, 2026):
+                for steps, runs in self.SHAPES:
+                    states = simulate_states(model, steps, runs, seed, start=start)
+                    h.update(f"{states.shape}{states.dtype}".encode())
+                    h.update(states.tobytes())
+                    h.update("\n".join(simulate(model, steps, seed, start=start)).encode())
+        assert h.hexdigest() == self.DIGESTS[name]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(sparse_chains(), st.sampled_from([0, 1, 2, 3, 5, 25, 60, 129, 4095, 4096, 4097]),
+           st.integers(min_value=0, max_value=9000), st.integers(min_value=0, max_value=2**32))
+    def test_matches_the_bisect_walk(self, model, runs, steps, seed):
+        steps = min(steps, 20_000 // max(runs, 1))  # straddles _BLOCK for few runs
+        assert np.array_equal(simulate_states(model, steps, runs, seed),
+                              reference_states(model, steps, runs, seed))
+
+    @pytest.mark.parametrize("core", ["_walk", "_gather", "_compose"])
+    @pytest.mark.parametrize("runs", [0, 1, 3, 40])
+    def test_every_core_gives_the_walk(self, monkeypatch, core, runs):
+        # each core on its own, whichever one _core would pick, on a dense
+        # 70-state chain: 70 * 69 distinct breakpoints, more than _BLOCK
+        k = 70
+        m = np.random.default_rng(4).random((k, k))
+        states = tuple(str(i) for i in range(k))
+        model = ObservationModel(states, m / m.sum(axis=1, keepdims=True),
+                                 np.full(k, 1.0 / k), {s: s for s in states})
+        assert k * (k - 1) > markov._BLOCK
+        monkeypatch.setattr(markov, "_core", lambda n, runs, span: getattr(markov, core))
+        assert np.array_equal(simulate_states(model, 5000, runs, 8),
+                              reference_states(model, 5000, runs, 8))
+
+    @pytest.mark.parametrize("runs", [1, 2, 700])
+    def test_uniform_on_a_breakpoint(self, monkeypatch, runs):
+        # a uniform equal to a breakpoint moves past it, as bisect_right does;
+        # random draws almost never land there, so these are fed in directly
+        make = np.random.default_rng
+        pool = np.array([0.0, 0.25, 0.5, 0.75, 0.5, 0.25 - 2**-54, 0.75, 0.25])
+
+        class Fixed:  # every third draw, counted across calls, from the pool
+            def __init__(self, seed):
+                self.rng, self.drawn = make(seed), 0
+
+            def random(self, size):
+                u = self.rng.random(size)
+                at = self.drawn + np.arange(u.size)
+                self.drawn += u.size
+                return np.where(at % 3 == 0, pool[at // 3 % 8], u.ravel()).reshape(u.shape)
+
+        model = chain([[0.25, 0.25, 0.25, 0.25], [0.5, 0.0, 0.0, 0.5],
+                       [0.0, 0.75, 0.0, 0.25], [0.25, 0.0, 0.5, 0.25]])
+        expect = reference_states(model, 9000 // runs, runs, 5)
+        monkeypatch.setattr(np.random, "default_rng", Fixed)
+        fixed = reference_states(model, 9000 // runs, runs, 5)
+        assert not np.array_equal(fixed, expect)
+        assert np.array_equal(simulate_states(model, 9000 // runs, runs, 5), fixed)
+
+    def test_negative_sizes_rejected_at_the_call(self):
+        model = lending_pomc()
+        with pytest.raises(ConfigError, match="steps"):
+            simulate(model, -5, 0)  # not only when iterated
+        with pytest.raises(ConfigError, match="steps"):
+            simulate_states(model, -1, 3, 0)
+        with pytest.raises(ConfigError, match="runs"):
+            simulate_states(model, 10, -2, 0)
+        assert simulate_states(model, 10, 0, 0).shape == (0, 10)
+        assert simulate_states(model, 0, 4, 0).shape == (4, 0)
 
 
 class TestOracles:
