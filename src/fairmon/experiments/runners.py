@@ -1,20 +1,23 @@
 """Experiment drivers: coverage studies, bound comparisons, timing, soak.
 
 A coverage study simulates every run up front, then one loop per run asks the
-engine for its pointwise verdicts and whether its uniform verdicts all held,
-and folds them into the per-checkpoint envelope and the coverage counts.
+engine for its pointwise intervals and points at the stops (the checkpoints
+and the horizon) and whether its uniform verdicts all held, and folds them
+into the per-checkpoint envelope and the coverage counts.  Both engines'
+per-run steps return the stop values as ``{stop: value}`` maps.
 
 Over partially observed models the verdicts come from a vectorized
 re-implementation of the windowed monitors, which keeps hundred-run studies
 at interactive speed.  One evaluator pass per run serves both modes: each
-atom's window values and means, and the point series, are computed once;
-only the intervals are computed once per mode.  Its point estimates divide
-cumulative sums where the streaming monitors keep a running mean, so the two
-agree to rounding, not bit for bit; recorded coverage reports pin this
-arithmetic, so it stays.  Fully observed monitors are sequential
-(reshuffling draws), so each run streams through the real uniform monitor:
-its verdicts give the uniform count, and its running mean and sample count
-give the pointwise interval.
+atom's window values and means are computed once over every t; the points
+and the pointwise intervals are folded at the stops alone, and only the
+uniform intervals, which the study checks at every emitted t, over every t.
+Its point estimates divide cumulative sums where the streaming monitors keep
+a running mean, so the two agree to rounding, not bit for bit; recorded
+coverage reports pin this arithmetic, so it stays.  Fully observed monitors
+are sequential (reshuffling draws), so each run streams through the real
+uniform monitor: its verdicts give the uniform count, and its running mean
+and sample count at each stop give the pointwise interval.
 """
 
 from __future__ import annotations
@@ -99,71 +102,92 @@ _POINTS = {
 
 
 class PomcSeriesEvaluator:
-    """Per-run composite-interval series for a windowed expression, both modes.
+    """Per-run composite intervals of a windowed expression: the pointwise
+    intervals and the points at a few stops, the uniform intervals at every t.
 
     Each atom's window function is tabulated once on every word of its arity,
     indexed by the word read as a base-|O| number (first symbol most
-    significant), so a run reads its window values with one gather.  The
-    half-width arrays depend only on time, so they are computed once per
-    mode and shared across runs; each run then costs one cumulative sum per
-    atom, shared by both modes.
+    significant), so a run reads its window values with one gather of one
+    word array per arity.  The half-widths and the window counts depend only
+    on time, so they are computed once and shared across runs.  Each run
+    costs one cumulative sum per atom over every t; the points and the
+    pointwise intervals are then folded over the stops alone, and only the
+    uniform intervals over every t.  Elementwise operations give the same
+    bits on a subset as on the whole array, so the values at the stops are
+    those of a fold over every t.
     """
 
     def __init__(self, expr: Expr, alphabet: Sequence[str], horizon: int,
-                 delta: float, tau_mix: float):
+                 delta: float, tau_mix: float, stops: Sequence[int]):
+        if not all(0 <= t <= horizon for t in stops):
+            raise ConfigError(f"stops must lie in [0, {horizon}]")
         self.expr = expr
         self.alphabet = tuple(alphabet)
+        self.horizon = horizon
         self.root_range = bse_range(expr)
+        self.stops = np.array(stops, dtype=np.int64)
         atoms = leaves(expr)
         shares = split_delta(delta, expr).shares() if atoms else []
-        self._atoms: List[Tuple[np.ndarray, Tuple[np.ndarray, ...], int, float, float]] = []
+        # (values, n, low, high, pointwise eps at the stops, uniform eps at every t)
+        self._atoms: List[Tuple[np.ndarray, int, float, float, np.ndarray, np.ndarray]] = []
         # one pair (pointwise, uniform) per distinct (share, n, low, high)
-        tables: Dict[Tuple, Tuple[np.ndarray, ...]] = {}
+        tables: Dict[Tuple, Tuple[np.ndarray, np.ndarray]] = {}
         for leaf, share in zip(atoms, shares):
             fn, n, low, high = atom_window(leaf)
-            if (share, n, low, high) not in tables:
-                tables[share, n, low, high] = tuple(
+            key = (share, n, low, high)
+            if key not in tables:
+                pointwise, uniform = (
                     pomc_halfwidth_table(share, n, low, high, tau_mix, uniform, horizon)
                     for uniform in (False, True))
+                tables[key] = pointwise[self.stops], uniform
             values = np.array([fn(w) for w in itertools.product(self.alphabet, repeat=n)],
                               dtype=float)
-            self._atoms.append((values, tables[share, n, low, high], n, low, high))
-        self.warmup = max((a[2] for a in self._atoms), default=1)
+            self._atoms.append((values, n, low, high, *tables[key]))
+        # window count t - (n - 1) at t = n..horizon, per arity
+        self._counts = {n: np.arange(1.0, horizon - n + 2) for _, n, *_ in self._atoms}
+        self.warmup = max(self._counts, default=1)
 
     def run(self, codes: np.ndarray):
-        """Return the pointwise and the uniform (lo, hi, point) arrays, indexed
-        by t = 1..horizon (index 0 unused); the two share their point array."""
+        """Return the pointwise ``(lo, hi, point)`` arrays aligned with the
+        stops and the uniform ``(lo, hi)`` arrays indexed by t = 0..horizon,
+        for ``codes`` of length horizon; a value before its atoms' windows
+        fill is NaN."""
         t_len = codes.shape[0]
+        if t_len != self.horizon:
+            raise ConfigError(f"need {self.horizon} codes, got {t_len}")
         base = len(self.alphabet)
-        ts = np.arange(t_len + 1, dtype=float)
-        means = []
-        for values, _, n, _, _ in self._atoms:
+        words = {}
+        for n in self._counts:
             windows = t_len - n + 1
             word = codes[:windows]
             for off in range(1, n):
                 word = word * base + codes[off:windows + off]
+            words[n] = word
+        at = self.stops
+        means, pointwise, uniform = [], [], []
+        for values, n, low, high, eps_at, eps in self._atoms:
             m = np.full(t_len + 1, np.nan)
-            m[n:] = np.cumsum(values[word]) / np.maximum(ts[n:] - (n - 1), 1.0)
+            m[n:] = np.cumsum(values[words[n]]) / self._counts[n]
+            uniform.append((np.maximum(m - eps, low), np.minimum(m + eps, high)))
+            m = m[at]
             means.append(m)
+            pointwise.append((np.maximum(m - eps_at, low), np.minimum(m + eps_at, high)))
 
         def fold_series(algebra, leaf_series, const):
             nxt = iter(leaf_series).__next__
             return fold(self.expr, {**algebra, Const: const,
                                     Atom: lambda _: nxt(), SeqProb: lambda _: nxt()})
 
-        def full(node):
-            return np.full(t_len + 1, node.value)
+        def clip(bounds):
+            lo, hi = bounds
+            return np.maximum(lo, self.root_range.lo), np.minimum(hi, self.root_range.hi)
 
-        pt = fold_series(_POINTS, means, full)
-        out = []
-        for k in (0, 1):  # pointwise, uniform
-            bounds = [(np.maximum(m - eps[k][:t_len + 1], low),
-                       np.minimum(m + eps[k][:t_len + 1], high))
-                      for m, (_, eps, _, low, high) in zip(means, self._atoms)]
-            lo, hi = fold_series(_BOUNDS, bounds, lambda node: (full(node), full(node)))
-            out.append((np.maximum(lo, self.root_range.lo),
-                        np.minimum(hi, self.root_range.hi), pt))
-        return tuple(out)
+        def consts(size):
+            return lambda node: (np.full(size, node.value), np.full(size, node.value))
+
+        pt = fold_series(_POINTS, means, lambda node: np.full(len(at), node.value))
+        lo, hi = clip(fold_series(_BOUNDS, pointwise, consts(len(at))))
+        return (lo, hi, pt), clip(fold_series(_BOUNDS, uniform, consts(t_len + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +236,14 @@ def run_coverage(model: ObservationModel, expr: Expr, engine: str, runs: int,
     if not all(1 <= t <= horizon for t in checkpoints):
         raise ConfigError(f"checkpoints must lie in [1, {horizon}]")
     params = {"engine": engine, "runs": runs, "horizon": horizon, "delta": delta}
+    stops = sorted({*checkpoints, horizon})
     if engine == "pomc":
         if tau_mix is None:
             tau_mix = mixing_time_bound(model).tau_mix
         params["tau_mix"] = tau_mix
-        run = _pomc_run(model, expr, horizon, delta, tau_mix, truth)
+        run = _pomc_run(model, expr, horizon, delta, tau_mix, truth, stops)
     elif engine == "mc":
-        run = _mc_run(model, expr, delta, seed, truth, sorted({*checkpoints, horizon}))
+        run = _mc_run(model, expr, delta, seed, truth, stops)
     else:
         raise ConfigError(f"unknown engine {engine!r}")
     params["start"] = start
@@ -231,9 +256,6 @@ def run_coverage(model: ObservationModel, expr: Expr, engine: str, runs: int,
     env = {t: {"point": [_INF, -_INF], "lo": [_INF, -_INF], "hi": [_INF, -_INF]}
            for t in checkpoints}
     for r in range(runs):
-        # the previous run's series stay referenced until this run's exist:
-        # freeing them first lets the allocator trim and regrow the heap
-        # every run, which slows each process's first study
         first, (lo, hi, pt), uniform_ok = run(r, states[r])
         if lo[horizon] <= truth <= hi[horizon]:
             covered_final += 1
@@ -264,21 +286,21 @@ def run_coverage(model: ObservationModel, expr: Expr, engine: str, runs: int,
         rows=rows)
 
 
-def _pomc_run(model, expr, horizon, delta, tau_mix, truth):
-    """Per-run step of the windowed engine: one vectorized pass for both modes."""
+def _pomc_run(model, expr, horizon, delta, tau_mix, truth, stops):
+    """Per-run step of the windowed engine: one vectorized pass for both modes.
+
+    The pointwise intervals and the points come at the stops (the checkpoints
+    and the horizon); the uniform intervals are checked at every emitted t.
+    """
     state_codes = model.label_codes()
-    evaluator = PomcSeriesEvaluator(expr, model.alphabet, horizon, delta, tau_mix)
+    evaluator = PomcSeriesEvaluator(expr, model.alphabet, horizon, delta, tau_mix, stops)
     warm = evaluator.warmup
     emitted = slice(warm, horizon + 1)
-    series = None
 
     def run(_, states):
-        nonlocal series
-        # as in the study loop, the previous run's series stay referenced
-        # until this run's exist
-        series = evaluator.run(state_codes[states])
-        lo, hi, _ = series[1]
-        return warm, series[0], bool(np.all((lo[emitted] <= truth) & (truth <= hi[emitted])))
+        pointwise, (lo, hi) = evaluator.run(state_codes[states])
+        return (warm, tuple(dict(zip(stops, a.tolist())) for a in pointwise),
+                bool(np.all((lo[emitted] <= truth) & (truth <= hi[emitted]))))
 
     return run
 

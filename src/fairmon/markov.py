@@ -19,8 +19,9 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain
-from typing import Dict, Iterator, Tuple
+from typing import Callable, Dict, Iterator, Tuple
 
 import numpy as np
 
@@ -297,16 +298,25 @@ def _compose(table: np.ndarray, n: int, state: np.ndarray, ranks) -> Iterator[np
         yield path.transpose(2, 1, 0).reshape(runs, count * seg)[:, :width]
 
 
-def _core(n: int, runs: int, span: int):
+def _core(n: int, runs: int, span: Callable[[], int]):
     """The core that was fastest where timed across 7-1024 states and 1-1000
-    runs (see CHANGES.md).  The walk costs 0.12-0.3 us per uniform; a
+    runs (see CHANGES.md); ``span()``, the table's ranks, is asked for only
+    when the table's size decides.  The walk costs 0.12-0.3 us per uniform; a
     gather step costs about 1 us over all runs, plus more once the table
     outgrows the cache; composing costs 3-14 ns per state per uniform."""
     if n <= 12 and n * runs <= 192:
         return _compose
-    if runs >= 12 and span * n <= 64 * _BLOCK:
+    if runs >= 12 and span() * n <= 64 * _BLOCK:
         return _gather
     return _walk
+
+
+def _distinct_cuts(rows: np.ndarray) -> np.ndarray:
+    """The rows' distinct breakpoints, sorted."""
+    cuts = np.sort(rows, axis=None)  # np.unique would import numpy.ma
+    distinct = np.ones(len(cuts), dtype=bool)
+    distinct[1:] = cuts[1:] != cuts[:-1]
+    return cuts[distinct]
 
 
 def _sample(model: ObservationModel, steps: int, runs: int, seed: int,
@@ -325,20 +335,19 @@ def _sample(model: ObservationModel, steps: int, runs: int, seed: int,
     cum0 = np.cumsum(_start_distribution(model, start))[:-1].tolist()
     n = model.n_states
     rows = np.cumsum(model.transitions, axis=1)[:, :-1]  # u past all: last state
-    cuts = np.sort(rows, axis=None)  # np.unique would import numpy.ma
-    distinct = np.ones(len(cuts), dtype=bool)
-    distinct[1:] = cuts[1:] != cuts[:-1]
-    cuts = cuts[distinct]
-    span = len(cuts) + 1  # ranks run from 0 to len(cuts)
     rng = np.random.default_rng(seed)
     state = np.array([bisect_right(cum0, u) for u in rng.random(runs).tolist()],
                      dtype=np.int64)
     per_block = max(1, _BLOCK // max(runs, 1))
     draws = (rng.random((min(per_block, steps - t), runs)) for t in range(0, steps, per_block))
-    core = _core(n, runs, span)
+    # the walk uses no ranks, so the breakpoints are sorted only for a table core
+    distinct = cache(lambda: _distinct_cuts(rows))
+    core = _core(n, runs, lambda: len(distinct()) + 1)
     if core is _walk:
         yield from _walk(rows, state, draws)
         return
+    cuts = distinct()
+    span = len(cuts) + 1  # ranks run from 0 to len(cuts)
     # table[rank * n + s] = bisect_right(rows[s], u) for any u of that rank;
     # rank 0 lies below every cut, and the last rank, one past them, is the identity
     table = np.zeros((span + 1, n), dtype=np.int64)

@@ -294,14 +294,14 @@ class TestSamplerBits:
         assert np.array_equal(simulate_states(model, 5000, runs, 8),
                               reference_states(model, 5000, runs, 8))
 
-    @pytest.mark.parametrize("runs", [1, 2, 700])
-    def test_uniform_on_a_breakpoint(self, monkeypatch, runs):
-        # a uniform equal to a breakpoint moves past it, as bisect_right does;
-        # random draws almost never land there, so these are fed in directly
+    @staticmethod
+    def fixed_rng(pool):
+        """``np.random.default_rng`` with every third draw, counted across
+        calls, taken in turn from ``pool``: random draws almost never land on
+        a breakpoint, so these are fed in directly."""
         make = np.random.default_rng
-        pool = np.array([0.0, 0.25, 0.5, 0.75, 0.5, 0.25 - 2**-54, 0.75, 0.25])
 
-        class Fixed:  # every third draw, counted across calls, from the pool
+        class Fixed:
             def __init__(self, seed):
                 self.rng, self.drawn = make(seed), 0
 
@@ -309,15 +309,40 @@ class TestSamplerBits:
                 u = self.rng.random(size)
                 at = self.drawn + np.arange(u.size)
                 self.drawn += u.size
-                return np.where(at % 3 == 0, pool[at // 3 % 8], u.ravel()).reshape(u.shape)
+                return np.where(at % 3 == 0, pool[at // 3 % len(pool)],
+                                u.ravel()).reshape(u.shape)
 
+        return Fixed
+
+    @pytest.mark.parametrize("runs", [1, 2, 700])
+    def test_uniform_on_a_breakpoint(self, monkeypatch, runs):
+        # a uniform equal to a breakpoint moves past it, as bisect_right does
+        pool = np.array([0.0, 0.25, 0.5, 0.75, 0.5, 0.25 - 2**-54, 0.75, 0.25])
         model = chain([[0.25, 0.25, 0.25, 0.25], [0.5, 0.0, 0.0, 0.5],
                        [0.0, 0.75, 0.0, 0.25], [0.25, 0.0, 0.5, 0.25]])
         expect = reference_states(model, 9000 // runs, runs, 5)
-        monkeypatch.setattr(np.random, "default_rng", Fixed)
+        monkeypatch.setattr(np.random, "default_rng", self.fixed_rng(pool))
         fixed = reference_states(model, 9000 // runs, runs, 5)
         assert not np.array_equal(fixed, expect)
         assert np.array_equal(simulate_states(model, 9000 // runs, runs, 5), fixed)
+
+    @pytest.mark.parametrize("core", [None, "_walk"])
+    @pytest.mark.parametrize("runs", [1, 2, 40])
+    def test_row_whose_cumsum_dips(self, monkeypatch, core, runs):
+        # an entry may be as low as -1e-15, so a row's cumsum can fall below
+        # a breakpoint it repeats: 0.5, 0.5, 0.5 - 2**-54 here.  Each core
+        # must still give bisect_right over that row; a uniform at the dip
+        # tells it apart from a search of the row's distinct breakpoints
+        dip = 0.5 - 2**-54
+        model = chain([[0.5, 0.0, -2**-54, 0.5 + 2**-54], [0.25, 0.25, 0.25, 0.25],
+                       [0.0, 0.75, 0.0, 0.25], [0.25, 0.0, 0.5, 0.25]])
+        assert np.cumsum(model.transitions[0])[2] == dip
+        monkeypatch.setattr(np.random, "default_rng",
+                            self.fixed_rng(np.array([0.0, 0.25, 0.5, dip, 0.75, dip])))
+        if core:
+            monkeypatch.setattr(markov, "_core", lambda n, runs, span: getattr(markov, core))
+        assert np.array_equal(simulate_states(model, 3000, runs, 5),
+                              reference_states(model, 3000, runs, 5))
 
     def test_negative_sizes_rejected_at_the_call(self):
         model = lending_pomc()

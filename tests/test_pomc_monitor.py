@@ -3,6 +3,7 @@ import math
 import struct
 import sys
 
+import numpy as np
 import pytest
 
 from fairmon.bounds import ci_pomc_pointwise, ci_pomc_uniform, split_delta
@@ -13,6 +14,7 @@ from fairmon import pomc
 from fairmon.pomc import INCONCLUSIVE, Verdict, atom_window, build_pomc_monitor
 from fairmon.speclang import Atom, AtomDef, bse_range, leaves, parse, parse_spec_file
 from fairmon.experiments import PomcSeriesEvaluator, hypercube_pomc, lending_pomc
+from fairmon.experiments.runners import _default_checkpoints
 
 ALPHA = ["A", "B", "Y", "N"]
 
@@ -281,8 +283,10 @@ class TestAgainstVectorizedEvaluator:
         for model, expr in cases:
             codes = model.label_codes()[
                 simulate_states(model, horizon, 1, seed=21, start="stationary")[0]]
-            ev = PomcSeriesEvaluator(expr, model.alphabet, horizon, 0.05, 7.45)
-            for mode, (lo, hi, pt) in zip(("pointwise", "uniform"), ev.run(codes)):
+            ev = PomcSeriesEvaluator(expr, model.alphabet, horizon, 0.05, 7.45,
+                                     stops=range(horizon + 1))
+            (plo, phi, pt), uniform = ev.run(codes)
+            for mode, (lo, hi) in (("pointwise", (plo, phi)), ("uniform", uniform)):
                 mon = build_pomc_monitor(expr, 0.05, mode, 7.45, alphabet=model.alphabet)
                 for t in range(1, horizon + 1):
                     v = mon.next(model.alphabet[codes[t - 1]])
@@ -294,6 +298,101 @@ class TestAgainstVectorizedEvaluator:
                     # the monitor gives no point while a denominator's is 0
                     if v.point is not None:
                         assert v.point == pytest.approx(pt[t], abs=1e-12)
+
+
+class TestEvaluatorBits:
+    """Every bit the coverage evaluator returns, recorded once.
+
+    A digest hashes the pointwise ``(lo, hi, point)`` at the default
+    checkpoints, then the uniform ``(lo, hi)`` at every t, as packed
+    doubles, so a NaN's and a zero's sign count too.  At tau = 1 the
+    half-widths leave the atom ranges: the negative constant factors send
+    signed zeros through the interval product, and the divisions send
+    infinities.
+    """
+
+    SPECS = {
+        "conditional": (lending_pomc, "alphabet: s y n a b\nproperty: P[y | a] - P[y | b]"),
+        "table": (lending_pomc, TABLE_SPEC),
+        "hypercube": (lambda: hypercube_pomc(3), "alphabet: a b\nproperty: P[a a] - P[b b]"),
+        "negative": (lending_pomc,
+                     "alphabet: s y n a b\nproperty: -2 * P[a y] + P[a] * -0.5 + P[b]"),
+    }
+    # (spec, seed, horizon) -> (pointwise, uniform) sha256 hex digests
+    DIGESTS = {
+    ("conditional", 3, 300): ("dfe8f0febdd48f9ea5609f1163ab7a4f4e63ddaae8646f161b8f0c62c8a0a09a",
+        "be055591b3015c5ce31d23502aaf70c99d25af9e661463bc4fd51af969f90880"),
+    ("conditional", 3, 2000): ("9b5ac7ae448d647637118f8bb016104e4c8987928df3a6cf96de2be75b8ac071",
+        "5b6c50ea9daef352f5fe9f041d7b3c0c0307e6fb18b564f1187bcf905ae2ebb6"),
+    ("conditional", 8, 300): ("291c0897e90640ea094a0310de6b999201ec5cc106f013d12ad617d99dca38fc",
+        "be055591b3015c5ce31d23502aaf70c99d25af9e661463bc4fd51af969f90880"),
+    ("conditional", 8, 2000): ("75c12832fe7291acc4559ce4992c43df5ed4f556493463454a6c31e9ee1e957b",
+        "5b6c50ea9daef352f5fe9f041d7b3c0c0307e6fb18b564f1187bcf905ae2ebb6"),
+    ("table", 3, 300): ("3c54aedba07224ed06a75a2c1240781ec1b9701a13069f6190491ba6650d0edf",
+        "30d5354170267e06655285b4323404aee0bb332939e9b69a7fa2675ccd8dd7d2"),
+    ("table", 3, 2000): ("2090ec4da8cc801390cded1c3593d43822cb67974205c96e59e36fa0d0c5d7dd",
+        "e58b937b169cd87654766abbe5bd247892a00eeff7ae893ac69dd6aaf20fc30e"),
+    ("table", 8, 300): ("32d6348af2cfd4bfeebd416f1c307bf9d5246d1d6bcefceb5b08023dff0bc6f6",
+        "30d5354170267e06655285b4323404aee0bb332939e9b69a7fa2675ccd8dd7d2"),
+    ("table", 8, 2000): ("2f8a2567942dc53b3e24108bf6ffbfa4d7d9fb28c6f7fc598d5d67b69df9b335",
+        "e58b937b169cd87654766abbe5bd247892a00eeff7ae893ac69dd6aaf20fc30e"),
+    ("hypercube", 3, 300): ("adf183185cc754498e0494c70c6b8d870671bc64dd68d146a52de9c835705266",
+        "be055591b3015c5ce31d23502aaf70c99d25af9e661463bc4fd51af969f90880"),
+    ("hypercube", 3, 2000): ("39886c18bd49f71f5915cbef5961121ab0d9c35f72a1a96a9734bf135813946b",
+        "2a73bd0a819ab991e640679991d469b31551484048429b1d7ad540c585a43ba1"),
+    ("hypercube", 8, 300): ("9ca121c585268aca9e8a7c84f599c3cc7976fa1d9486419f9e551945fe8074be",
+        "be055591b3015c5ce31d23502aaf70c99d25af9e661463bc4fd51af969f90880"),
+    ("hypercube", 8, 2000): ("a9b3e9c23d292ff81c698c4b3c25619e03aff35731dcd87af916af5168717c3b",
+        "62a00679b66a7e0e31b6dbc623b1f4f4fe4b1210541800f994117f93529a9263"),
+    ("negative", 3, 300): ("50920bb8b605203bb620f64a1a739450fd5a7c330622249fd371ff6e43930870",
+        "7845f3f413e3bc4d3b423131bc5daac026e9c5aca59fbd8b6f2ab1841a0bb064"),
+    ("negative", 3, 2000): ("171a26303a773f8a658726c2ffa86e27e4b08fb062610f2c851ed362e72df42b",
+        "ce64f21ebaedb6cad1bc801e81f1c7a5c10c04f7e3c8f9a21ff4b79b23303438"),
+    ("negative", 8, 300): ("13d1f0f8d55fb1ba5850a985edb06e5afc424bef7001ae62852dcba7bb71dedc",
+        "5f74d01b255e2e6841769905dc0c4fdc91124bc0a3db92f65180d8b4da78c52c"),
+    ("negative", 8, 2000): ("be7c0b747711ca5ed1f457206ba6b65e53b2af7e1d24626ea96232e97391b996",
+        "df5a4f162baf3b1883cde98919f9de182c9229b4c8d48366d2e427dccd753aab"),
+    }
+
+    @staticmethod
+    def evaluate(spec, seed, horizon, stops):
+        make, text = TestEvaluatorBits.SPECS[spec]
+        model = make()
+        codes = model.label_codes()[
+            simulate_states(model, horizon, 1, seed, start="stationary")[0]]
+        ev = PomcSeriesEvaluator(parse_spec_file(text).expression, model.alphabet, horizon,
+                                 0.05, 1.0, stops)
+        return ev.run(codes)
+
+    @staticmethod
+    def packed(*arrays):
+        values = [x for a in arrays for x in a.tolist()]
+        return struct.pack(f"<{len(values)}d", *values)
+
+    @pytest.mark.parametrize("spec,seed,horizon", sorted(DIGESTS))
+    def test_evaluator_digest(self, spec, seed, horizon):
+        pointwise, uniform = self.evaluate(spec, seed, horizon, _default_checkpoints(horizon))
+        assert (hashlib.sha256(self.packed(*pointwise)).hexdigest(),
+                hashlib.sha256(self.packed(*uniform)).hexdigest()) == \
+            self.DIGESTS[spec, seed, horizon]
+
+    @pytest.mark.parametrize("spec", sorted(SPECS))
+    def test_stops_give_the_values_at_every_t(self, spec):
+        horizon = 300
+        stops = [1, 2, 3, 7, 150, 299, 300]
+        every, uniform = self.evaluate(spec, 8, horizon, range(horizon + 1))
+        some, same = self.evaluate(spec, 8, horizon, stops)
+        assert self.packed(*some) == self.packed(*(a[stops] for a in every))
+        assert self.packed(*same) == self.packed(*uniform)
+
+    def test_stops_and_codes_must_fit_the_horizon(self):
+        model = lending_pomc()
+        expr = parse_spec_file(self.SPECS["conditional"][1]).expression
+        with pytest.raises(ConfigError, match="stops"):
+            PomcSeriesEvaluator(expr, model.alphabet, 300, 0.05, 1.0, [10, 301])
+        ev = PomcSeriesEvaluator(expr, model.alphabet, 300, 0.05, 1.0, [10, 300])
+        with pytest.raises(ConfigError, match="300 codes"):
+            ev.run(np.zeros(299, dtype=np.int64))
 
 
 class TestUnbiasedness:
