@@ -48,29 +48,26 @@ def _check_sigma_sq(sigma_sq: float):
         raise ConfigError(f"sigma^2 must be nonnegative, got {sigma_sq}")
 
 
-def pomc_log_source(delta: float, uniform: bool, key: str) -> Tuple[str, dict]:
+def pomc_log_source(delta: float, uniform: bool) -> Tuple[str, dict]:
     """The log term of the pomc half-widths at share ``delta``, ln(pi^2 t^2 /
     (3 delta)) uniform or ln(2/delta) pointwise, as Python source over ``t``
-    and the names bound in the returned dict, which end in ``key``.
+    and the names bound in the returned dict.
 
-    Each form is written once, here, for :func:`pomc_halfwidth`, for
-    :func:`pomc_halfwidth_table` and for the generated step of
-    :mod:`fairmon.pomc`, which computes each share's log term once per event.
+    Each form is written once, here, for :func:`pomc_halfwidth` and for the
+    arrays of :func:`pomc_halfwidth_table` and :func:`pomc_halfwidth_blocks`.
     """
     check_delta(delta)
     if uniform:
-        d3 = f"d3{key}"
-        return f"log(pi2 * t * t / {d3})", {"log": math.log, "pi2": _PI * _PI, d3: 3.0 * delta}
-    name = f"log_term{key}"
-    return name, {name: math.log(2.0 / delta)}
+        return "log(pi2 * t * t / d3)", {"log": math.log, "pi2": _PI * _PI, "d3": 3.0 * delta}
+    return "log_term", {"log_term": math.log(2.0 / delta)}
 
 
 def pomc_halfwidth_source(n: int, a: float, b: float, tau_mix: float,
-                          log_term: str, key: str) -> Tuple[str, dict]:
+                          log_term: str) -> Tuple[str, dict]:
     """The half-width of an arity-n atom with range [a, b] at time t >= n, as
     Python source over ``t``, the log term's source ``log_term`` (see
     :func:`pomc_log_source`, which checks delta) and the names bound in the
-    returned dict, which end in ``key``.  The arguments are checked here, once.
+    returned dict.  The arguments are checked here, once.
 
     sqrt( log_term * t * n^2 * (b-a)^2 * 9 * tau_mix / (2 (t-(n-1))^2) )
     """
@@ -82,11 +79,10 @@ def pomc_halfwidth_source(n: int, a: float, b: float, tau_mix: float,
         raise ConfigError(f"mixing-time bound must be >= 1, got {tau_mix}")
     if b == a:
         return "0.0", {}
-    sq, tau = f"sq{key}", f"tau_mix{key}"
     # t * {n * n} equals t * n * n, an exact integer, so every float operation
     # rounds as in the one-line formula
-    return (f"sqrt({log_term} * (t * {n * n} * {sq} * 9.0 * {tau} / (2.0 * (t - {n - 1}) ** 2)))",
-            {"sqrt": math.sqrt, sq: squared_width(a, b), tau: tau_mix})
+    return (f"sqrt({log_term} * (t * {n * n} * sq * 9.0 * tau_mix / (2.0 * (t - {n - 1}) ** 2)))",
+            {"sqrt": math.sqrt, "sq": squared_width(a, b), "tau_mix": tau_mix})
 
 
 @functools.lru_cache(maxsize=64)
@@ -101,11 +97,12 @@ def pomc_halfwidth(delta: float, n: int, a: float, b: float, tau_mix: float,
 
     The arguments are checked here, once; the returned function only
     computes.  Every ``ci_pomc_*`` value comes from it, and it runs the
-    source that the generated ``pomc`` step inlines, so the arithmetic and
-    its order are the same wherever a half-width is needed.
+    source that :func:`pomc_halfwidth_table` evaluates over an array of t,
+    so the arithmetic and its order are the same wherever a half-width is
+    needed.
     """
-    log_term, names = pomc_log_source(delta, uniform, "")
-    width, more = pomc_halfwidth_source(n, a, b, tau_mix, log_term, "")
+    log_term, names = pomc_log_source(delta, uniform)
+    width, more = pomc_halfwidth_source(n, a, b, tau_mix, log_term)
     return eval(_compiled(f"lambda t: {width}"), {**names, **more})
 
 
@@ -114,25 +111,68 @@ def _log_each(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log, x), float, len(x))
 
 
+def _halfwidth_arrays(keys: Sequence[Tuple[float, int, float, float]], tau_mix: float,
+                      uniform: bool, t: np.ndarray) -> list:
+    """The half-widths of each key (delta, n, a, b) at the int64 array ``t``,
+    every t >= n: the source of :func:`pomc_halfwidth` with ``np.sqrt``
+    (correctly rounded, as ``math.sqrt`` is) and ``math.log`` per element.
+    Each share's log term is evaluated once.  A range of one value gives the
+    float 0.0."""
+    # every argument is checked before any t is
+    sources = {delta: pomc_log_source(delta, uniform) for delta, _, _, _ in keys}
+    widths = [(delta, *pomc_halfwidth_source(n, a, b, tau_mix, "log_term"))
+              for delta, n, a, b in keys]
+    logs = {delta: eval(_compiled(log_term), {**names, "log": _log_each, "t": t})
+            for delta, (log_term, names) in sources.items()}
+    return [eval(_compiled(width), {**names, "log_term": logs[delta], "sqrt": np.sqrt, "t": t})
+            for delta, width, names in widths]
+
+
+def _fits_int64(n: int, stop: int) -> bool:
+    """Whether the integers of the half-width source, ``t * n * n`` and
+    ``(t - (n - 1)) ** 2``, fit int64 for every t below ``stop``."""
+    return max((stop - 1) * n * n, (stop - n) ** 2) < 2 ** 63
+
+
 def pomc_halfwidth_table(delta: float, n: int, a: float, b: float, tau_mix: float,
-                         uniform: bool, horizon: int) -> np.ndarray:
-    """``eps[t]`` for t = 0..horizon, NaN below n, equal to
+                         uniform: bool, start: int, stop: int) -> np.ndarray:
+    """``eps[t - start]`` for t in [start, stop), NaN below n, equal to
     ``pomc_halfwidth(delta, n, a, b, tau_mix, uniform)(t)`` bit for bit.
 
-    It evaluates the same source over an int64 array of t, with ``np.sqrt``
-    (correctly rounded, as ``math.sqrt`` is) and ``math.log`` per element.
-    The source squares t - (n - 1) as an integer, so a horizon above about
-    3e9 would overflow int64 and is rejected.
+    The source squares t - (n - 1) as an integer, so a horizon that reaches
+    about 3.04e9 would overflow int64 and is rejected.
     """
-    log_term, names = pomc_log_source(delta, uniform, "")
-    width, more = pomc_halfwidth_source(n, a, b, tau_mix, log_term, "")
-    if max(horizon * n * n, (horizon - n + 1) ** 2) >= 2 ** 63:
-        raise ConfigError(f"horizon {horizon} is too long for a half-width table")
-    eps = np.full(horizon + 1, np.nan)
-    t = np.arange(n, horizon + 1, dtype=np.int64)
-    eps[n:] = eval(_compiled(width), {**names, **more, "log": _log_each,
-                                      "sqrt": np.sqrt, "t": t})
+    if not _fits_int64(n, stop):
+        raise ConfigError(f"horizon {stop - 1} is too long for a half-width table")
+    eps = np.full(max(stop - start, 0), np.nan)
+    first = max(start, n)
+    t = np.arange(first, stop, dtype=np.int64)
+    eps[first - start:] = _halfwidth_arrays([(delta, n, a, b)], tau_mix, uniform, t)[0]
     return eps
+
+
+def pomc_halfwidth_blocks(keys: Sequence[Tuple[float, int, float, float]], tau_mix: float,
+                          uniform: bool) -> Callable[[int, int], List[list]]:
+    """``block(start, stop)``: the half-widths at t in [start, stop) of each
+    key (delta, n, a, b), an arity-n atom with range [a, b] at share delta,
+    as one list of floats per key; every n <= start.
+
+    Each value equals ``pomc_halfwidth(delta, n, a, b, tau_mix, uniform)(t)``
+    bit for bit.  A block is evaluated over an array of t, each share's log
+    term once, or by the per-t functions where the array's int64 arithmetic
+    would overflow, from about t = 3.04e9; it never raises.  The arguments
+    are checked here, once.
+    """
+    scalars = [pomc_halfwidth(delta, n, a, b, tau_mix, uniform) for delta, n, a, b in keys]
+
+    def block(start: int, stop: int) -> List[list]:
+        if all(_fits_int64(n, stop) for _, n, _, _ in keys):
+            t = np.arange(start, stop, dtype=np.int64)
+            return [np.broadcast_to(eps, t.shape).tolist()
+                    for eps in _halfwidth_arrays(keys, tau_mix, uniform, t)]
+        return [[halfwidth(t) for t in range(start, stop)] for halfwidth in scalars]
+
+    return block
 
 
 def ci_pomc_pointwise(delta: float, t: int, n: int, a: float, b: float,

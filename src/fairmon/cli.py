@@ -2,6 +2,10 @@
 
 Event streams are one observation symbol per line, UTF-8, blank lines
 ignored.  Exit codes: 0 success, 2 configuration error, 3 malformed event.
+
+``fairmon monitor`` hands the whole stream to the monitor's ``run``, its
+generated step inside a loop over the lines, which writes every
+``--stride``-th verdict through the two writers of :func:`_writers`.
 """
 
 from __future__ import annotations
@@ -39,39 +43,76 @@ INF = math.inf
 _repr = float.__repr__
 
 
-def _emit(write, fmt: str, t: int, verdict) -> None:
-    """One record: a JSON object with the bytes of ``json.dumps``, or a CSV row.
+def _writers(write, fmt: str):
+    """``record(t, lo, hi, point)`` and ``emit(t, verdict)``, which each write
+    one record: a JSON object with the bytes of ``json.dumps``, or a CSV row.
 
-    A number that is missing or not finite is ``null`` in JSONL and empty in
-    CSV.  ``float.__repr__`` is the float text of ``json.dumps``, also for
-    numpy floats, whose own ``repr`` names the type.  The kind is
-    ``verdict.kind``, read off the endpoints already at hand.  The common
-    record, a consistent JSONL verdict with finite numbers, is one f-string.
+    ``record`` takes the numbers of a consistent verdict with an interval,
+    ``lo <= hi``; ``emit`` takes any verdict.  A number that is missing or
+    not finite is ``null`` in JSONL and empty in CSV.  ``float.__repr__`` is
+    the float text of ``json.dumps``, also for numpy floats, whose own
+    ``repr`` names the type.  The kind is ``Verdict.kind``, read off the
+    endpoints already at hand.  The ordinary record, a consistent verdict
+    with finite numbers, is one f-string per format.
     """
-    iv, point = verdict.interval, verdict.point
-    if fmt == "jsonl" and iv is not None and verdict.consistent:
-        lo, hi = iv.lo, iv.hi
+    jsonl = fmt == "jsonl"
+    missing = "null" if jsonl else ""
+
+    def text(x):
+        return _repr(x) if x is not None and -INF < x < INF else missing
+
+    def other(t, lo, hi, point, kind):
+        lo, hi, point = text(lo), text(hi), text(point)
+        if jsonl:
+            write(f'{{"t": {t}, "lo": {lo}, "hi": {hi}, "point": {point}, "verdict": "{kind}"}}\n')
+        else:
+            write(f"{t},{lo},{hi},{point},{kind}\n")
+
+    def record(t, lo, hi, point):
         # as lo <= hi, both are finite
         if -INF < lo and hi < INF and point is not None and -INF < point < INF:
-            write(f'{{"t": {t}, "lo": {_repr(lo)}, "hi": {_repr(hi)}, '
-                  f'"point": {_repr(point)}, "verdict": "ok"}}\n')
-            return
-    missing = "null" if fmt == "jsonl" else ""
-    point = _repr(point) if point is not None and -INF < point < INF else missing
-    if iv is None:
-        lo = hi = missing
-        kind = "inconclusive"
-    else:
-        lo, hi = iv.lo, iv.hi
-        kind = "ok" if -INF < lo and hi < INF else "unbounded"  # as lo <= hi
-        lo = _repr(lo) if -INF < lo < INF else missing
-        hi = _repr(hi) if -INF < hi < INF else missing
-    if not verdict.consistent:
-        kind = "inconsistent"
-    if fmt == "jsonl":
-        write(f'{{"t": {t}, "lo": {lo}, "hi": {hi}, "point": {point}, "verdict": "{kind}"}}\n')
-    else:
-        write(f"{t},{lo},{hi},{point},{kind}\n")
+            if jsonl:
+                write(f'{{"t": {t}, "lo": {_repr(lo)}, "hi": {_repr(hi)}, '
+                      f'"point": {_repr(point)}, "verdict": "ok"}}\n')
+            else:
+                write(f"{t},{_repr(lo)},{_repr(hi)},{_repr(point)},ok\n")
+        else:
+            other(t, lo, hi, point, "ok" if -INF < lo and hi < INF else "unbounded")
+
+    def emit(t, verdict):
+        iv, point = verdict.interval, verdict.point
+        if iv is None:
+            other(t, None, None, point, "inconclusive" if verdict.consistent else "inconsistent")
+        elif verdict.consistent:
+            record(t, iv.lo, iv.hi, point)
+        else:
+            other(t, iv.lo, iv.hi, point, "inconsistent")
+
+    return record, emit
+
+
+def _each_event(step, lines, emit, stride: int) -> None:
+    """A monitor's ``run(lines, record, emit, stride)`` for a monitor object
+    that has only ``next``, here ``step``: one call per event and every
+    written verdict through ``emit``.
+
+    ``cmd_monitor`` takes it only for such an object, as the traced run of
+    ``perfbench/layers.py`` passes; the tests hold each engine's ``run`` to
+    the bytes of this loop.
+    """
+    t = 0
+    for line_no, line in enumerate(lines, start=1):
+        symbol = line.strip()
+        if not symbol:
+            continue
+        try:
+            verdict = step(symbol)
+        except EventError as exc:
+            exc.line = line_no
+            raise
+        t += 1
+        if t % stride == 0:
+            emit(t, verdict)
 
 
 def _open_events(path):
@@ -111,25 +152,22 @@ def cmd_monitor(args) -> int:
                                    seed=args.seed, alphabet=spec.alphabet)
 
     source = _open_events(args.events)
-    step, write, stride, fmt = monitor.next, sys.stdout.write, args.stride, args.format
-    t = 0
+    write = sys.stdout.write
+    record, emit = _writers(write, args.format)
+    run = getattr(monitor, "run", None)
     try:
-        if fmt == "csv":
+        if args.format == "csv":
             write("t,lo,hi,point,verdict\n")
         # the monitor rejects a symbol outside the alphabet before any state moves
-        for line_no, line in enumerate(source, start=1):
-            symbol = line.strip()
-            if not symbol:
-                continue
-            t += 1
-            verdict = step(symbol)
-            if t % stride == 0:
-                _emit(write, fmt, t, verdict)
+        if run is None:
+            _each_event(monitor.next, source, emit, args.stride)
+        else:
+            run(source, record, emit, args.stride)
     except EventError as exc:
         if any("\udc80" <= c <= "\udcff" for c in exc.symbol):
-            sys.stderr.write(f"error: line {line_no}: bytes that are not UTF-8\n")
+            sys.stderr.write(f"error: line {exc.line}: bytes that are not UTF-8\n")
         else:
-            sys.stderr.write(f"error: line {line_no}: {exc}\n")
+            sys.stderr.write(f"error: line {exc.line}: {exc}\n")
         return EXIT_EVENT
     finally:
         if source is not sys.stdin:

@@ -7,13 +7,21 @@ of every ``min`` and ``max`` written out as the comparisons the builtin
 makes, so a generated step computes the bits that the ``Interval`` methods
 would.  Each function returns lines over the names it is given; the caller
 binds those names and emits the point rules of its own engine.
+
+:func:`compile_monitor` compiles one step twice over the same closure cells:
+as ``next(symbol)``, which returns the verdict of one event, and inside
+``run(lines, record, emit, stride)``, the loop over a whole stream that
+writes every ``stride``-th verdict.  The step writes each of its exits
+through one hook, :func:`returned` for ``next`` and :func:`recorded` for
+``run``, so both functions run the same lines.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 Names = Tuple[str, str]  # the names of an interval's lo and hi
+Exit = Callable[..., list]  # returned or recorded
 
 
 def extreme(target: str, items: Sequence[str], op: str) -> list:
@@ -61,23 +69,72 @@ def clip(out: Names, a: Names, bounds: Names) -> list:
     return extreme(out[0], [a[0], bounds[0]], ">") + extreme(out[1], [a[1], bounds[1]], "<")
 
 
-def compile_closure(state: Sequence[str], functions: Sequence[Tuple[str, Sequence[str]]],
-                    ns: dict, filename: str) -> Tuple[Callable, str]:
+def returned(verdict: str = "", interval: Optional[Tuple[str, str, str]] = None) -> list:
+    """An exit of ``next``: return the verdict ``verdict``, or the consistent
+    verdict of the names ``interval``, (lo, hi, point)."""
+    if interval is not None:
+        verdict = "Verdict(Interval({}, {}), {})".format(*interval)
+    return [f"return {verdict}"]
+
+
+def recorded(verdict: str = "", interval: Optional[Tuple[str, str, str]] = None) -> list:
+    """The same exit in ``run``: at a multiple of the stride, ``emit`` writes
+    the verdict ``verdict``, or ``record`` the numbers of ``interval`` after
+    the check that building its ``Interval`` makes; then the next line."""
+    if interval is None:
+        return [f"if t % stride == 0: emit(t, {verdict})", "continue"]
+    lo, hi, point = interval
+    return [f"if not {lo} <= {hi}: Interval({lo}, {hi})",
+            f"if t % stride == 0: record(t, {lo}, {hi}, {point})",
+            "continue"]
+
+
+def compile_monitor(state: Sequence[str], step: Callable[[Exit], list], ns: dict,
+                    filename: str, extra: Sequence[Tuple[str, Sequence[str]]] = ()
+                    ) -> Tuple[tuple, str]:
     """Compile ``make()`` and call it once.
 
-    The ``state`` lines, ``name = value`` each, set the closure cells; each
-    ``(signature, body)`` of ``functions`` becomes a function inside
-    ``make()`` that declares every cell nonlocal.  Returns what ``make()``
-    returns, the one function or a tuple of them in order, and the source.
+    The ``state`` lines, ``name = value`` each, set the closure cells; one of
+    them is ``t``, the count of events.  ``step(exit)`` returns the lines of
+    one event, whose symbol is ``symbol``, with each exit written by
+    ``exit``.  ``next(symbol)`` and each ``(signature, body)`` of ``extra``
+    declare every cell nonlocal.
+
+    ``run(lines, record, emit, stride)`` strips each line and skips the blank
+    ones, and runs the step on the others.  It keeps the cells in fast locals
+    and writes them back when it returns or raises, so ``next`` continues
+    from where it stopped.  An ``EventError`` leaves with ``line``, the
+    1-based number of its line among ``lines``.
+
+    Returns ``(next, run, *extra functions)`` and the source.
     """
     cells = [line.split(" = ")[0] for line in state]
+    names = f"[{', '.join(cells)}]"
+    shared = f"nonlocal {', '.join(cells)}"
+    run = [f"{names} = load()",
+           "base, blank = t, 0",
+           "try:",
+           "    for line in lines:",
+           "        symbol = line.strip()",
+           "        if not symbol:",
+           "            blank += 1",
+           "            continue",
+           *("        " + line for line in step(recorded)),
+           "except EventError as exc:",
+           "    exc.line = t - base + blank + 1",
+           "    raise",
+           "finally:",
+           f"    store({names})"]
+    functions = [("next(symbol)", [shared, *step(returned)]),
+                 ("load()", [f"return {names}"]),
+                 ("store(cells)", [shared, f"{names} = cells"]),
+                 ("run(lines, record, emit, stride)", run),
+                 *((signature, [shared, *body]) for signature, body in extra)]
     lines = ["def make():", *("    " + line for line in state)]
     for signature, body in functions:
-        lines += [f"    def {signature}:",
-                  f"        nonlocal {', '.join(cells)}",
-                  *("        " + line for line in body)]
-    names = [signature.split("(")[0] for signature, _ in functions]
-    lines.append(f"    return {', '.join(names)}")
+        lines += [f"    def {signature}:", *("        " + line for line in body)]
+    returned_names = ["next", "run", *(signature.split("(")[0] for signature, _ in extra)]
+    lines.append(f"    return {', '.join(returned_names)}")
     source = "\n".join(lines)
     exec(compile(source, filename, "exec"), ns)
     return ns["make"](), source

@@ -33,8 +33,13 @@ class ConfigError(FairmonError):
 
 
 class EventError(ConfigError):
-    """An event symbol outside the declared alphabet; raised before any state moves."""
+    """An event symbol outside the declared alphabet; raised before any state moves.
+
+    ``line`` is the 1-based line of the symbol in the stream that a monitor's
+    ``run`` read, or None when it came to ``next``.
+    """
 
     def __init__(self, symbol: str):
         self.symbol = symbol
+        self.line = None
         super().__init__(f"symbol {symbol!r} is not in the alphabet")

@@ -53,11 +53,15 @@ _INF = math.inf
 # vectorized windowed-monitor evaluation (partially observed engine)
 
 def _prod_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a * b`` of two arrays of one shape, with 0 * inf = 0.  Only a NaN
+    product can be such a 0 * inf, so the zero masks are built only when
+    there is one, and narrow the NaN mask in place."""
     with np.errstate(invalid="ignore"):
         p = a * b
-    bad = np.isnan(p) & ((a == 0.0) | (b == 0.0))
-    if bad.any():
-        p[bad] = 0.0
+    fix = np.isnan(p)
+    if fix.any():
+        fix &= (a == 0.0) | (b == 0.0)
+        np.copyto(p, 0.0, where=fix)
     return p
 
 
@@ -137,7 +141,7 @@ class PomcSeriesEvaluator:
             key = (share, n, low, high)
             if key not in tables:
                 pointwise, uniform = (
-                    pomc_halfwidth_table(share, n, low, high, tau_mix, uniform, horizon)
+                    pomc_halfwidth_table(share, n, low, high, tau_mix, uniform, 0, horizon + 1)
                     for uniform in (False, True))
                 tables[key] = pointwise[self.stops], uniform
             values = np.array([fn(w) for w in itertools.product(self.alphabet, repeat=n)],

@@ -17,7 +17,8 @@ its own; a constant part is its value.  A division-free expression is one
 part with the whole budget.
 
 When the monitor is built it writes one per-event step for all its parts as
-straight-line Python, compiled once and bound as the monitor's ``next``, as
+straight-line Python, compiled once and bound as the monitor's ``next``, and
+inside a loop over the lines of a stream as its ``run``, as
 :mod:`fairmon.pomc` does.  States are integer codes in one code space that
 every part shares: the source states of the parts come first, the other
 relevant targets follow, and every other symbol shares one last code.  An
@@ -47,7 +48,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .bounds import check_delta, mc_halfwidth, squared_width
-from .codegen import (clip, compile_closure, extreme, interval_product,
+from .codegen import (clip, compile_monitor, extreme, interval_product,
                       interval_reciprocal, interval_sum)
 from .errors import ConfigError, EventError, SpecValidationError
 from .intervals import Interval
@@ -105,9 +106,12 @@ class MCMonitor:
     """Streaming monitor for a PSE on a fully observed chain.
 
     ``next(symbol)`` returns the verdict after one more event; it is
-    generated for the expression when the monitor is built, and ``source``
-    is its Python source.  The same verdict object comes back on every event
-    on which no round completed.
+    generated for the expression when the monitor is built.  The same
+    verdict object comes back on every event on which no round completed.
+    ``run(lines, record, emit, stride)`` runs the same step over the lines of
+    a stream and writes every ``stride``-th verdict with ``emit`` (see
+    :func:`fairmon.codegen.compile_monitor`); ``next`` continues from where
+    it stopped.  ``source`` is the Python source of both.
     """
 
     def __init__(self, expr: Expr, delta: float, mode: str, seed: int = 0,
@@ -174,7 +178,7 @@ class MCMonitor:
         self._registers = (len(self._c) + sum(map(len, self._cij))
                            + sum(len(p.layout.slots) + 5 for p in monitored))
         self.peak_buffer = 0
-        (self.next, self._state), self.source = _generate_step(
+        (self.next, self.run, self._state), self.source = _generate_step(
             self, codes, None if alphabet else other)
 
     @property
@@ -236,7 +240,7 @@ MCMonitorDivFree = MCMonitor
 
 
 def _generate_step(mon: MCMonitor, codes: dict, miss: Optional[int]) -> Tuple[tuple, str]:
-    """``next`` and ``state`` of ``mon`` as compiled Python, and their source.
+    """``next``, ``run`` and ``state`` of ``mon`` as compiled Python, and their source.
 
     ``codes`` maps each relevant state to its code; ``miss`` is the code of
     any other symbol, or None when such a symbol raises ``EventError``.
@@ -244,13 +248,13 @@ def _generate_step(mon: MCMonitor, codes: dict, miss: Optional[int]) -> Tuple[tu
     ns = {"INF": math.inf, "Interval": Interval, "Verdict": Verdict,
           "INCONCLUSIVE": INCONCLUSIVE, "EventError": EventError, "codes": mon._codes,
           "extract": mon._extract, "cnt": mon._c, "edges": mon._cij, "rows": mon._rows}
-    state = ["prev = -1", "verdict = INCONCLUSIVE"]
+    state = ["t = 0", "prev = -1", "verdict = INCONCLUSIVE"]
     if miss is None:
         head = ["try: c = codes[symbol]",
                 "except KeyError: raise EventError(symbol) from None"]
     else:
         head = [f"c = codes.get(symbol, {miss})"]
-    head += ["p = prev", "prev = c", "if p < 0: return verdict"]
+    head += ["t += 1", "p = prev", "prev = c"]
     counters, rounds, terms, samples = [], [], [], []  # samples: (n, mean) per part
     split = len(mon._parts) > 1
     base = 0  # number of the part's first (part, source) counter
@@ -329,7 +333,7 @@ def _generate_step(mon: MCMonitor, codes: dict, miss: Optional[int]) -> Tuple[tu
         samples.append((n, m))
         base += len(srcs)
 
-    body = head + counters
+    body = list(counters)
     if split:
         # a + b / c on the parts' endpoints, clipped to the range
         (alo, ahi, ap), (blo, bhi, bp), (clo, chi, cp) = terms
@@ -345,10 +349,13 @@ def _generate_step(mon: MCMonitor, codes: dict, miss: Optional[int]) -> Tuple[tu
                  *("    " + line for line in fold_lines)]
     else:
         body += rounds
-    body.append("return verdict")
     reader = ["return verdict, (" + "".join(f"({n}, {m}), " for n, m in samples) + ")"]
-    return compile_closure(state, [("next(symbol)", body), ("state()", reader)],
-                           ns, "<fairmon.mc step>")
+
+    def event(exit):
+        first = exit("verdict")
+        return [*head, "if p < 0:", *("    " + line for line in first), *body, *first]
+
+    return compile_monitor(state, event, ns, "<fairmon.mc step>", extra=[("state()", reader)])
 
 
 def build_mc_monitor(expr: Expr, delta: float, mode: str, seed: int = 0,

@@ -8,26 +8,30 @@ interval arithmetic, an equal confidence share per atom.
 
 When the monitor is built, ``fold`` walks the tree once and writes its
 per-event step as straight-line Python source, compiled once with
-``compile()`` and bound as the monitor's ``next``; the state (time, window
-words, means, running intersection) lives in closure cells, and constants
-and ranges are objects of the code's namespace, never text.  With a
-declared alphabet a symbol becomes an integer code with one dict lookup,
-and a symbol outside it raises ``EventError`` before any state moves.  Each
-arity keeps one rolling window word, ``w = (w * |O| + c) % |O|**n``, and an
-atom reads its window value as ``table[w]`` from a list of its values on
-every word of its arity, in base-|O| order, filled at build.  Without an
-alphabet, or for an atom of more than ``_MEMO_WORDS`` words, the atom's
-line calls its window function on a tuple of the last symbols.
+``compile()`` and bound as the monitor's ``next``; the same lines, inside a
+loop over the lines of a stream, are its ``run`` (see
+:mod:`fairmon.codegen`).  The state (time, window words, means, half-width
+tables, running intersection) lives in closure cells, and constants and
+ranges are objects of the code's namespace, never text.  With a declared
+alphabet a symbol becomes an integer code with one dict lookup, and a symbol
+outside it raises ``EventError`` before any state moves.  Each arity keeps
+one rolling window word, ``w = (w * |O| + c) % |O|**n``, and an atom reads
+its window value as ``table[w]`` from a list of its values on every word of
+its arity, in base-|O| order, filled at build.  Without an alphabet, or for
+an atom of more than ``_MEMO_WORDS`` words, the atom's line calls its window
+function on a tuple of the last symbols.
 
-The half-width lines come first.  Each confidence share's log term is one
-line, ``L0 = log(pi2 * t * t / d3_0)`` in uniform mode, so an event computes
-it once however many atoms share it.  Atoms with the same (share, arity,
-range) share one half-width line, ``e0 = sqrt(L0 * (...))``, which makes no
-Python call.  Both lines are source text from
-:func:`fairmon.bounds.pomc_log_source` and
-:func:`fairmon.bounds.pomc_halfwidth_source`, which check their arguments
-at build; :func:`fairmon.bounds.pomc_halfwidth` runs the same text, so the
-arithmetic and its order are the same everywhere.
+The half-width lines come first, and they call nothing.  Atoms with the same
+(share, arity, range) share one half-width, and each such key keeps a list
+of its half-widths at ``_BLOCK`` consecutive times from ``tb``: an event
+reads ``e0 = E0[t - tb]``, and the event at which t reaches the end of the
+block refills every list with one call.  The lists come from
+:func:`fairmon.bounds.pomc_halfwidth_blocks`, which evaluates the source
+text of :func:`fairmon.bounds.pomc_log_source` and
+:func:`fairmon.bounds.pomc_halfwidth_source` over an array of t, the text
+that :func:`fairmon.bounds.pomc_halfwidth` evaluates at one t, so every
+half-width has the same bits wherever it is computed.  The mode of the
+bound lives in these lists alone.
 
 The other lines keep the formulas of :class:`Interval` with the same
 operand order in every ``min`` and ``max``, each written out as the
@@ -46,8 +50,8 @@ import itertools
 import math
 from typing import Callable, Optional, Sequence, Tuple
 
-from .bounds import pomc_halfwidth_source, pomc_log_source, split_delta
-from .codegen import (clip, compile_closure, extreme, interval_difference,
+from .bounds import pomc_halfwidth_blocks, split_delta
+from .codegen import (clip, compile_monitor, extreme, interval_difference,
                       interval_product, interval_reciprocal, interval_sum)
 from .errors import ConfigError, EventError
 from .intervals import Interval
@@ -61,6 +65,9 @@ INF = math.inf
 
 # An atom with more words of its arity than this reads no value table.
 _MEMO_WORDS = 4096
+
+# Half-widths per table refill: a refill every 1024 events is 0.1% of them.
+_BLOCK = 1024
 
 
 class Verdict:
@@ -123,8 +130,8 @@ def atom_window(leaf: Expr) -> Tuple[Callable, int, float, float]:
 
 
 def _generate_step(expr: Expr, delta: float, uniform: bool, tau_mix: float,
-                   alphabet: Optional[Sequence[str]], intersect: bool) -> Tuple[Callable, str]:
-    """The per-event step of a monitor of ``expr``, as compiled Python, and its source."""
+                   alphabet: Optional[Sequence[str]], intersect: bool) -> Tuple[tuple, str]:
+    """``next`` and ``run`` of a monitor of ``expr``, as compiled Python, and their source."""
     rng = bse_range(expr)
     atoms = leaves(expr)
     shares = split_delta(delta, expr).shares() if atoms else []
@@ -135,9 +142,7 @@ def _generate_step(expr: Expr, delta: float, uniform: bool, tau_mix: float,
     state = ["t = 0"]
     step = []  # lines of a warm event, after the half-widths
     warmup = []  # lines of an event before the largest arity is filled
-    logs: dict = {}  # share -> name of its log term
-    keys: dict = {}  # (share, n, low, high) -> index of its half-width
-    halfwidths = []  # lines of a warm event computing log terms and half-widths
+    keys: dict = {}  # (share, n, low, high) -> index of its half-width table
     words: set = set()  # arities above 1 read from value tables
     windows = [atom_window(leaf) for leaf in atoms]
     width = max((n for _, n, _, _ in windows), default=1)
@@ -155,18 +160,7 @@ def _generate_step(expr: Expr, delta: float, uniform: bool, tau_mix: float,
             ns[f"fn{i}"] = fn
             value = f"fn{i}(window[-{n}:])"
             window = max(window, n)
-        k = keys.get((share, n, low, high))
-        if k is None:
-            k = keys[share, n, low, high] = len(keys)
-            if share not in logs:
-                j = len(logs)
-                logs[share] = f"L{j}"
-                log_term, names = pomc_log_source(share, uniform, f"_{j}")
-                ns.update(names)
-                halfwidths.append(f"L{j} = {log_term}")
-            text, names = pomc_halfwidth_source(n, low, high, tau_mix, logs[share], f"_{k}")
-            ns.update(names)
-            halfwidths.append(f"e{k} = {text}")
+        k = keys.setdefault((share, n, low, high), len(keys))
         state.append(f"m{i} = 0.0")
         count = "t" if n == 1 else f"(t - {n - 1})"  # windows seen, as an int
         # the recurrence can round the running mean out of the range
@@ -178,7 +172,22 @@ def _generate_step(expr: Expr, delta: float, uniform: bool, tau_mix: float,
                  *extreme(f"lo{i}", [f"m{i} - e{k}", f"low{i}"], ">"),
                  *extreme(f"hi{i}", [f"m{i} + e{k}", f"high{i}"], "<"),
                  f"if not lo{i} <= hi{i}: Interval(lo{i}, hi{i})"]
-    step[:0] = halfwidths
+    if keys:
+        # each key's half-widths at t in [tb, tb + _BLOCK); the first warm
+        # event fills the first block
+        block = pomc_halfwidth_blocks(list(keys), tau_mix, uniform)
+
+        def fill(t):
+            return (t, *block(t, t + _BLOCK))
+
+        ns["fill"] = fill
+        tables = [f"E{k}" for k in range(len(keys))]
+        state += [f"tb = {-_BLOCK}", *(f"{table} = ()" for table in tables)]
+        step[:0] = ["j = t - tb",
+                    f"if j >= {_BLOCK}:",
+                    f"    tb, {', '.join(tables)} = fill(t)",
+                    "    j = 0",
+                    *(f"e{k} = {table}[j]" for k, table in enumerate(tables))]
 
     leaf_index, temp = itertools.count(), itertools.count()
 
@@ -227,14 +236,6 @@ def _generate_step(expr: Expr, delta: float, uniform: bool, tau_mix: float,
     step += clip(("lo", "hi"), (root_lo, root_hi), ("range_lo", "range_hi"))
     if intersect:
         state += ["running = None", "consistent = True"]
-        step += ["if not lo <= hi: Interval(lo, hi)",
-                 "rlo, rhi = running or (lo, hi)",
-                 "consistent &= rlo <= hi and lo <= rhi",
-                 "if not consistent:",
-                 "    return Verdict(interval=None, point=point, consistent=False)",
-                 "lo, hi = lo if lo > rlo else rlo, hi if hi < rhi else rhi",  # max, min
-                 "running = lo, hi"]
-    step.append("return Verdict(Interval(lo, hi), point)")
 
     # each event: its code, then the window words, then warm-up or a verdict
     head = []
@@ -250,10 +251,25 @@ def _generate_step(expr: Expr, delta: float, uniform: bool, tau_mix: float,
     if window:
         state.append("window = ()")
         head.append(f"window = (window + (symbol,))[-{window}:]")
-    if width > 1:
-        head += [f"if t < {width}:", *("    " + line for line in warmup),
-                 "    return INCONCLUSIVE"]
-    return compile_closure(state, [("next(symbol)", head + step)], ns, "<fairmon.pomc step>")
+
+    def event(exit):
+        lines = list(head)
+        if width > 1:
+            lines += [f"if t < {width}:",
+                      *("    " + line for line in warmup + exit("INCONCLUSIVE"))]
+        lines += step
+        if intersect:
+            inconsistent = exit("Verdict(interval=None, point=point, consistent=False)")
+            lines += ["if not lo <= hi: Interval(lo, hi)",
+                      "rlo, rhi = running or (lo, hi)",
+                      "consistent &= rlo <= hi and lo <= rhi",
+                      "if not consistent:",
+                      *("    " + line for line in inconsistent),
+                      "lo, hi = lo if lo > rlo else rlo, hi if hi < rhi else rhi",  # max, min
+                      "running = lo, hi"]
+        return lines + exit(interval=("lo", "hi", "point"))
+
+    return compile_monitor(state, event, ns, "<fairmon.pomc step>")
 
 
 class CompositeMonitor:
@@ -266,7 +282,11 @@ class CompositeMonitor:
     clipped to the expression's a-priori range, where the true value
     certainly lies.  Running intersection is only sound for uniform
     intervals; a verdict disjoint from it makes every later one inconsistent.
-    ``source`` is the Python source of the step.
+
+    ``run(lines, record, emit, stride)`` runs the same step over the lines of
+    a stream and writes every ``stride``-th verdict (see
+    :func:`fairmon.codegen.compile_monitor`); ``next`` continues from where
+    it stopped.  ``source`` is the Python source of both.
     """
 
     def __init__(self, expr: Expr, delta: float, mode: str, tau_mix: float,
@@ -279,7 +299,7 @@ class CompositeMonitor:
         if intersect_verdicts and mode != "uniform":
             raise ConfigError("intersecting verdicts over time needs uniform mode")
         self.next: Callable[[str], Verdict]
-        self.next, self.source = _generate_step(
+        (self.next, self.run), self.source = _generate_step(
             expr, delta, mode == "uniform", tau_mix, alphabet, intersect_verdicts)
 
 

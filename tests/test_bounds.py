@@ -7,9 +7,10 @@ from fairmon.bounds import (DeltaBudget, baseline_union_interval,
                             ci_mc_pointwise, ci_mc_uniform,
                             ci_pomc_pointwise, ci_pomc_uniform,
                             mc_halfwidth, naive_uniform_lift, pomc_halfwidth,
-                            pomc_halfwidth_table, split_delta)
+                            pomc_halfwidth_blocks, pomc_halfwidth_table, split_delta)
 from fairmon.errors import ConfigError
 from fairmon.intervals import Interval
+from fairmon.pomc import _BLOCK
 from fairmon.speclang import parse
 
 PI = math.pi
@@ -120,7 +121,8 @@ class TestPomcBounds:
 
 class TestHalfwidthTable:
     """``pomc_halfwidth_table`` evaluates the half-width source over a t array;
-    every entry must be the per-t function's value, bit for bit."""
+    every entry must be the per-t function's value, bit for bit.  A table
+    covers t in [start, stop)."""
 
     @staticmethod
     def packed(values):
@@ -132,7 +134,7 @@ class TestHalfwidthTable:
         for d in [0.0125, 0.05 / 3]:
             for a, b in [(0.0, 1.0), (-40.0, 60.0), (0.3, 0.3), (0.0, math.inf)]:
                 for tau in [1.0, 7.45, 35.0]:
-                    table = pomc_halfwidth_table(d, n, a, b, tau, uniform, 5000)
+                    table = pomc_halfwidth_table(d, n, a, b, tau, uniform, 0, 5001)
                     halfwidth = pomc_halfwidth(d, n, a, b, tau, uniform)
                     assert len(table) == 5001
                     assert all(math.isnan(v) for v in table[:n])
@@ -141,25 +143,76 @@ class TestHalfwidthTable:
 
     def test_spot_checks_up_to_a_million(self):
         for uniform in [False, True]:
-            table = pomc_halfwidth_table(0.0125, 2, 0.0, 1.0, 7.45, uniform, 10**6)
+            table = pomc_halfwidth_table(0.0125, 2, 0.0, 1.0, 7.45, uniform, 0, 10**6 + 1)
             halfwidth = pomc_halfwidth(0.0125, 2, 0.0, 1.0, 7.45, uniform)
             ts = list(range(2, 10**6 + 1, 9973)) + [10**6 - 1, 10**6]
             assert self.packed(table[ts]) == self.packed(halfwidth(t) for t in ts)
 
     def test_short_horizon_is_all_nan(self):
-        assert [math.isnan(v) for v in pomc_halfwidth_table(0.05, 3, 0, 1, 1.0, True, 2)] == \
+        assert [math.isnan(v) for v in pomc_halfwidth_table(0.05, 3, 0, 1, 1.0, True, 0, 3)] == \
             [True, True, True]
 
     def test_checks_as_the_function_does(self):
         for args in [(0.0, 1, 0, 1, 1), (0.05, 0, 0, 1, 1), (0.05, 1, 1, 0, 1),
                      (0.05, 1, 0, 1, 0.5)]:
             with pytest.raises(ConfigError):
-                pomc_halfwidth_table(*args, True, 100)
+                pomc_halfwidth_table(*args, True, 0, 101)
 
     def test_horizon_that_overflows_int64_rejected(self):
         # (t - (n - 1)) ** 2 is computed in int64; 3.1e9 squared exceeds 2**63
         with pytest.raises(ConfigError, match="horizon"):
-            pomc_halfwidth_table(0.05, 1, 0.0, 1.0, 1.0, False, 3_100_000_000)
+            pomc_halfwidth_table(0.05, 1, 0.0, 1.0, 1.0, False, 0, 3_100_000_001)
+
+
+    @pytest.mark.parametrize("uniform", [False, True])
+    def test_a_range_that_starts_late(self, uniform):
+        halfwidth = pomc_halfwidth(0.0125, 3, 0.0, 1.0, 7.45, uniform)
+        table = pomc_halfwidth_table(0.0125, 3, 0.0, 1.0, 7.45, uniform, 1, 40)
+        assert len(table) == 39
+        assert all(math.isnan(v) for v in table[:2])
+        assert self.packed(table[2:]) == self.packed(halfwidth(t) for t in range(3, 40))
+
+
+class TestHalfwidthBlocks:
+    """``pomc_halfwidth_blocks`` gives the generated ``pomc`` step its
+    half-widths a block at a time, one list per (share, arity, range) key:
+    arrays that evaluate each share's log term once, or the per-t functions
+    where the arrays' int64 arithmetic would overflow, which is from
+    t = 3_037_000_500 at arity 1.  Every value must be the per-t function's,
+    bit for bit, and no block raises."""
+
+    @staticmethod
+    def check(keys, tau, uniform, start):
+        values = pomc_halfwidth_blocks(keys, tau, uniform)(start, start + _BLOCK)
+        assert len(values) == len(keys)
+        for (d, n, a, b), got in zip(keys, values):
+            assert type(got) is list and len(got) == _BLOCK
+            halfwidth = pomc_halfwidth(d, n, a, b, tau, uniform)
+            assert TestHalfwidthTable.packed(got) == TestHalfwidthTable.packed(
+                halfwidth(t) for t in range(start, start + _BLOCK))
+
+    @pytest.mark.parametrize("uniform", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_block_matches_the_function(self, n, uniform):
+        # two shares, each with a range of one value among its keys
+        keys = [(d, n, a, b) for d in [0.0125, 0.05 / 3]
+                for a, b in [(0.0, 1.0), (-40.0, 60.0), (0.3, 0.3)]]
+        for tau in [1.0, 35.0]:
+            for start in [1, n, _BLOCK - 1, 10**6 + 7, 3_037_000_500 - _BLOCK,
+                          3_037_000_000, 2**40]:
+                self.check(keys, tau, uniform, max(start, n))
+
+    @pytest.mark.parametrize("uniform", [False, True])
+    def test_arities_share_a_block(self, uniform):
+        keys = [(0.0125, n, 0.0, 1.0) for n in (3, 1, 2)]
+        for start in [3, 3_037_000_500 - _BLOCK, 3_037_000_000]:
+            self.check(keys, 7.45, uniform, start)
+
+    def test_checks_at_build(self):
+        for args in [(0.0, 1, 0, 1, 1), (0.05, 0, 0, 1, 1), (0.05, 1, 1, 0, 1),
+                     (0.05, 1, 0, 1, 0.5)]:
+            with pytest.raises(ConfigError):
+                pomc_halfwidth_blocks([args[:4]], args[4], True)
 
 
 class TestMcBounds:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fairmon.cli import _emit, _parse_t_range, main
+from fairmon.cli import _parse_t_range, _writers, main
 from fairmon.intervals import Interval
 from fairmon.pomc import INCONCLUSIVE, Verdict
 from fairmon.experiments import hypercube_pomc, lending_mc, lending_pomc
@@ -584,6 +584,18 @@ EMIT_VERDICTS = [
 ]
 
 
+def written(fmt, t, verdict):
+    """What the writers of ``fmt`` write for ``verdict`` at ``t``: ``emit``'s
+    record, which must be ``record``'s for a consistent verdict with an interval."""
+    out, numbers = io.StringIO(), io.StringIO()
+    _writers(out.write, fmt)[1](t, verdict)
+    if verdict.interval is not None and verdict.consistent:
+        _writers(numbers.write, fmt)[0](t, verdict.interval.lo, verdict.interval.hi,
+                                         verdict.point)
+        assert numbers.getvalue() == out.getvalue()
+    return out.getvalue()
+
+
 class TestEmit:
     """A JSONL record is the bytes of ``json.dumps``, a CSV row the ``repr`` of
     each number; non-finite values are null in JSONL and empty in CSV."""
@@ -607,15 +619,11 @@ class TestEmit:
 
     @pytest.mark.parametrize("verdict", EMIT_VERDICTS)
     def test_jsonl_line_equals_json_dumps(self, verdict):
-        out = io.StringIO()
-        _emit(out.write, "jsonl", 4321, verdict)
-        assert out.getvalue() == self.reference(4321, verdict)
+        assert written("jsonl", 4321, verdict) == self.reference(4321, verdict)
 
     @pytest.mark.parametrize("verdict", EMIT_VERDICTS)
     def test_csv_row(self, verdict):
-        out = io.StringIO()
-        _emit(out.write, "csv", 4321, verdict)
-        assert out.getvalue() == self.reference_csv(4321, verdict)
+        assert written("csv", 4321, verdict) == self.reference_csv(4321, verdict)
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(st.none() | st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)),
@@ -630,9 +638,7 @@ class TestEmit:
         iv = None if ends is None else Interval(*map(as_float, sorted(ends)))
         verdict = Verdict(iv, None if point is None else as_float(point), consistent)
         for fmt, reference in (("jsonl", self.reference), ("csv", self.reference_csv)):
-            out = io.StringIO()
-            _emit(out.write, fmt, t, verdict)
-            assert out.getvalue() == reference(t, verdict)
+            assert written(fmt, t, verdict) == reference(t, verdict)
 
 
 class TestCompareBounds:

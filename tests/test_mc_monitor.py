@@ -300,7 +300,8 @@ class TestDivisionMonitor:
         assert [m.delta for m in subs] == [pytest.approx(0.02)] * 2
         assert [list(m.layout.targets) for m in subs] == [["g"], ["gbar"]]
         assert mon._parts[0] == 0.0
-        assert mon.source.count("n0 += 1") == mon.source.count("n1 += 1") == 1
+        step = function_source(mon, "next")
+        assert step.count("n0 += 1") == step.count("n1 += 1") == 1
         assert "n2" not in mon.source
 
     def test_constant_parts_leave_the_denominator_monitored(self):
@@ -347,20 +348,35 @@ class TestDivisionMonitor:
         assert v.interval.contains(0.8 / 0.6)
 
 
+def function_source(mon, name):
+    """The source of the function ``name`` that the monitor's ``make()`` defines."""
+    node, = (node for node in ast.walk(ast.parse(mon.source))
+             if isinstance(node, ast.FunctionDef) and node.name == name)
+    return ast.get_source_segment(mon.source, node)
+
+
+def calls_in(source):
+    return {ast.unparse(node.func) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)}
+
+
 def test_ratio_step_is_one_function():
     """The ratio's step looks its symbol up once for both parts and runs both
     rounds and the fold inline: its only calls are the sampler, the
     half-widths, the buffers' ``len`` and ``clear``, and the error and value
-    constructors."""
+    constructors.  ``run`` runs the same step and adds only the line's
+    ``strip``, the writer and the reading and writing back of the cells."""
     states = lending_mc().states
     mon = build_mc_monitor(parse("T[gbar->gbary] / T[g->gy]", states), 0.05, "uniform",
                            alphabet=states)
-    assert mon.source.count("codes[symbol]") == 1
-    assert mon.source.count("codes[") == 1
-    calls = {ast.unparse(node.func) for node in ast.walk(ast.parse(mon.source))
-             if isinstance(node, ast.Call)}
-    assert calls == {"extract", "halfwidth0", "halfwidth1", "len", "z0.clear", "z1.clear",
-                     "EventError", "Interval", "Verdict"}
+    step, run = function_source(mon, "next"), function_source(mon, "run")
+    for source in (step, run):
+        assert source.count("codes[symbol]") == 1
+        assert source.count("codes[") == 1
+    calls = {"extract", "halfwidth0", "halfwidth1", "len", "z0.clear", "z1.clear",
+             "EventError", "Interval", "Verdict"}
+    assert calls_in(step) == calls
+    assert calls_in(run) == calls | {"load", "store", "line.strip", "emit"}
 
 
 class TestStreamDeterminism:

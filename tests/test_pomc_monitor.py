@@ -619,28 +619,30 @@ def test_generated_step_tests_no_point_for_none():
 
 
 # (spec, mode, intersect, alphabet) -> sha256 of the generated source, recorded
-# when the interval lines moved to fairmon.codegen, which the mc step shares
+# when ``next`` and ``run`` became one step written through two exit hooks and
+# the half-widths moved to block tables; the mode now lives in the tables only,
+# so a pointwise and a uniform monitor have one source
 SOURCE_DIGESTS = {
     ("conditional", "pointwise", False, True):
-        "a00431f547d228e4195c6931dfa5bf3257cee6758e7b4ec3b5234bb098890bf3",
+        "3720bc8cd578faace434dddfed3e84c1d9e4a1c8e0d30b496139def6f2e468f9",
     ("conditional", "uniform", False, True):
-        "8a9994bba4e2e57edfa87be9dca4a76b4b529823ecdf2b0944a29f715ff359e0",
+        "3720bc8cd578faace434dddfed3e84c1d9e4a1c8e0d30b496139def6f2e468f9",
     ("conditional", "uniform", True, True):
-        "0f77c23255f611886af5f546301874bf6f6678f6aedaead98b20065498f22ae5",
+        "bc16e8b60552df82f847a105e7b9b5f6d5b2c3f063216c6d3ee1713093f0e1ff",
     ("conditional", "uniform", False, False):
-        "9fb4565e2ce4e6438c58c6e3026dfe1f70dda35577727657efa0f5bbae78ac6b",
+        "2b6ef75c726765ffa1cae01dd8e046c445e6ab50a6781c0698a4c8e9107e728c",
     ("mixed", "pointwise", False, True):
-        "24bf2ac2f646132567808043cbe6a767113541339f20cab18a7169bbd408e3ac",
+        "e246bb7b6e18b0ca7f86f200ca1a8f34ea283290b8affdc0a90c4ab1e9eac1b8",
     ("mixed", "uniform", True, True):
-        "ac071c5f8c3fef5213f1b619308a41c42a654f5cbe1ddc3c1db4fbe15ad539df",
+        "f00e4a93b57e39dcc5b57d3a599f9e81cb4db2f94f5a579ec370517b48a56145",
     ("table", "pointwise", False, True):
-        "3b0aaea6e9e8db27625c047b038fc53338b84d6a377ca2b9101d5c41c37ecd91",
+        "60fd2743706ec7e16920a0a34e01f48bff520931433e36ad7e3c46ab62c2c072",
     ("table", "uniform", False, True):
-        "0da9a871c9b1ba646192198076f5b445599d4176ba0dba2b45ca71bc9a32f444",
+        "60fd2743706ec7e16920a0a34e01f48bff520931433e36ad7e3c46ab62c2c072",
     ("table", "uniform", True, True):
-        "9a3acb2534ba98f52b6fa0933a6c67803c8a1d18241671fd41182d69c31ad859",
+        "afc80e298b792b404d3961cb1616a101f4fbae89b85224f48502a7d51710c427",
     ("table", "uniform", True, False):
-        "70c7a9621e57961cfc1c77e327caaaea1242f6c7ae76ca2e92c3c47369fbf607",
+        "3fb9070f5a6a5023edee64fa8f5dea690b900c986f6b1c66b531a65564fdcd37",
 }
 
 
