@@ -13,7 +13,6 @@ Natural logarithms throughout.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
@@ -48,131 +47,64 @@ def _check_sigma_sq(sigma_sq: float):
         raise ConfigError(f"sigma^2 must be nonnegative, got {sigma_sq}")
 
 
-def pomc_log_source(delta: float, uniform: bool) -> Tuple[str, dict]:
-    """The log term of the pomc half-widths at share ``delta``, ln(pi^2 t^2 /
-    (3 delta)) uniform or ln(2/delta) pointwise, as Python source over ``t``
-    and the names bound in the returned dict.
-
-    Each form is written once, here, for :func:`pomc_halfwidth` and for the
-    arrays of :func:`pomc_halfwidth_table` and :func:`pomc_halfwidth_blocks`.
-    """
-    check_delta(delta)
-    if uniform:
-        return "log(pi2 * t * t / d3)", {"log": math.log, "pi2": _PI * _PI, "d3": 3.0 * delta}
-    return "log_term", {"log_term": math.log(2.0 / delta)}
-
-
-def pomc_halfwidth_source(n: int, a: float, b: float, tau_mix: float,
-                          log_term: str) -> Tuple[str, dict]:
-    """The half-width of an arity-n atom with range [a, b] at time t >= n, as
-    Python source over ``t``, the log term's source ``log_term`` (see
-    :func:`pomc_log_source`, which checks delta) and the names bound in the
-    returned dict.  The arguments are checked here, once.
-
-    sqrt( log_term * t * n^2 * (b-a)^2 * 9 * tau_mix / (2 (t-(n-1))^2) )
-    """
-    if n < 1:
-        raise ConfigError(f"need t >= n >= 1, got n={n}")
-    if not b >= a:
-        raise ConfigError(f"invalid atom range [{a}, {b}]")
-    if not tau_mix >= 1.0:
-        raise ConfigError(f"mixing-time bound must be >= 1, got {tau_mix}")
-    if b == a:
-        return "0.0", {}
-    # t * {n * n} equals t * n * n, an exact integer, so every float operation
-    # rounds as in the one-line formula
-    return (f"sqrt({log_term} * (t * {n * n} * sq * 9.0 * tau_mix / (2.0 * (t - {n - 1}) ** 2)))",
-            {"sqrt": math.sqrt, "sq": squared_width(a, b), "tau_mix": tau_mix})
-
-
-@functools.lru_cache(maxsize=64)
-def _compiled(source: str):
-    """The code of ``source``; half-width sources differ only by arity and mode."""
-    return compile(source, "<fairmon.bounds halfwidth>", "eval")
-
-
-def pomc_halfwidth(delta: float, n: int, a: float, b: float, tau_mix: float,
-                   uniform: bool) -> Callable[[int], float]:
-    """The half-width of an arity-n atom with range [a, b] as a function of t >= n.
-
-    The arguments are checked here, once; the returned function only
-    computes.  Every ``ci_pomc_*`` value comes from it, and it runs the
-    source that :func:`pomc_halfwidth_table` evaluates over an array of t,
-    so the arithmetic and its order are the same wherever a half-width is
-    needed.
-    """
-    log_term, names = pomc_log_source(delta, uniform)
-    width, more = pomc_halfwidth_source(n, a, b, tau_mix, log_term)
-    return eval(_compiled(f"lambda t: {width}"), {**names, **more})
-
-
-def _log_each(x: np.ndarray) -> np.ndarray:
-    """``math.log`` of each element: numpy's log may differ from libm's in the last bit."""
-    return np.fromiter(map(math.log, x), float, len(x))
-
-
-def _halfwidth_arrays(keys: Sequence[Tuple[float, int, float, float]], tau_mix: float,
-                      uniform: bool, t: np.ndarray) -> list:
-    """The half-widths of each key (delta, n, a, b) at the int64 array ``t``,
-    every t >= n: the source of :func:`pomc_halfwidth` with ``np.sqrt``
-    (correctly rounded, as ``math.sqrt`` is) and ``math.log`` per element.
-    Each share's log term is evaluated once.  A range of one value gives the
-    float 0.0."""
-    # every argument is checked before any t is
-    sources = {delta: pomc_log_source(delta, uniform) for delta, _, _, _ in keys}
-    widths = [(delta, *pomc_halfwidth_source(n, a, b, tau_mix, "log_term"))
-              for delta, n, a, b in keys]
-    logs = {delta: eval(_compiled(log_term), {**names, "log": _log_each, "t": t})
-            for delta, (log_term, names) in sources.items()}
-    return [eval(_compiled(width), {**names, "log_term": logs[delta], "sqrt": np.sqrt, "t": t})
-            for delta, width, names in widths]
-
-
-def _fits_int64(n: int, stop: int) -> bool:
-    """Whether the integers of the half-width source, ``t * n * n`` and
-    ``(t - (n - 1)) ** 2``, fit int64 for every t below ``stop``."""
-    return max((stop - 1) * n * n, (stop - n) ** 2) < 2 ** 63
-
-
-def pomc_halfwidth_table(delta: float, n: int, a: float, b: float, tau_mix: float,
-                         uniform: bool, start: int, stop: int) -> np.ndarray:
-    """``eps[t - start]`` for t in [start, stop), NaN below n, equal to
-    ``pomc_halfwidth(delta, n, a, b, tau_mix, uniform)(t)`` bit for bit.
-
-    The source squares t - (n - 1) as an integer, so a horizon that reaches
-    about 3.04e9 would overflow int64 and is rejected.
-    """
-    if not _fits_int64(n, stop):
-        raise ConfigError(f"horizon {stop - 1} is too long for a half-width table")
-    eps = np.full(max(stop - start, 0), np.nan)
-    first = max(start, n)
-    t = np.arange(first, stop, dtype=np.int64)
-    eps[first - start:] = _halfwidth_arrays([(delta, n, a, b)], tau_mix, uniform, t)[0]
-    return eps
-
-
 def pomc_halfwidth_blocks(keys: Sequence[Tuple[float, int, float, float]], tau_mix: float,
-                          uniform: bool) -> Callable[[int, int], List[list]]:
+                          uniform: bool) -> Callable[[int, int], List[np.ndarray]]:
     """``block(start, stop)``: the half-widths at t in [start, stop) of each
     key (delta, n, a, b), an arity-n atom with range [a, b] at share delta,
-    as one list of floats per key; every n <= start.
+    one float64 array per key, NaN below n:
 
-    Each value equals ``pomc_halfwidth(delta, n, a, b, tau_mix, uniform)(t)``
-    bit for bit.  A block is evaluated over an array of t, each share's log
-    term once, or by the per-t functions where the array's int64 arithmetic
-    would overflow, from about t = 3.04e9; it never raises.  The arguments
-    are checked here, once.
+    sqrt( L * t * n^2 * (b-a)^2 * 9 * tau_mix / (2 (t-(n-1))^2) ),
+
+    L = ln(pi^2 t^2 / (3 delta)) uniform, ln(2/delta) pointwise.  Every
+    ``pomc`` half-width comes from here: the monitor's block tables, the
+    coverage evaluator and ``ci_pomc_*``.  The arguments are checked here,
+    once.  The display keeps its operand order over a float t, exact below
+    2**53, so each integer product (t n^2, (t - (n-1))^2, pi^2 t t) rounds
+    once, as over Python ints.  ``np.sqrt`` is correctly rounded, as
+    ``math.sqrt`` is; numpy's log may differ from libm's in the last bit, so
+    each share's L is ``math.log`` per element, once per block.  A product
+    that overflows is inf, as a Python float's is; a range of one value
+    gives 0.0.
     """
-    scalars = [pomc_halfwidth(delta, n, a, b, tau_mix, uniform) for delta, n, a, b in keys]
+    if not tau_mix >= 1.0:
+        raise ConfigError(f"mixing-time bound must be >= 1, got {tau_mix}")
+    widths = []
+    for delta, n, a, b in keys:
+        check_delta(delta)
+        if n < 1:
+            raise ConfigError(f"need t >= n >= 1, got n={n}")
+        if not b >= a:
+            raise ConfigError(f"invalid atom range [{a}, {b}]")
+        widths.append((delta, n, None if b == a else squared_width(a, b)))
+    shares = {delta for delta, _, sq in widths if sq is not None}
 
-    def block(start: int, stop: int) -> List[list]:
-        if all(_fits_int64(n, stop) for _, n, _, _ in keys):
-            t = np.arange(start, stop, dtype=np.int64)
-            return [np.broadcast_to(eps, t.shape).tolist()
-                    for eps in _halfwidth_arrays(keys, tau_mix, uniform, t)]
-        return [[halfwidth(t) for t in range(start, stop)] for halfwidth in scalars]
+    def block(start: int, stop: int) -> List[np.ndarray]:
+        t = np.arange(start, stop, dtype=float)
+        # each share's log at t >= 1, from index j
+        j = min(max(1 - start, 0), len(t))
+        logs = {delta: np.fromiter(map(math.log, _PI * _PI * t[j:] * t[j:] / (3.0 * delta)),
+                                   float, len(t) - j)
+                if uniform else math.log(2.0 / delta) for delta in shares}
+        out = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for delta, n, sq in widths:
+                eps = np.full(len(t), np.nan)
+                i = min(max(n - start, 0), len(t))
+                tn = t[i:]
+                eps[i:] = 0.0 if sq is None else np.sqrt(
+                    (logs[delta][i - j:] if uniform else logs[delta])
+                    * (tn * (n * n) * sq * 9.0 * tau_mix / (2.0 * (tn - (n - 1)) ** 2)))
+                out.append(eps)
+        return out
 
     return block
+
+
+def _pomc_at(delta: float, t: int, n: int, a: float, b: float, tau_mix: float,
+             uniform: bool) -> float:
+    if t < n:
+        raise ConfigError(f"need t >= n >= 1, got t={t}, n={n}")
+    return float(pomc_halfwidth_blocks([(delta, n, a, b)], tau_mix, uniform)(t, t + 1)[0][0])
 
 
 def ci_pomc_pointwise(delta: float, t: int, n: int, a: float, b: float,
@@ -181,9 +113,7 @@ def ci_pomc_pointwise(delta: float, t: int, n: int, a: float, b: float,
 
     sqrt( ln(2/delta) * t * n^2 * (b-a)^2 * 9 * tau_mix / (2 (t-(n-1))^2) )
     """
-    if t < n:
-        raise ConfigError(f"need t >= n >= 1, got t={t}, n={n}")
-    return pomc_halfwidth(delta, n, a, b, tau_mix, False)(t)
+    return _pomc_at(delta, t, n, a, b, tau_mix, False)
 
 
 def ci_pomc_uniform(delta: float, t: int, n: int, a: float, b: float,
@@ -193,9 +123,7 @@ def ci_pomc_uniform(delta: float, t: int, n: int, a: float, b: float,
     Same kernel with ln(pi^2 t^2 / (3 delta)); valid simultaneously for all
     t by a union bound with the summable schedule delta_t = 6 delta/(pi t)^2.
     """
-    if t < n:
-        raise ConfigError(f"need t >= n >= 1, got t={t}, n={n}")
-    return pomc_halfwidth(delta, n, a, b, tau_mix, True)(t)
+    return _pomc_at(delta, t, n, a, b, tau_mix, True)
 
 
 def mc_halfwidth(delta: float, sigma_sq: float, uniform: bool) -> Callable[[int], float]:

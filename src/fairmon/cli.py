@@ -31,12 +31,19 @@ EXIT_CONFIG = 2
 EXIT_EVENT = 3
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8: {exc}") from None
+
+
 def _load_model(path: str) -> ObservationModel:
-    return ObservationModel.from_json(Path(path).read_text())
+    return ObservationModel.from_json(_read_text(path))
 
 
 def _load_spec(path: str, allow_transvars: bool):
-    return parse_spec_file(Path(path).read_text(), allow_transvars=allow_transvars)
+    return parse_spec_file(_read_text(path), allow_transvars=allow_transvars)
 
 
 INF = math.inf
@@ -235,6 +242,8 @@ def _parse_t_range(text: str):
 
 def cmd_compare_bounds(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise ConfigError(f"--methods names no method; available: {sorted(_METHODS)}")
     for m in methods:
         if m not in _METHODS:
             raise ConfigError(f"unknown method {m!r}; available: {sorted(_METHODS)}")
@@ -340,7 +349,8 @@ def main(argv=None) -> int:
     except FairmonError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # a file or directory that cannot be opened, read or written
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
 

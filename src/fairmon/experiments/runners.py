@@ -33,7 +33,7 @@ import numpy as np
 
 from ..bounds import (baseline_union_interval, ci_mc_pointwise, ci_mc_uniform,
                       ci_pomc_pointwise, ci_pomc_uniform, naive_uniform_lift,
-                      pomc_halfwidth_table, split_delta)
+                      pomc_halfwidth_blocks, split_delta)
 from ..errors import ConfigError
 from ..intervals import Interval
 from ..markov import (ObservationModel, mixing_time_bound, simulate,
@@ -132,21 +132,19 @@ class PomcSeriesEvaluator:
         self.stops = np.array(stops, dtype=np.int64)
         atoms = leaves(expr)
         shares = split_delta(delta, expr).shares() if atoms else []
+        windows = [(*atom_window(leaf), share) for leaf, share in zip(atoms, shares)]
+        # each mode's half-widths at every t, once per distinct (share, n, low, high)
+        keys = list(dict.fromkeys((share, n, low, high) for _, n, low, high, share in windows))
+        pointwise, uniform = (
+            dict(zip(keys, pomc_halfwidth_blocks(keys, tau_mix, mode)(0, horizon + 1)))
+            for mode in (False, True))
         # (values, n, low, high, pointwise eps at the stops, uniform eps at every t)
         self._atoms: List[Tuple[np.ndarray, int, float, float, np.ndarray, np.ndarray]] = []
-        # one pair (pointwise, uniform) per distinct (share, n, low, high)
-        tables: Dict[Tuple, Tuple[np.ndarray, np.ndarray]] = {}
-        for leaf, share in zip(atoms, shares):
-            fn, n, low, high = atom_window(leaf)
-            key = (share, n, low, high)
-            if key not in tables:
-                pointwise, uniform = (
-                    pomc_halfwidth_table(share, n, low, high, tau_mix, uniform, 0, horizon + 1)
-                    for uniform in (False, True))
-                tables[key] = pointwise[self.stops], uniform
+        for fn, n, low, high, share in windows:
             values = np.array([fn(w) for w in itertools.product(self.alphabet, repeat=n)],
                               dtype=float)
-            self._atoms.append((values, n, low, high, *tables[key]))
+            key = share, n, low, high
+            self._atoms.append((values, n, low, high, pointwise[key][self.stops], uniform[key]))
         # window count t - (n - 1) at t = n..horizon, per arity
         self._counts = {n: np.arange(1.0, horizon - n + 2) for _, n, *_ in self._atoms}
         self.warmup = max(self._counts, default=1)

@@ -145,15 +145,20 @@ class ObservationModel:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ModelError(f"model file is not valid JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise ModelError("model file must hold a JSON object")
         for key in ("states", "transitions", "initial", "labels"):
             if key not in data:
                 raise ModelError(f"model file is missing {key!r}")
-        return ObservationModel(
-            states=tuple(str(s) for s in data["states"]),
-            transitions=np.asarray(data["transitions"], dtype=float),
-            initial=np.asarray(data["initial"], dtype=float),
-            labels={str(k): str(v) for k, v in data["labels"].items()},
-        )
+        try:
+            states = tuple(str(s) for s in data["states"])
+            transitions = np.asarray(data["transitions"], dtype=float)
+            initial = np.asarray(data["initial"], dtype=float)
+            labels = {str(k): str(v) for k, v in data["labels"].items()}
+        except (AttributeError, TypeError, ValueError) as exc:
+            # a field of the wrong type, or rows of different lengths
+            raise ModelError(f"model file is malformed: {exc}") from None
+        return ObservationModel(states, transitions, initial, labels)
 
 
 @dataclass(frozen=True)

@@ -26,11 +26,9 @@ The half-width lines come first, and they call nothing.  Atoms with the same
 of its half-widths at ``_BLOCK`` consecutive times from ``tb``: an event
 reads ``e0 = E0[t - tb]``, and the event at which t reaches the end of the
 block refills every list with one call.  The lists come from
-:func:`fairmon.bounds.pomc_halfwidth_blocks`, which evaluates the source
-text of :func:`fairmon.bounds.pomc_log_source` and
-:func:`fairmon.bounds.pomc_halfwidth_source` over an array of t, the text
-that :func:`fairmon.bounds.pomc_halfwidth` evaluates at one t, so every
-half-width has the same bits wherever it is computed.  The mode of the
+:func:`fairmon.bounds.pomc_halfwidth_blocks`, the one function that
+computes every ``pomc`` half-width, over an array of t, so every half-width
+has the same bits wherever it is computed.  The mode of the
 bound lives in these lists alone.
 
 The other lines keep the formulas of :class:`Interval` with the same
@@ -178,7 +176,7 @@ def _generate_step(expr: Expr, delta: float, uniform: bool, tau_mix: float,
         block = pomc_halfwidth_blocks(list(keys), tau_mix, uniform)
 
         def fill(t):
-            return (t, *block(t, t + _BLOCK))
+            return (t, *(eps.tolist() for eps in block(t, t + _BLOCK)))
 
         ns["fill"] = fill
         tables = [f"E{k}" for k in range(len(keys))]

@@ -1,13 +1,15 @@
 import math
 import struct
+import warnings
 
+import numpy as np
 import pytest
 
 from fairmon.bounds import (DeltaBudget, baseline_union_interval,
                             ci_mc_pointwise, ci_mc_uniform,
                             ci_pomc_pointwise, ci_pomc_uniform,
-                            mc_halfwidth, naive_uniform_lift, pomc_halfwidth,
-                            pomc_halfwidth_blocks, pomc_halfwidth_table, split_delta)
+                            mc_halfwidth, naive_uniform_lift,
+                            pomc_halfwidth_blocks, split_delta)
 from fairmon.errors import ConfigError
 from fairmon.intervals import Interval
 from fairmon.pomc import _BLOCK
@@ -87,29 +89,18 @@ class TestPomcBounds:
         with pytest.raises(ConfigError):
             ci_pomc_pointwise(0.05, 10, 1, 0, 1, 0.5)  # tau < 1
 
-    @pytest.mark.parametrize("uniform", [False, True])
-    def test_halfwidth_function_keeps_the_one_line_formula(self, uniform):
-        # bit for bit the display in its original operand order, which the
-        # per-key function regroups around precomputed constants
-        def one_line(d, t, n, a, b, tau):
-            kernel = t * n * n * (b - a) ** 2 * 9.0 * tau / (2.0 * (t - (n - 1)) ** 2)
-            log_term = math.log(PI * PI * t * t / (3.0 * d)) if uniform else math.log(2.0 / d)
-            return math.sqrt(log_term * kernel)
-
+    @pytest.mark.parametrize("ci", [ci_pomc_pointwise, ci_pomc_uniform])
+    def test_keeps_the_one_line_formula(self, ci):
+        uniform = ci is ci_pomc_uniform
         for d in [0.05 / 3, 0.0125, 0.1 / 7]:
             for n in [1, 2, 3, 5]:
                 for a, b in [(0.0, 1.0), (-1.0, 2.0), (0.0, 0.3), (-0.3, 0.4),
                              (0.1, 0.35), (0.0, math.inf)]:
                     for tau in [1.0, 7.45, 35.0, 204.94]:
-                        halfwidth = pomc_halfwidth(d, n, a, b, tau, uniform)
                         for t in [n, n + 1, 31, 97, 777, 12_345, 2**20 + 3, 10**9]:
-                            assert halfwidth(t) == one_line(d, t, n, a, b, tau)
-
-    def test_halfwidth_function_checks_at_build(self):
-        for args in [(0.0, 1, 0, 1, 1), (0.05, 0, 0, 1, 1), (0.05, 1, 1, 0, 1),
-                     (0.05, 1, 0, 1, 0.5), (0.05, 1, 0, 1, math.nan)]:
-            with pytest.raises(ConfigError):
-                pomc_halfwidth(*args, True)
+                            got = ci(d, t, n, a, b, tau)
+                            assert type(got) is float
+                            assert packed([got]) == packed([one_line(d, t, n, a, b, tau, uniform)])
 
     @pytest.mark.parametrize("ci", [ci_pomc_pointwise, ci_pomc_uniform])
     def test_nan_arguments_rejected(self, ci):
@@ -119,100 +110,94 @@ class TestPomcBounds:
             ci(0.05, 10, 1, 0.0, math.nan, 1.0)  # range
 
 
-class TestHalfwidthTable:
-    """``pomc_halfwidth_table`` evaluates the half-width source over a t array;
-    every entry must be the per-t function's value, bit for bit.  A table
-    covers t in [start, stop)."""
-
-    @staticmethod
-    def packed(values):
-        return [struct.pack("<d", v) for v in values]
-
-    @pytest.mark.parametrize("uniform", [False, True])
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_every_t_matches_the_function(self, n, uniform):
-        for d in [0.0125, 0.05 / 3]:
-            for a, b in [(0.0, 1.0), (-40.0, 60.0), (0.3, 0.3), (0.0, math.inf)]:
-                for tau in [1.0, 7.45, 35.0]:
-                    table = pomc_halfwidth_table(d, n, a, b, tau, uniform, 0, 5001)
-                    halfwidth = pomc_halfwidth(d, n, a, b, tau, uniform)
-                    assert len(table) == 5001
-                    assert all(math.isnan(v) for v in table[:n])
-                    assert self.packed(table[n:]) == self.packed(
-                        halfwidth(t) for t in range(n, 5001))
-
-    def test_spot_checks_up_to_a_million(self):
-        for uniform in [False, True]:
-            table = pomc_halfwidth_table(0.0125, 2, 0.0, 1.0, 7.45, uniform, 0, 10**6 + 1)
-            halfwidth = pomc_halfwidth(0.0125, 2, 0.0, 1.0, 7.45, uniform)
-            ts = list(range(2, 10**6 + 1, 9973)) + [10**6 - 1, 10**6]
-            assert self.packed(table[ts]) == self.packed(halfwidth(t) for t in ts)
-
-    def test_short_horizon_is_all_nan(self):
-        assert [math.isnan(v) for v in pomc_halfwidth_table(0.05, 3, 0, 1, 1.0, True, 0, 3)] == \
-            [True, True, True]
-
-    def test_checks_as_the_function_does(self):
-        for args in [(0.0, 1, 0, 1, 1), (0.05, 0, 0, 1, 1), (0.05, 1, 1, 0, 1),
-                     (0.05, 1, 0, 1, 0.5)]:
-            with pytest.raises(ConfigError):
-                pomc_halfwidth_table(*args, True, 0, 101)
-
-    def test_horizon_that_overflows_int64_rejected(self):
-        # (t - (n - 1)) ** 2 is computed in int64; 3.1e9 squared exceeds 2**63
-        with pytest.raises(ConfigError, match="horizon"):
-            pomc_halfwidth_table(0.05, 1, 0.0, 1.0, 1.0, False, 0, 3_100_000_001)
+def one_line(d, t, n, a, b, tau, uniform):
+    """The display in its original operand order, over Python ints t and n."""
+    kernel = t * n * n * (b - a) ** 2 * 9.0 * tau / (2.0 * (t - (n - 1)) ** 2)
+    log_term = math.log(PI * PI * t * t / (3.0 * d)) if uniform else math.log(2.0 / d)
+    return math.sqrt(log_term * kernel)
 
 
-    @pytest.mark.parametrize("uniform", [False, True])
-    def test_a_range_that_starts_late(self, uniform):
-        halfwidth = pomc_halfwidth(0.0125, 3, 0.0, 1.0, 7.45, uniform)
-        table = pomc_halfwidth_table(0.0125, 3, 0.0, 1.0, 7.45, uniform, 1, 40)
-        assert len(table) == 39
-        assert all(math.isnan(v) for v in table[:2])
-        assert self.packed(table[2:]) == self.packed(halfwidth(t) for t in range(3, 40))
+def packed(values):
+    return [struct.pack("<d", v) for v in values]
 
 
 class TestHalfwidthBlocks:
-    """``pomc_halfwidth_blocks`` gives the generated ``pomc`` step its
-    half-widths a block at a time, one list per (share, arity, range) key:
-    arrays that evaluate each share's log term once, or the per-t functions
-    where the arrays' int64 arithmetic would overflow, which is from
-    t = 3_037_000_500 at arity 1.  Every value must be the per-t function's,
-    bit for bit, and no block raises."""
+    """``pomc_halfwidth_blocks`` computes every ``pomc`` half-width: the
+    monitor's tables a block at a time, the coverage evaluator's from t = 0
+    and ``ci_pomc_*`` one t at a time.  Each block holds one float64 array
+    per (share, arity, range) key, NaN below the arity, and every value must
+    be the one-line formula's over Python ints, bit for bit, up to 2**53."""
 
     @staticmethod
-    def check(keys, tau, uniform, start):
-        values = pomc_halfwidth_blocks(keys, tau, uniform)(start, start + _BLOCK)
+    def check(keys, tau, uniform, start, stop):
+        values = pomc_halfwidth_blocks(keys, tau, uniform)(start, stop)
         assert len(values) == len(keys)
         for (d, n, a, b), got in zip(keys, values):
-            assert type(got) is list and len(got) == _BLOCK
-            halfwidth = pomc_halfwidth(d, n, a, b, tau, uniform)
-            assert TestHalfwidthTable.packed(got) == TestHalfwidthTable.packed(
-                halfwidth(t) for t in range(start, start + _BLOCK))
+            assert got.dtype == np.float64 and got.shape == (stop - start,)
+            below = max(min(n - start, stop - start), 0)
+            assert np.isnan(got[:below]).all()
+            assert packed(got[below:].tolist()) == packed(
+                one_line(d, t, n, a, b, tau, uniform) for t in range(start + below, stop))
 
     @pytest.mark.parametrize("uniform", [False, True])
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_every_block_matches_the_function(self, n, uniform):
-        # two shares, each with a range of one value among its keys
+    def test_every_block_keeps_the_one_line_formula(self, n, uniform):
+        # two shares, each with a range of one value and an unbounded one
         keys = [(d, n, a, b) for d in [0.0125, 0.05 / 3]
-                for a, b in [(0.0, 1.0), (-40.0, 60.0), (0.3, 0.3)]]
+                for a, b in [(0.0, 1.0), (-40.0, 60.0), (0.3, 0.3), (0.0, math.inf)]]
         for tau in [1.0, 35.0]:
             for start in [1, n, _BLOCK - 1, 10**6 + 7, 3_037_000_500 - _BLOCK,
-                          3_037_000_000, 2**40]:
-                self.check(keys, tau, uniform, max(start, n))
+                          3_037_000_000, 2**40, 2**53 - _BLOCK]:
+                self.check(keys, tau, uniform, start, start + _BLOCK)
+
+    @pytest.mark.parametrize("uniform", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_a_table_from_zero(self, n, uniform):
+        # the coverage evaluator's call: t = 0..horizon, NaN below n
+        keys = [(d, n, a, b) for d in [0.0125, 0.05 / 3]
+                for a, b in [(0.0, 1.0), (-40.0, 60.0), (0.3, 0.3), (0.0, math.inf)]]
+        for tau in [1.0, 7.45, 35.0]:
+            self.check(keys, tau, uniform, 0, 5001)
 
     @pytest.mark.parametrize("uniform", [False, True])
     def test_arities_share_a_block(self, uniform):
         keys = [(0.0125, n, 0.0, 1.0) for n in (3, 1, 2)]
-        for start in [3, 3_037_000_500 - _BLOCK, 3_037_000_000]:
-            self.check(keys, 7.45, uniform, start)
+        for start, stop in [(0, 40), (1, 40), (3, 3 + _BLOCK), (0, 3), (2, 2),
+                            (3_037_000_500 - _BLOCK, 3_037_000_500),
+                            (3_037_000_000, 3_037_000_000 + _BLOCK)]:
+            self.check(keys, 7.45, uniform, start, stop)
+
+    def test_spot_checks_up_to_a_million(self):
+        for uniform in [False, True]:
+            table = pomc_halfwidth_blocks([(0.0125, 2, 0.0, 1.0)], 7.45, uniform)(0, 10**6 + 1)[0]
+            ts = list(range(2, 10**6 + 1, 9973)) + [10**6 - 1, 10**6]
+            assert packed(table[ts].tolist()) == packed(
+                one_line(0.0125, t, 2, 0.0, 1.0, 7.45, uniform) for t in ts)
+
+    def test_log_is_libms(self):
+        # numpy 2.4's np.log differed from math.log in the last bit at these
+        # t on an x86-64 VM, enough to change the uniform half-width
+        for d, ts in [(0.0125, [160362, 254574]), (0.05 / 3, [55022, 69307])]:
+            for t in ts:
+                self.check([(d, 1, 0.0, 1.0)], 35.0, True, t, t + 1)
+
+    @pytest.mark.parametrize("uniform", [False, True])
+    def test_no_runtime_warning(self, uniform):
+        # t = 0 and t < n are never computed, and a product that overflows is
+        # inf, as over Python floats
+        keys = [(0.0125, 3, 0.0, 1.0), (0.0125, 1, 0.0, 1e150), (0.0125, 2, 0.0, 5e-324)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for start, stop in [(0, 5), (2**40, 2**40 + 8)]:
+                self.check(keys, 7.45, uniform, start, stop)
+            eps = pomc_halfwidth_blocks(keys, math.inf, uniform)(2**40, 2**40 + 8)
+        assert np.isinf(eps[0]).all() and np.isinf(eps[1]).all() and np.isnan(eps[2]).all()
 
     def test_checks_at_build(self):
         for args in [(0.0, 1, 0, 1, 1), (0.05, 0, 0, 1, 1), (0.05, 1, 1, 0, 1),
-                     (0.05, 1, 0, 1, 0.5)]:
+                     (0.05, 1, 0, 1, 0.5), (0.05, 1, 0, 1, math.nan), (0.05, 1, 0, math.nan, 1)]:
             with pytest.raises(ConfigError):
-                pomc_halfwidth_blocks([args[:4]], args[4], True)
+                pomc_halfwidth_blocks([(0.0125, 1, 0.0, 1.0), args[:4]], args[4], True)
 
 
 class TestMcBounds:

@@ -368,6 +368,19 @@ class TestMonitor:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "overflows" in err
 
+    @pytest.mark.parametrize("mode", ["pointwise", "uniform"])
+    def test_half_width_that_overflows_is_inf_without_a_warning(self, capsys, tmp_path, mode):
+        # (b - a) ** 2 = 1e306 is a float, but t * 1e306 * 9 * tau is not
+        spec = tmp_path / "wide.spec"
+        spec.write_text("alphabet: a b\natom w arity 1 range [0,1e153] { a -> 1; default -> 0 }\n"
+                        "property: F[w]\n")
+        events = tmp_path / "events.txt"
+        events.write_text("a\nb\n")
+        code, out, err = run_cli(capsys, "monitor", "--spec", str(spec), "--engine", "pomc",
+                                 "--tau-mix", "35", "--mode", mode, "--events", str(events))
+        assert (code, err) == (0, "")
+        assert [json.loads(line)["hi"] for line in out.splitlines()] == [1e153, 1e153]
+
     def test_negative_seed_exits_2(self, capsys, lending_files, tmp_path):
         _, spec = lending_files
         events = tmp_path / "events.txt"
@@ -782,6 +795,63 @@ class TestExperimentCommand:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error:") and word in err
         assert not any(tmp_path.iterdir())
+
+
+def _model_with(**fields):
+    """A one-state model file's text with some fields replaced."""
+    return json.dumps({"states": ["x"], "transitions": [[1.0]], "initial": [1.0],
+                       "labels": {"x": "a"}, **fields})
+
+
+class TestUnusableInputs:
+    """A path the CLI cannot open, a spec or model file that is not UTF-8, a
+    malformed model and an empty method list each exit 2 with one line."""
+
+    # each case: files to write under tmp_path (None makes a directory), then
+    # the arguments, in which {name} is the path of that file
+    CASES = {
+        "monitor-spec-is-a-directory": ({"d": None}, ["monitor", "--spec", "{d}"]),
+        "monitor-events-is-a-directory": (
+            {"d": None}, ["monitor", "--spec", "{spec}", "--events", "{d}"]),
+        "truth-model-is-a-directory": (
+            {"d": None}, ["truth", "--model", "{d}", "--spec", "{spec}"]),
+        "experiment-out-dir-is-a-file": (
+            {"f": "x"}, ["experiment", "--name", "fig3-ratio", "--out-dir", "{f}"]),
+        "spec-not-utf8": ({"s": b"alphabet: a b\nproperty: P[\xff]\n"},
+                          ["monitor", "--spec", "{s}", "--events", "{events}"]),
+        "model-not-utf8": ({"m": b"\xff\xfe{}"}, ["simulate", "--model", "{m}", "--steps", "2"]),
+        "model-not-an-object": ({"m": "5"}, ["simulate", "--model", "{m}", "--steps", "2"]),
+        "model-labels-a-list": ({"m": _model_with(labels=[])},
+                                ["simulate", "--model", "{m}", "--steps", "2"]),
+        "model-transitions-a-string": ({"m": _model_with(transitions="abc")},
+                                       ["simulate", "--model", "{m}", "--steps", "2"]),
+        "model-ragged-rows": ({"m": _model_with(states=["x", "y"], labels={"x": "a", "y": "b"},
+                                                initial=[1.0, 0.0],
+                                                transitions=[[1.0], [0.5, 0.5]])},
+                              ["truth", "--model", "{m}", "--spec", "{spec}"]),
+        "compare-bounds-no-method": ({}, ["compare-bounds", "--methods", ","]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_2_with_one_line(self, capsys, lending_files, tmp_path, case):
+        files, argv = self.CASES[case]
+        _, spec = lending_files
+        paths = {"spec": spec, "events": tmp_path / "events.txt"}
+        paths["events"].write_text("init\ng\n")
+        for name, content in files.items():
+            path = paths[name] = tmp_path / name
+            if content is None:
+                path.mkdir()
+            elif isinstance(content, bytes):
+                path.write_bytes(content)
+            else:
+                path.write_text(content)
+        code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
+        if case.endswith("not-utf8"):
+            assert str(paths[case[0]]) in err
 
 
 class TestUniformMode:
