@@ -18,10 +18,31 @@ through one hook, :func:`returned` for ``next`` and :func:`recorded` for
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 Names = Tuple[str, str]  # the names of an interval's lo and hi
 Exit = Callable[..., list]  # returned or recorded
+
+
+class _Unnamed(dict):
+    """Codes in which every symbol the dict does not hold has the next code."""
+    def __missing__(self, symbol):
+        return len(self)
+
+
+def symbol_codes(named: Iterable[str], alphabet: Optional[Sequence[str]]) -> dict:
+    """Codes 0, 1, ... of the ``named`` symbols, and the next code for every
+    other symbol, since the step cannot tell them apart.  With an
+    ``alphabet`` the map holds its symbols alone."""
+    codes = _Unnamed((s, c) for c, s in enumerate(dict.fromkeys(named)))
+    return {s: codes[s] for s in alphabet} if alphabet else codes
+
+
+def lookup(codes: dict, ns: dict) -> list:
+    """Lines setting ``c`` to the code of ``symbol`` in ``codes``, bound in
+    ``ns``; a symbol it lacks raises ``EventError`` before any state moves."""
+    ns["codes"] = codes
+    return ["try: c = codes[symbol]", "except KeyError: raise EventError(symbol) from None"]
 
 
 def extreme(target: str, items: Sequence[str], op: str) -> list:

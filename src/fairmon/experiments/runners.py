@@ -22,7 +22,6 @@ and sample count at each stop give the pointwise interval.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import time
@@ -33,15 +32,15 @@ import numpy as np
 
 from ..bounds import (baseline_union_interval, ci_mc_pointwise, ci_mc_uniform,
                       ci_pomc_pointwise, ci_pomc_uniform, naive_uniform_lift,
-                      pomc_halfwidth_blocks, split_delta)
+                      pomc_halfwidth_blocks)
 from ..errors import ConfigError
 from ..intervals import Interval
 from ..markov import (ObservationModel, mixing_time_bound, simulate,
                       simulate_states, truth_value)
 from ..mc import build_mc_monitor
-from ..pomc import INCONCLUSIVE, atom_window
+from ..pomc import INCONCLUSIVE, plan
 from ..speclang.ast import (Add, Atom, Const, Expr, Inv, Mul, SeqProb, Sub,
-                            TransVar, contains_division, expression_size, fold, leaves)
+                            TransVar, contains_division, expression_size, fold)
 from ..speclang.normal_form import decompose_division, to_polynomial
 from ..speclang.ranges import bse_range
 from . import models
@@ -109,16 +108,16 @@ class PomcSeriesEvaluator:
     """Per-run composite intervals of a windowed expression: the pointwise
     intervals and the points at a few stops, the uniform intervals at every t.
 
-    Each atom's window function is tabulated once on every word of its arity,
-    indexed by the word read as a base-|O| number (first symbol most
-    significant), so a run reads its window values with one gather of one
-    word array per arity.  The half-widths and the window counts depend only
-    on time, so they are computed once and shared across runs.  Each run
-    costs one cumulative sum per atom over every t; the points and the
-    pointwise intervals are then folded over the stops alone, and only the
-    uniform intervals over every t.  Elementwise operations give the same
-    bits on a subset as on the whole array, so the values at the stops are
-    those of a fold over every t.
+    Each atom's value table comes from :func:`fairmon.pomc.plan`, and
+    ``codes`` maps each symbol's index in the alphabet to its plan code, so
+    a run reads its window values with one gather of one word array per
+    arity.  The half-widths and the window counts depend only on time, so
+    they are computed once and shared across runs.  Each run costs one
+    cumulative sum per atom over every t; the points and the pointwise
+    intervals are then folded over the stops alone, and only the uniform
+    intervals over every t.  Elementwise operations give the same bits on a
+    subset as on the whole array, so the values at the stops are those of a
+    fold over every t.
     """
 
     def __init__(self, expr: Expr, alphabet: Sequence[str], horizon: int,
@@ -126,25 +125,20 @@ class PomcSeriesEvaluator:
         if not all(0 <= t <= horizon for t in stops):
             raise ConfigError(f"stops must lie in [0, {horizon}]")
         self.expr = expr
-        self.alphabet = tuple(alphabet)
         self.horizon = horizon
         self.root_range = bse_range(expr)
         self.stops = np.array(stops, dtype=np.int64)
-        atoms = leaves(expr)
-        shares = split_delta(delta, expr).shares() if atoms else []
-        windows = [(*atom_window(leaf), share) for leaf, share in zip(atoms, shares)]
+        codes, self.base, atoms = plan(expr, delta, alphabet)
+        self.codes = np.array([codes[s] for s in alphabet], dtype=np.int64)
         # each mode's half-widths at every t, once per distinct (share, n, low, high)
-        keys = list(dict.fromkeys((share, n, low, high) for _, n, low, high, share in windows))
+        keys = list(dict.fromkeys(key for _, key in atoms))
         pointwise, uniform = (
             dict(zip(keys, pomc_halfwidth_blocks(keys, tau_mix, mode)(0, horizon + 1)))
             for mode in (False, True))
         # (values, n, low, high, pointwise eps at the stops, uniform eps at every t)
-        self._atoms: List[Tuple[np.ndarray, int, float, float, np.ndarray, np.ndarray]] = []
-        for fn, n, low, high, share in windows:
-            values = np.array([fn(w) for w in itertools.product(self.alphabet, repeat=n)],
-                              dtype=float)
-            key = share, n, low, high
-            self._atoms.append((values, n, low, high, pointwise[key][self.stops], uniform[key]))
+        self._atoms: List[Tuple[np.ndarray, int, float, float, np.ndarray, np.ndarray]] = [
+            (np.array(table, dtype=float), *key[1:], pointwise[key][self.stops], uniform[key])
+            for table, key in atoms]
         # window count t - (n - 1) at t = n..horizon, per arity
         self._counts = {n: np.arange(1.0, horizon - n + 2) for _, n, *_ in self._atoms}
         self.warmup = max(self._counts, default=1)
@@ -152,18 +146,17 @@ class PomcSeriesEvaluator:
     def run(self, codes: np.ndarray):
         """Return the pointwise ``(lo, hi, point)`` arrays aligned with the
         stops and the uniform ``(lo, hi)`` arrays indexed by t = 0..horizon,
-        for ``codes`` of length horizon; a value before its atoms' windows
-        fill is NaN."""
+        for plan ``codes`` of length horizon; a value before its atoms'
+        windows fill is NaN."""
         t_len = codes.shape[0]
         if t_len != self.horizon:
             raise ConfigError(f"need {self.horizon} codes, got {t_len}")
-        base = len(self.alphabet)
         words = {}
         for n in self._counts:
             windows = t_len - n + 1
             word = codes[:windows]
             for off in range(1, n):
-                word = word * base + codes[off:windows + off]
+                word = word * self.base + codes[off:windows + off]
             words[n] = word
         at = self.stops
         means, pointwise, uniform = [], [], []
@@ -294,8 +287,8 @@ def _pomc_run(model, expr, horizon, delta, tau_mix, truth, stops):
     The pointwise intervals and the points come at the stops (the checkpoints
     and the horizon); the uniform intervals are checked at every emitted t.
     """
-    state_codes = model.label_codes()
     evaluator = PomcSeriesEvaluator(expr, model.alphabet, horizon, delta, tau_mix, stops)
+    state_codes = evaluator.codes[model.label_codes()]  # each state's plan code
     warm = evaluator.warmup
     emitted = slice(warm, horizon + 1)
 

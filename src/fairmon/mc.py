@@ -49,7 +49,7 @@ import numpy as np
 
 from .bounds import check_delta, mc_halfwidth, squared_width
 from .codegen import (clip, compile_monitor, extreme, interval_product,
-                      interval_reciprocal, interval_sum)
+                      interval_reciprocal, interval_sum, lookup, symbol_codes)
 from .errors import ConfigError, EventError, SpecValidationError
 from .intervals import Interval
 from .pomc import INCONCLUSIVE, Verdict
@@ -150,14 +150,10 @@ class MCMonitor:
         monitored = [p for p in self._parts if isinstance(p, _Part)]
 
         # one code space: every part's sources, then their other targets
-        sources = list(dict.fromkeys(s for p in monitored for s in p.layout.targets))
-        codes = {s: c for c, s in enumerate(sources)}
-        for p in monitored:
-            for tgts in p.layout.targets.values():
-                for tgt in tgts:
-                    codes.setdefault(tgt, len(codes))
-        other = len(codes)  # every symbol that is not relevant
-        self._codes = {s: codes.get(s, other) for s in alphabet} if alphabet else codes
+        sources = [s for p in monitored for s in p.layout.targets]
+        targets = [t for p in monitored for tgts in p.layout.targets.values() for t in tgts]
+        codes = {s: c for c, s in enumerate(dict.fromkeys(sources + targets))}
+        self._codes = symbol_codes(codes, alphabet)  # every other symbol: len(codes)
         # counters per (part, source), numbered in part order, then source order
         self._c: List[int] = []
         self._cij: List[List[int]] = []
@@ -166,7 +162,7 @@ class MCMonitor:
         self._draw: List[Callable[[], float]] = []
         for p in monitored:
             for tgts in p.layout.targets.values():
-                row = [-1] * (other + 1)
+                row = [-1] * (len(codes) + 1)
                 for j, tgt in enumerate(tgts):
                     row[codes[tgt]] = j
                 self._rows.append(row)
@@ -178,8 +174,7 @@ class MCMonitor:
         self._registers = (len(self._c) + sum(map(len, self._cij))
                            + sum(len(p.layout.slots) + 5 for p in monitored))
         self.peak_buffer = 0
-        (self.next, self.run, self._state), self.source = _generate_step(
-            self, codes, None if alphabet else other)
+        (self.next, self.run, self._state), self.source = _generate_step(self, codes)
 
     @property
     def n_samples(self) -> int:
@@ -239,22 +234,14 @@ class MCMonitor:
 MCMonitorDivFree = MCMonitor
 
 
-def _generate_step(mon: MCMonitor, codes: dict, miss: Optional[int]) -> Tuple[tuple, str]:
-    """``next``, ``run`` and ``state`` of ``mon`` as compiled Python, and their source.
-
-    ``codes`` maps each relevant state to its code; ``miss`` is the code of
-    any other symbol, or None when such a symbol raises ``EventError``.
-    """
+def _generate_step(mon: MCMonitor, codes: dict) -> Tuple[tuple, str]:
+    """``next``, ``run`` and ``state`` of ``mon``, whose relevant states have the
+    ``codes``, as compiled Python, and their source."""
     ns = {"INF": math.inf, "Interval": Interval, "Verdict": Verdict,
-          "INCONCLUSIVE": INCONCLUSIVE, "EventError": EventError, "codes": mon._codes,
+          "INCONCLUSIVE": INCONCLUSIVE, "EventError": EventError,
           "extract": mon._extract, "cnt": mon._c, "edges": mon._cij, "rows": mon._rows}
     state = ["t = 0", "prev = -1", "verdict = INCONCLUSIVE"]
-    if miss is None:
-        head = ["try: c = codes[symbol]",
-                "except KeyError: raise EventError(symbol) from None"]
-    else:
-        head = [f"c = codes.get(symbol, {miss})"]
-    head += ["t += 1", "p = prev", "prev = c"]
+    head = [*lookup(mon._codes, ns), "t += 1", "p = prev", "prev = c"]
     counters, rounds, terms, samples = [], [], [], []  # samples: (n, mean) per part
     split = len(mon._parts) > 1
     base = 0  # number of the part's first (part, source) counter

@@ -12,14 +12,14 @@ per-event step as straight-line Python source, compiled once with
 loop over the lines of a stream, are its ``run`` (see
 :mod:`fairmon.codegen`).  The state (time, window words, means, half-width
 tables, running intersection) lives in closure cells, and constants and
-ranges are objects of the code's namespace, never text.  With a declared
-alphabet a symbol becomes an integer code with one dict lookup, and a symbol
-outside it raises ``EventError`` before any state moves.  Each arity keeps
-one rolling window word, ``w = (w * |O| + c) % |O|**n``, and an atom reads
-its window value as ``table[w]`` from a list of its values on every word of
-its arity, in base-|O| order, filled at build.  Without an alphabet, or for
-an atom of more than ``_MEMO_WORDS`` words, the atom's line calls its window
-function on a tuple of the last symbols.
+ranges are objects of the code's namespace, never text.  In the codes of
+:func:`plan` the symbols that the atoms name come first, and every other
+symbol shares one last code, as no window function tells them apart.  A
+symbol becomes its code with one dict lookup; with a declared alphabet a
+symbol outside it raises ``EventError`` before any state moves.  Each arity
+keeps a rolling window word, ``w = (w * base + c) % base**n``, and an atom
+reads its value as ``table[w]`` from a list of its values on every word of
+its arity, built once; a table over ``_MAX_WORDS`` words is a ConfigError.
 
 The half-width lines come first, and they call nothing.  Atoms with the same
 (share, arity, range) share one half-width, and each such key keeps a list
@@ -50,19 +50,21 @@ from typing import Callable, Optional, Sequence, Tuple
 
 from .bounds import pomc_halfwidth_blocks, split_delta
 from .codegen import (clip, compile_monitor, extreme, interval_difference,
-                      interval_product, interval_reciprocal, interval_sum)
+                      interval_product, interval_reciprocal, interval_sum, lookup,
+                      symbol_codes)
 from .errors import ConfigError, EventError
 from .intervals import Interval
-from .speclang.ast import (Add, Atom, Const, Expr, Inv, Mul, SeqProb, Sub,
-                           TransVar, fold, leaves, reject)
+from .speclang.ast import (WILDCARD, Add, Atom, Const, Expr, Inv, Mul, SeqProb, Sub,
+                           TransVar, fold, leaves, pretty_print, reject)
 from .speclang.ranges import bse_range
 
 _MODES = ("pointwise", "uniform")
 
 INF = math.inf
 
-# An atom with more words of its arity than this reads no value table.
-_MEMO_WORDS = 4096
+# The most words a value table may hold: a table of 1 << 20 words calls its
+# window function a million times, about 1.5 s for one ``P[...]`` atom.
+_MAX_WORDS = 1 << 20
 
 # Half-widths per table refill: a refill every 1024 events is 0.1% of them.
 _BLOCK = 1024
@@ -115,25 +117,41 @@ INCONCLUSIVE = Verdict(interval=None, point=None)
 """No claim yet: one value shared by every monitor, which nobody mutates."""
 
 
+# window function, arity, range and the symbols it names
 _WINDOWS = {
-    Atom: lambda n: (n.ref.evaluate, n.ref.arity, n.ref.low, n.ref.high),
-    SeqProb: lambda n: (n.indicator, n.arity, 0.0, 1.0),
+    Atom: lambda n: (n.ref.evaluate, n.ref.arity, n.ref.low, n.ref.high,
+                     [s for p, _ in n.ref.rules for s in p if s != WILDCARD]),
+    SeqProb: lambda n: (n.indicator, n.arity, 0.0, 1.0, [s for w in n.words for s in w]),
     TransVar: reject(ConfigError, "transition variables need the fully-observed engine"),
 }
 
 
-def atom_window(leaf: Expr) -> Tuple[Callable, int, float, float]:
-    """Window function, arity and value range of an atomic leaf."""
-    return fold(leaf, _WINDOWS)
+def plan(expr: Expr, delta: float, alphabet: Optional[Sequence[str]]) -> tuple:
+    """Each symbol's code (:func:`fairmon.codegen.symbol_codes` of the symbols
+    in ``P[...]`` words and in ``F[...]`` patterns other than ``_``), the
+    number of codes, and per atom its values on every word of codes (oldest
+    most significant) and its half-width key ``(share, arity, low, high)``."""
+    atoms = leaves(expr)
+    shares = split_delta(delta, expr).shares() if atoms else []
+    windows = [fold(leaf, _WINDOWS) for leaf in atoms]
+    # the named symbols, then None, which reads as every symbol no atom names
+    symbols = [*dict.fromkeys(s for *_, named in windows for s in named), None]
+    base = len(symbols)
+    tables = []
+    for leaf, (fn, n, low, high, _), share in zip(atoms, windows, shares):
+        if base ** n > _MAX_WORDS:
+            raise ConfigError(f"{pretty_print(leaf)} needs a value table of {base}**{n} "
+                              f"words, more than {_MAX_WORDS}")
+        tables.append(([fn(w) for w in itertools.product(symbols, repeat=n)],
+                       (share, n, low, high)))
+    return symbol_codes(symbols[:-1], alphabet), base, tables
 
 
 def _generate_step(expr: Expr, delta: float, uniform: bool, tau_mix: float,
                    alphabet: Optional[Sequence[str]], intersect: bool) -> Tuple[tuple, str]:
     """``next`` and ``run`` of a monitor of ``expr``, as compiled Python, and their source."""
     rng = bse_range(expr)
-    atoms = leaves(expr)
-    shares = split_delta(delta, expr).shares() if atoms else []
-    codes = {s: c for c, s in enumerate(dict.fromkeys(alphabet))} if alphabet else None
+    codes, base, atoms = plan(expr, delta, alphabet)
     ns = {"INF": INF, "NAN": math.nan, "Interval": Interval, "Verdict": Verdict,
           "INCONCLUSIVE": INCONCLUSIVE, "EventError": EventError,
           "range_lo": rng.lo, "range_hi": rng.hi}
@@ -141,23 +159,11 @@ def _generate_step(expr: Expr, delta: float, uniform: bool, tau_mix: float,
     step = []  # lines of a warm event, after the half-widths
     warmup = []  # lines of an event before the largest arity is filled
     keys: dict = {}  # (share, n, low, high) -> index of its half-width table
-    words: set = set()  # arities above 1 read from value tables
-    windows = [atom_window(leaf) for leaf in atoms]
-    width = max((n for _, n, _, _ in windows), default=1)
-    window = 0  # symbols the window functions of untabled atoms need
-    for i, ((fn, n, low, high), share) in enumerate(zip(windows, shares)):
-        ns[f"low{i}"], ns[f"high{i}"] = low, high
-        if codes is not None and len(codes) ** n <= _MEMO_WORDS:
-            ns[f"table{i}"] = [fn(w) for w in itertools.product(codes, repeat=n)]
-            if n == 1:
-                value = f"table{i}[c]"
-            else:
-                value = f"table{i}[w{n}]"
-                words.add(n)
-        else:
-            ns[f"fn{i}"] = fn
-            value = f"fn{i}(window[-{n}:])"
-            window = max(window, n)
+    arities = {n for _, (_, n, _, _) in atoms}
+    width = max(arities, default=1)
+    for i, (table, (share, n, low, high)) in enumerate(atoms):
+        ns[f"low{i}"], ns[f"high{i}"], ns[f"table{i}"] = low, high, table
+        value = f"table{i}[c]" if n == 1 else f"table{i}[w{n}]"
         k = keys.setdefault((share, n, low, high), len(keys))
         state.append(f"m{i} = 0.0")
         count = "t" if n == 1 else f"(t - {n - 1})"  # windows seen, as an int
@@ -236,19 +242,10 @@ def _generate_step(expr: Expr, delta: float, uniform: bool, tau_mix: float,
         state += ["running = None", "consistent = True"]
 
     # each event: its code, then the window words, then warm-up or a verdict
-    head = []
-    if codes is not None:
-        ns["codes"] = codes
-        head += ["try: c = codes[symbol]",
-                 "except KeyError: raise EventError(symbol) from None"]
-    head.append("t += 1")
-    base = len(codes or ())
-    for n in sorted(words):
+    head = [*lookup(codes, ns), "t += 1"]
+    for n in sorted(arities - {1}):
         state.append(f"w{n} = 0")
         head.append(f"w{n} = (w{n} * {base} + c) % {base ** n}")
-    if window:
-        state.append("window = ()")
-        head.append(f"window = (window + (symbol,))[-{window}:]")
 
     def event(exit):
         lines = list(head)

@@ -35,8 +35,8 @@ class AtomDef:
     def __post_init__(self):
         if self.arity < 1:
             raise SpecValidationError(f"atom {self.name}: arity must be positive")
-        if self.low > self.high:
-            raise SpecValidationError(f"atom {self.name}: range [{self.low},{self.high}] is empty")
+        if not self.low <= self.high:  # also a NaN bound
+            raise SpecValidationError(f"atom {self.name}: [{self.low},{self.high}] is not a range")
         for pattern, value in self.rules:
             if len(pattern) != self.arity:
                 raise SpecValidationError(

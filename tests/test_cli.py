@@ -805,7 +805,8 @@ def _model_with(**fields):
 
 class TestUnusableInputs:
     """A path the CLI cannot open, a spec or model file that is not UTF-8, a
-    malformed model and an empty method list each exit 2 with one line."""
+    malformed model, an empty method list and a ``pomc`` value table of more
+    than 1 << 20 words each exit 2 with one line."""
 
     # each case: files to write under tmp_path (None makes a directory), then
     # the arguments, in which {name} is the path of that file
@@ -830,6 +831,10 @@ class TestUnusableInputs:
                                                 transitions=[[1.0], [0.5, 0.5]])},
                               ["truth", "--model", "{m}", "--spec", "{spec}"]),
         "compare-bounds-no-method": ({}, ["compare-bounds", "--methods", ","]),
+        "pomc-table-over-the-limit": (
+            {"s": f"alphabet: a b\nproperty: P[{' '.join('a' * 21)}]\n"},
+            ["monitor", "--spec", "{s}", "--engine", "pomc", "--tau-mix", "1",
+             "--events", "{events}"]),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -18,6 +18,7 @@ from fairmon.experiments import (admission_mc, fig3_ratio_series,
                                  social_burden_text, timing_table,
                                  two_state)
 from fairmon.experiments import runners
+from test_pomc_monitor import OVER_LIMIT
 
 
 class TestGenerators:
@@ -194,6 +195,15 @@ class TestCoverageRunner:
         with pytest.raises(ConfigError) as err:
             run_coverage(model, expr, "mc", runs=2, horizon=100, delta=0.05, seed=0)
         assert "trac" not in str(err.value)
+
+    def test_table_over_the_limit_rejected_before_simulating(self, monkeypatch):
+        def no_simulation(*_, **__):
+            raise AssertionError("simulated before rejecting the expression")
+
+        monkeypatch.setattr(runners, "simulate_states", no_simulation)
+        with pytest.raises(ConfigError, match="more than 1048576"):
+            run_coverage(lending_pomc(), OVER_LIMIT, "pomc", runs=2, horizon=100, delta=0.05,
+                         seed=0)
 
     def test_checkpoints_outside_horizon_rejected(self):
         with pytest.raises(ConfigError):

@@ -10,11 +10,11 @@ from fairmon.bounds import ci_pomc_pointwise, ci_pomc_uniform, split_delta
 from fairmon.errors import ConfigError, EventError
 from fairmon.markov import simulate, simulate_states, truth_value_bse
 from fairmon.intervals import Interval
-from fairmon import pomc
-from fairmon.pomc import INCONCLUSIVE, Verdict, atom_window, build_pomc_monitor
+from fairmon.pomc import INCONCLUSIVE, Verdict, build_pomc_monitor
 from fairmon.speclang import Atom, AtomDef, bse_range, leaves, parse, parse_spec_file
 from fairmon.experiments import PomcSeriesEvaluator, hypercube_pomc, lending_pomc
 from fairmon.experiments.runners import _default_checkpoints
+from test_properties import monitor_lines, reference_pomc, window_of
 
 ALPHA = ["A", "B", "Y", "N"]
 
@@ -26,6 +26,17 @@ atom appr arity 3 range [0,1] { _ a y -> 1; a _ _ -> 0.25; b _ n -> 0.5; default
 property: F[appr] - P[y | a]
 """
 
+
+# arity-4 words over 20 symbols, of which the atoms name 5: 20**4 words over
+# the alphabet, 6**4 over the codes of the named symbols and one other
+WIDE_SPEC = """alphabet: s y n a b c d e f g h i j k l m o p q r
+property: P[a y s b] - P[b y s a] + P[y | a] * P[n]
+"""
+
+# an arity-2 table naming 1024 symbols: 1025**2 words over its codes, more
+# than the 1 << 20 that a value table may hold
+OVER_LIMIT = Atom(AtomDef("wide", 2, 0.0, 1.0,
+                          tuple(((f"x{i}", "_"), 1.0) for i in range(1024)), 0.0))
 
 # single-leaf expressions: the verdict is the atom's own interval and mean
 AY = parse("P[A Y]", ALPHA)
@@ -158,7 +169,7 @@ class TestGeneratedHalfwidths:
         doc = parse_spec_file(HALFWIDTH_SPECS[spec])
         atoms = leaves(doc.expression)
         shares = split_delta(0.05, doc.expression).shares()
-        keys = list(dict.fromkeys((share, *atom_window(leaf)[1:])
+        keys = list(dict.fromkeys((share, *window_of(leaf)[1:])
                                   for leaf, share in zip(atoms, shares)))
         assert len(keys) < len(atoms)
         ci = {"pointwise": ci_pomc_pointwise, "uniform": ci_pomc_uniform}[mode]
@@ -285,7 +296,7 @@ class TestAgainstVectorizedEvaluator:
                 simulate_states(model, horizon, 1, seed=21, start="stationary")[0]]
             ev = PomcSeriesEvaluator(expr, model.alphabet, horizon, 0.05, 7.45,
                                      stops=range(horizon + 1))
-            (plo, phi, pt), uniform = ev.run(codes)
+            (plo, phi, pt), uniform = ev.run(ev.codes[codes])
             for mode, (lo, hi) in (("pointwise", (plo, phi)), ("uniform", uniform)):
                 mon = build_pomc_monitor(expr, 0.05, mode, 7.45, alphabet=model.alphabet)
                 for t in range(1, horizon + 1):
@@ -362,7 +373,7 @@ class TestEvaluatorBits:
             simulate_states(model, horizon, 1, seed, start="stationary")[0]]
         ev = PomcSeriesEvaluator(parse_spec_file(text).expression, model.alphabet, horizon,
                                  0.05, 1.0, stops)
-        return ev.run(codes)
+        return ev.run(ev.codes[codes])
 
     @staticmethod
     def packed(*arrays):
@@ -431,24 +442,29 @@ property: F[grantA] - P[A Y]
 
 @pytest.mark.parametrize("spec", ["mixed", "table"])
 @pytest.mark.parametrize("mode,intersect", [("pointwise", False), ("uniform", True)])
-def test_window_functions_match_value_tables(monkeypatch, spec, mode, intersect):
-    """An atom reads the same values from its table of every word as from its
-    window function on the last symbols: with tables for all atoms, for
-    arities 1 and 2 only (25 words), for none, and without an alphabet."""
+def test_window_functions_match_value_tables(spec, mode, intersect):
+    """An atom reads the same values from its table over the plan's codes as
+    the reference monitor does from its window function on the last symbols,
+    with the spec's alphabet and without one."""
     doc = parse_spec_file(TestVerdictDigests.SPECS[spec])
     stream = list(simulate(lending_pomc(), 2000, 4, start="stationary"))
-    every = pomc._MEMO_WORDS
+    expected = list(reference_pomc(doc.expression, 0.1, mode, stream, intersect))
+    assert expected[-1].endswith(" ok")
+    for alphabet in (doc.alphabet, None):
+        assert list(monitor_lines(doc.expression, 0.1, mode, stream, intersect,
+                                  alphabet)) == expected
 
-    def lines(memo_words, alphabet):
-        monkeypatch.setattr(pomc, "_MEMO_WORDS", memo_words)
-        mon = build_pomc_monitor(doc.expression, 0.1, mode, 7.45, alphabet=alphabet,
-                                 intersect_verdicts=intersect)
-        return [repr(mon.next(s)) for s in stream]
 
-    tabled = lines(every, doc.alphabet)
-    assert lines(25, doc.alphabet) == tabled
-    assert lines(0, doc.alphabet) == tabled
-    assert lines(every, None) == tabled
+def test_table_over_the_limit_is_refused():
+    """A value table of more than 1 << 20 words is a ``ConfigError`` at build,
+    with or without an alphabet; one of 1 << 20 words is built."""
+    for expr in (parse(f"P[{' '.join('a' * 21)}]", ["a", "b"]), OVER_LIMIT):
+        for alphabet in (["a", "b"], None):
+            with pytest.raises(ConfigError, match=r"needs a value table of \d+\*\*\d+ words, "
+                                                  r"more than 1048576"):
+                build_pomc_monitor(expr, 0.05, "uniform", 1.0, alphabet=alphabet)
+    mon = build_pomc_monitor(parse(f"P[{' '.join('a' * 20)}]", ["a", "b"]), 0.05, "uniform", 1.0)
+    assert [mon.next("a").kind for _ in range(20)] == ["inconclusive"] * 19 + ["ok"]
 
 
 class TestVerdictDigests:
@@ -554,6 +570,42 @@ class TestVerdictDigests:
             digest.update(f"{t} {lo!r} {hi!r} {v.point!r} {v.kind}\n".encode())
         assert (digest.hexdigest(), unclipped) == self.DIGESTS_TAU_745[(spec, mode, intersect)]
 
+    # Two specs whose atoms called their window functions on a tuple of the
+    # last symbols until every atom read a value table over the codes of the
+    # symbols it names: 20**4 words over the alphabet were more than the 4096
+    # then tabulated, and a monitor without an alphabet tabulated nothing.  Recorded
+    # from that code over 20000 events at tau = 1, where the wide spec's
+    # intervals leave its range.
+    SWITCH_SPECS = {"wide": (WIDE_SPEC, True), "table-without-alphabet": (TABLE_SPEC, False)}
+    # (spec, mode, intersect) -> sha256 of repr(next(s)) over the events
+    SWITCH_DIGESTS = {
+        ("wide", "pointwise", False):
+            "ae74cbb5f12aaac5e84030bf1d5f9345a62ebb24801692fc26aec129a4c61246",
+        ("wide", "uniform", False):
+            "92b2dec5614bb66c5554d60fe9ab8917fdbd135272af4b29a03b44bdcc626ef4",
+        ("wide", "uniform", True):
+            "d930570a4b03355800aaf29e33b01e7498f90a6e09e107cb578bc3490a491691",
+        ("table-without-alphabet", "pointwise", False):
+            "4e447bf100271b81fd45302910a98f01e9b6cf38bedadde6e5038e997410b41b",
+        ("table-without-alphabet", "uniform", False):
+            "e2d840827535b40e0648d6ceb2f51ef51d7820b1c9c863abb1f202aaab52423a",
+        ("table-without-alphabet", "uniform", True):
+            "4201ac3e59bd5dea9cbb82017b11d8fdaeb265a9feb59d185c08468d76ed7c1b",
+    }
+
+    @pytest.mark.parametrize("spec", sorted(SWITCH_SPECS))
+    @pytest.mark.parametrize("mode,intersect", [("pointwise", False), ("uniform", False),
+                                                ("uniform", True)])
+    def test_switch_to_value_tables_digest(self, spec, mode, intersect):
+        text, with_alphabet = self.SWITCH_SPECS[spec]
+        doc = parse_spec_file(text)
+        mon = build_pomc_monitor(doc.expression, 0.05, mode, 1.0, intersect_verdicts=intersect,
+                                 alphabet=doc.alphabet if with_alphabet else None)
+        digest = hashlib.sha256()
+        for s in simulate(lending_pomc(), 20000, 1, start="stationary"):
+            digest.update(repr(mon.next(s)).encode())
+        assert digest.hexdigest() == self.SWITCH_DIGESTS[(spec, mode, intersect)]
+
     # Every route to a verdict without a point: the reciprocal of a zero point
     # (no a before event 16), a product that overflows, 0 * inf followed by a
     # product with a missing point, and a reciprocal at the root.
@@ -621,16 +673,20 @@ def test_generated_step_tests_no_point_for_none():
 # (spec, mode, intersect, alphabet) -> sha256 of the generated source, recorded
 # when ``next`` and ``run`` became one step written through two exit hooks and
 # the half-widths moved to block tables; the mode now lives in the tables only,
-# so a pointwise and a uniform monitor have one source
+# so a pointwise and a uniform monitor have one source.  The conditional spec's
+# and the alphabet-less entries were recorded again when every atom came to
+# read a value table over the codes of the symbols it names and one other:
+# base 4 for ``P[y | a] - P[y | b]``, and the same source with an alphabet as
+# without one
 SOURCE_DIGESTS = {
     ("conditional", "pointwise", False, True):
-        "3720bc8cd578faace434dddfed3e84c1d9e4a1c8e0d30b496139def6f2e468f9",
+        "ac69a622e0275a611da57fe12d6938871568781da856425d20b2fe5173323f22",
     ("conditional", "uniform", False, True):
-        "3720bc8cd578faace434dddfed3e84c1d9e4a1c8e0d30b496139def6f2e468f9",
+        "ac69a622e0275a611da57fe12d6938871568781da856425d20b2fe5173323f22",
     ("conditional", "uniform", True, True):
-        "bc16e8b60552df82f847a105e7b9b5f6d5b2c3f063216c6d3ee1713093f0e1ff",
+        "3c338a8de489e962395702f6b9ef4a68c2e1e18f70b96fd0c040022b01dbb9e6",
     ("conditional", "uniform", False, False):
-        "2b6ef75c726765ffa1cae01dd8e046c445e6ab50a6781c0698a4c8e9107e728c",
+        "ac69a622e0275a611da57fe12d6938871568781da856425d20b2fe5173323f22",
     ("mixed", "pointwise", False, True):
         "e246bb7b6e18b0ca7f86f200ca1a8f34ea283290b8affdc0a90c4ab1e9eac1b8",
     ("mixed", "uniform", True, True):
@@ -642,7 +698,7 @@ SOURCE_DIGESTS = {
     ("table", "uniform", True, True):
         "afc80e298b792b404d3961cb1616a101f4fbae89b85224f48502a7d51710c427",
     ("table", "uniform", True, False):
-        "3fb9070f5a6a5023edee64fa8f5dea690b900c986f6b1c66b531a65564fdcd37",
+        "afc80e298b792b404d3961cb1616a101f4fbae89b85224f48502a7d51710c427",
 }
 
 

@@ -19,7 +19,7 @@ from fairmon.errors import EventError, ModelError
 from fairmon.intervals import UNBOUNDED, Interval, product, reciprocal
 from fairmon.markov import ObservationModel
 from fairmon.mc import MCMonitor, build_mc_monitor
-from fairmon.pomc import INCONCLUSIVE, Verdict, atom_window, build_pomc_monitor
+from fairmon.pomc import INCONCLUSIVE, Verdict, build_pomc_monitor
 from fairmon.speclang import (Add, Atom, AtomDef, Const, Inv, Mul, SeqProb,
                               Sub, TransVar, assign_slots, bse_range,
                               decompose_division, eval_pse, expr_range, parse,
@@ -266,13 +266,21 @@ def _finite_point(a, b, op):
     return v if v is not None and math.isfinite(v) else None
 
 
+def window_of(leaf):
+    """Window function, arity and value range of an atomic leaf."""
+    if isinstance(leaf, SeqProb):
+        return leaf.indicator, leaf.arity, 0.0, 1.0
+    return leaf.ref.evaluate, leaf.ref.arity, leaf.ref.low, leaf.ref.high
+
+
 def reference_pomc(expr, delta, mode, stream, intersect):
     """``t lo hi point kind`` lines of the tree-fold monitor: each atom's clipped
-    ``Interval`` and mean, folded through the tree with ``Interval`` arithmetic."""
+    ``Interval`` and mean, folded through the tree with ``Interval`` arithmetic,
+    its window function called on the last symbols."""
     ci = {"pointwise": ci_pomc_pointwise, "uniform": ci_pomc_uniform}[mode]
     atoms = leaves(expr)
     shares = split_delta(delta, expr).shares() if atoms else []
-    recs = [[*atom_window(leaf), share, 0.0] for leaf, share in zip(atoms, shares)]
+    recs = [[*window_of(leaf), share, 0.0] for leaf, share in zip(atoms, shares)]
     width = max((r[1] for r in recs), default=1)
     rng = bse_range(expr)
     algebra = {
@@ -323,8 +331,8 @@ def _lines(make_lines):
     return out, None
 
 
-def _monitor_lines(expr, delta, mode, stream, intersect):
-    mon = build_pomc_monitor(expr, delta, mode, 1.0, alphabet=POMC_ALPHA,
+def monitor_lines(expr, delta, mode, stream, intersect, alphabet):
+    mon = build_pomc_monitor(expr, delta, mode, 1.0, alphabet=alphabet,
                              intersect_verdicts=intersect)
     for t, s in enumerate(stream, start=1):
         v = mon.next(s)
@@ -352,13 +360,15 @@ def _monitor_lines(expr, delta, mode, stream, intersect):
 @example(Mul(Mul(SeqProb((("a",),)), Const(1e-200)), Const(-1e-200)), 300, 0, 0.9)
 def test_pomc_plan_matches_tree_fold(e, length, seed, delta):
     """Every bit of every verdict (repr of floats, so -0.0 and NaN count) in all
-    three modes, and the same exception type where the fold raises."""
+    three modes, and the same exception type where the fold raises, with and
+    without an alphabet."""
     rnd = random.Random(seed)
     stream = [rnd.choice(POMC_ALPHA) for _ in range(length)]
     for mode, intersect in (("pointwise", False), ("uniform", False), ("uniform", True)):
         expected = _lines(lambda: reference_pomc(e, delta, mode, stream, intersect))
-        got = _lines(lambda: _monitor_lines(e, delta, mode, stream, intersect))
-        assert got == expected, (pretty_print(e), mode, intersect)
+        for alphabet in (POMC_ALPHA, None):
+            got = _lines(lambda: monitor_lines(e, delta, mode, stream, intersect, alphabet))
+            assert got == expected, (pretty_print(e), mode, intersect, alphabet)
 
 
 # --- the integer-coded mc engine against the dict-keyed engine it replaced ---

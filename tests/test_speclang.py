@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -72,6 +73,16 @@ class TestParsing:
     def test_atom_value_outside_range(self):
         with pytest.raises(SpecValidationError):
             AtomDef("x", 1, 0.0, 1.0, ((("A",), 2.0),), 0.0)
+
+    @pytest.mark.parametrize("low,high", [(0.0, math.nan), (math.nan, 1.0), (1.0, 0.0)])
+    def test_atom_range_not_an_interval(self, low, high):
+        # a NaN bound is named as such, not as a default outside the range
+        message = f"atom x: [{low},{high}] is not a range"
+        with pytest.raises(SpecValidationError, match=re.escape(message)):
+            AtomDef("x", 1, low, high, ((("A",), 0.5),), 0.5)
+        spec = f"alphabet: A\natom x arity 1 range [{low},{high}] {{ A -> 0.5; default -> 0.5 }}\n"
+        with pytest.raises(SpecSyntaxError, match=re.escape(message)):
+            parse_spec_file(spec + "property: F[x]\n")
 
 
 class TestSpecFile:
