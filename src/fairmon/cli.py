@@ -21,7 +21,8 @@ from pathlib import Path
 from .bounds import (ci_mc_pointwise, ci_mc_uniform, ci_pomc_pointwise,
                      ci_pomc_uniform, naive_uniform_lift)
 from .errors import ConfigError, EventError, FairmonError
-from .markov import ObservationModel, mixing_time_bound, simulate, truth_value
+from .markov import ObservationModel, mixing_time_bound, simulate_blocks, truth_value
+from .markov import simulate  # noqa: F401 (perfbench/layers.py saves and restores this name)
 from .mc import build_mc_monitor
 from .pomc import build_pomc_monitor
 from .speclang.parser import parse_spec_file
@@ -186,9 +187,8 @@ def cmd_simulate(args) -> int:
     if args.steps < 0:
         raise ConfigError(f"--steps must be nonnegative, got {args.steps}")
     model = _load_model(args.model)
-    out = sys.stdout
-    for symbol in simulate(model, args.steps, args.seed, start=args.start):
-        out.write(symbol + "\n")
+    for block in simulate_blocks(model, args.steps, args.seed, start=args.start):
+        sys.stdout.write("\n".join(block) + "\n")
     return EXIT_OK
 
 

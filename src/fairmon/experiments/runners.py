@@ -308,14 +308,14 @@ def _mc_run(model, expr, delta, seed, truth, stops):
     interval, which differs from the uniform one only in the half-width.
     """
     names = [model.labels[s] for s in model.states]
-    probe = build_mc_monitor(expr, delta, "uniform")
+    probe = build_mc_monitor(expr, delta, "uniform", alphabet=model.alphabet)
     if contains_division(expr) and not decompose_division(to_polynomial(expr)).is_trivial:
         raise ConfigError("mc coverage studies need an expression that is division "
                           "free once normalized; a + b / c is not supported")
     s2, lo_range, hi_range = probe.sigma_sq, probe.value_range.lo, probe.value_range.hi
 
     def run(r, states):
-        monitor = build_mc_monitor(expr, delta, "uniform", seed=seed + 7919 * r)
+        monitor = build_mc_monitor(expr, delta, "uniform", seed + 7919 * r, model.alphabet)
         symbols = [names[c] for c in states]
         first, uniform_ok, verdict, done = _INF, True, INCONCLUSIVE, 0
         lo, hi, pt = {}, {}, {}
@@ -436,7 +436,7 @@ def timing_table(entries=None, events: int = 1_000_000, seed: int = 0,
     rows = []
     for scenario, model, text in entries:
         expr = parse(text, model.alphabet)
-        monitor = build_mc_monitor(expr, delta, "pointwise", seed=seed)
+        monitor = build_mc_monitor(expr, delta, "pointwise", seed, model.alphabet)
         symbols = list(simulate(model, events, seed, start="stationary"))
         per_event = []
         for i in range(0, events, chunk):
@@ -464,7 +464,7 @@ def soak_registers(model: ObservationModel, text: str, events: int = 10_000_000,
     """Register-count snapshots along a long stream; growth means a leak."""
     from ..speclang.parser import parse
     expr = parse(text, model.alphabet)
-    monitor = build_mc_monitor(expr, delta, "pointwise", seed=seed)
+    monitor = build_mc_monitor(expr, delta, "pointwise", seed, model.alphabet)
     chunk = max(1, events // snapshots)
     out = []
     done = 0

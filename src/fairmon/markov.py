@@ -10,7 +10,9 @@ many-run study the sampler gives exactly those states without a search per
 step: it ranks each uniform among the breakpoints of all rows, looks the
 successor up in a (rank, state) table, and for few runs composes the
 table's maps over segments of a block in numpy.  Few runs of a wide chain
-keep the search per step, which is faster there (see ``_sample``).
+keep the search per step, which is faster there (see ``_sample``).  One run's
+observations come a block at a time from ``simulate_blocks``, which gathers
+each block's labels with one ``take``; ``simulate`` and the CLI consume them.
 """
 
 from __future__ import annotations
@@ -363,13 +365,18 @@ def _sample(model: ObservationModel, steps: int, runs: int, seed: int,
     yield from core(table.ravel(), n, state, ranks)
 
 
+def simulate_blocks(model: ObservationModel, steps: int, seed: int,
+                    start: str = "initial") -> Iterator[list]:
+    """Lazily yield one sampled trajectory's observations, a list per sampler block."""
+    _check_sizes(steps=steps)
+    labels = np.array([model.labels[s] for s in model.states], dtype=object)
+    return (labels.take(block[0]).tolist() for block in _sample(model, steps, 1, seed, start))
+
+
 def simulate(model: ObservationModel, steps: int, seed: int,
              start: str = "initial") -> Iterator[str]:
     """Lazily yield the observation sequence of one sampled trajectory."""
-    _check_sizes(steps=steps)
-    labels = [model.labels[s] for s in model.states]
-    return chain.from_iterable(map(labels.__getitem__, block[0].tolist())
-                               for block in _sample(model, steps, 1, seed, start))
+    return chain.from_iterable(simulate_blocks(model, steps, seed, start))
 
 
 def simulate_states(model: ObservationModel, steps: int, runs: int, seed: int,

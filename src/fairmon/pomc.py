@@ -48,6 +48,8 @@ import itertools
 import math
 from typing import Callable, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .bounds import pomc_halfwidth_blocks, split_delta
 from .codegen import (clip, compile_monitor, extreme, interval_difference,
                       interval_product, interval_reciprocal, interval_sum, lookup,
@@ -62,8 +64,8 @@ _MODES = ("pointwise", "uniform")
 
 INF = math.inf
 
-# The most words a value table may hold: a table of 1 << 20 words calls its
-# window function a million times, about 1.5 s for one ``P[...]`` atom.
+# The most words a value table may hold: a table of 1 << 20 words is a list of
+# a million references, 8 MB, which takes about 10 ms to fill.
 _MAX_WORDS = 1 << 20
 
 # Half-widths per table refill: a refill every 1024 events is 0.1% of them.
@@ -117,11 +119,11 @@ INCONCLUSIVE = Verdict(interval=None, point=None)
 """No claim yet: one value shared by every monitor, which nobody mutates."""
 
 
-# window function, arity, range and the symbols it names
+# first-match rules, None or an absent tail matching any symbol; default, arity, range
 _WINDOWS = {
-    Atom: lambda n: (n.ref.evaluate, n.ref.arity, n.ref.low, n.ref.high,
-                     [s for p, _ in n.ref.rules for s in p if s != WILDCARD]),
-    SeqProb: lambda n: (n.indicator, n.arity, 0.0, 1.0, [s for w in n.words for s in w]),
+    Atom: lambda n: ([(tuple(None if s == WILDCARD else s for s in p), v)
+                      for p, v in n.ref.rules], n.ref.default, n.ref.arity, n.ref.low, n.ref.high),
+    SeqProb: lambda n: ([(w, 1.0) for w in n.words], 0.0, n.arity, 0.0, 1.0),
     TransVar: reject(ConfigError, "transition variables need the fully-observed engine"),
 }
 
@@ -130,20 +132,26 @@ def plan(expr: Expr, delta: float, alphabet: Optional[Sequence[str]]) -> tuple:
     """Each symbol's code (:func:`fairmon.codegen.symbol_codes` of the symbols
     in ``P[...]`` words and in ``F[...]`` patterns other than ``_``), the
     number of codes, and per atom its values on every word of codes (oldest
-    most significant) and its half-width key ``(share, arity, low, high)``."""
+    most significant) and its half-width key ``(share, arity, low, high)``.
+    Each rule writes all the words it matches at once, the last rule first."""
     atoms = leaves(expr)
     shares = split_delta(delta, expr).shares() if atoms else []
     windows = [fold(leaf, _WINDOWS) for leaf in atoms]
     # the named symbols, then None, which reads as every symbol no atom names
-    symbols = [*dict.fromkeys(s for *_, named in windows for s in named), None]
+    symbols = [*dict.fromkeys(s for rules, *_ in windows for p, _ in rules for s in p
+                              if s is not None), None]
     base = len(symbols)
+    code = {s: i for i, s in enumerate(symbols)}
     tables = []
-    for leaf, (fn, n, low, high, _), share in zip(atoms, windows, shares):
+    for leaf, (rules, default, n, low, high), share in zip(atoms, windows, shares):
         if base ** n > _MAX_WORDS:
             raise ConfigError(f"{pretty_print(leaf)} needs a value table of {base}**{n} "
                               f"words, more than {_MAX_WORDS}")
-        tables.append(([fn(w) for w in itertools.product(symbols, repeat=n)],
-                       (share, n, low, high)))
+        which = np.zeros((base,) * n, dtype=np.intp)  # 0: the default, k: rule k - 1
+        for k in range(len(rules), 0, -1):
+            which[tuple(slice(None) if s is None else code[s] for s in rules[k - 1][0])] = k
+        values = np.array([default, *(v for _, v in rules)], dtype=object)
+        tables.append((values.take(which.ravel()).tolist(), (share, n, low, high)))
     return symbol_codes(symbols[:-1], alphabet), base, tables
 
 

@@ -17,7 +17,8 @@ from fairmon.cli import _parse_t_range, _writers, main
 from fairmon.intervals import Interval
 from fairmon.pomc import INCONCLUSIVE, Verdict
 from fairmon.experiments import hypercube_pomc, lending_mc, lending_pomc
-from fairmon.markov import mixing_time_bound, simulate
+from fairmon import markov
+from fairmon.markov import mixing_time_bound, simulate, simulate_blocks
 from test_pomc_monitor import TABLE_SPEC
 
 LENDING_SPEC = """alphabet: init g gbar gy gbary ybar z zbar
@@ -113,6 +114,41 @@ class TestSimulate:
         code, out, _ = run_cli(capsys, "simulate", "--model", str(model),
                                "--steps", "0")
         assert (code, out) == (0, "")
+
+    @pytest.mark.parametrize("make,core", [(lending_pomc, "_compose"),
+                                           (lambda: hypercube_pomc(5), "_walk")])
+    @pytest.mark.parametrize("start", ["initial", "stationary"])
+    def test_blocks_write_the_symbols(self, capsys, tmp_path, make, core, start):
+        # one write per sampler block: around and across the block's edges,
+        # through the core that each model's single run takes
+        model = make()
+        assert markov._core(model.n_states, 1, None) is getattr(markov, core)
+        path = tmp_path / "model.json"
+        path.write_text(model.to_json())
+        for steps in (0, 1, 4095, 4096, 4097, 3 * 4096 + 5):
+            symbols = list(simulate(model, steps, 11, start))
+            blocks = list(simulate_blocks(model, steps, 11, start))
+            assert [s for block in blocks for s in block] == symbols
+            whole, rest = divmod(steps, markov._BLOCK)
+            assert [len(b) for b in blocks] == [markov._BLOCK] * whole + [rest] * (rest > 0)
+            out = run_cli(capsys, "simulate", "--model", str(path), "--steps", str(steps),
+                          "--seed", "11", "--start", start)
+            assert out == (0, "".join(s + "\n" for s in symbols), "")
+
+    def test_closed_pipe_is_quiet(self, tmp_path):
+        model = tmp_path / "lending.json"
+        model.write_text(lending_pomc().to_json())
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fairmon.cli", "simulate", "--model", str(model),
+             "--steps", "1000000"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()  # the reader goes away, as ``| head -1`` does
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert first == (next(simulate(lending_pomc(), 1, 0)) + "\n").encode()
+        assert err == b""
 
 
 class TestTruth:

@@ -1,17 +1,23 @@
+import functools
 import hashlib
+import itertools
 import math
 import struct
 import sys
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairmon.bounds import ci_pomc_pointwise, ci_pomc_uniform, split_delta
 from fairmon.errors import ConfigError, EventError
 from fairmon.markov import simulate, simulate_states, truth_value_bse
 from fairmon.intervals import Interval
-from fairmon.pomc import INCONCLUSIVE, Verdict, build_pomc_monitor
-from fairmon.speclang import Atom, AtomDef, bse_range, leaves, parse, parse_spec_file
+from fairmon.pomc import INCONCLUSIVE, Verdict, build_pomc_monitor, plan
+from fairmon.speclang import (Add, Atom, AtomDef, SeqProb, bse_range, leaves, parse,
+                              parse_spec_file)
 from fairmon.experiments import PomcSeriesEvaluator, hypercube_pomc, lending_pomc
 from fairmon.experiments.runners import _default_checkpoints
 from test_properties import monitor_lines, reference_pomc, window_of
@@ -465,6 +471,60 @@ def test_table_over_the_limit_is_refused():
                 build_pomc_monitor(expr, 0.05, "uniform", 1.0, alphabet=alphabet)
     mon = build_pomc_monitor(parse(f"P[{' '.join('a' * 20)}]", ["a", "b"]), 0.05, "uniform", 1.0)
     assert [mon.next("a").kind for _ in range(20)] == ["inconclusive"] * 19 + ["ok"]
+
+
+# "_" is a wildcard in an F[...] pattern and a symbol of its own in a P[...] word
+PLAN_SYMBOLS = ["a", "b", "c", "_"]
+
+
+@st.composite
+def window_leaves(draw):
+    """An ``F`` atom of arity 1-3 whose first-match rules overlap, or a
+    ``P`` word set with words shorter than its arity."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    word = st.lists(st.sampled_from(PLAN_SYMBOLS), min_size=1, max_size=n).map(tuple)
+    if draw(st.booleans()):
+        return SeqProb(tuple(draw(st.lists(word, min_size=1, max_size=4))))
+    value = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0])
+    rules = st.lists(st.tuples(st.lists(st.sampled_from(PLAN_SYMBOLS), min_size=n,
+                                        max_size=n).map(tuple), value), max_size=6)
+    return Atom(AtomDef("f", n, -0.0, 1.0, tuple(draw(rules)), draw(value)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(window_leaves(), min_size=1, max_size=3))
+def test_plan_tables_are_the_window_functions(atoms):
+    """Each table, filled rule by rule, holds its window function's value on
+    every word of codes, oldest most significant."""
+    expr = functools.reduce(Add, atoms)
+    codes, base, tables = plan(expr, 0.05, None)
+    symbols = [*sorted(codes, key=codes.get), None]  # None: every symbol no atom names
+    assert len(symbols) == base
+    for leaf, (table, (_, n, _, _)) in zip(leaves(expr), tables):
+        fn = leaf.ref.evaluate if isinstance(leaf, Atom) else leaf.indicator
+        expected = [fn(w) for w in itertools.product(symbols, repeat=n)]
+        assert table == expected
+        assert [math.copysign(1.0, v) for v in table] == [math.copysign(1.0, v)
+                                                          for v in expected]
+
+
+def test_a_long_pattern_table_builds_in_a_few_seconds():
+    """1023 rules, each naming its own symbol, over 1024**2 words: filled rule
+    by rule, not by a scan of the rules for every word."""
+    rules = tuple(((f"x{i}", "_") if i % 2 else ("_", f"x{i}"), i / 1023) for i in range(1023))
+    atom = Atom(AtomDef("long", 2, 0.0, 1.0, rules, 0.5))
+    start = time.perf_counter()
+    mon = build_pomc_monitor(atom, 0.05, "uniform", 1.0)
+    assert time.perf_counter() - start < 5.0
+    codes, base, [(table, _)] = plan(atom, 0.05, None)
+    assert base ** 2 == len(table) == 1 << 20
+    words = np.random.default_rng(0).integers(0, 1024, size=(2000, 2)).tolist()
+    symbols = [*sorted(codes, key=codes.get), None]
+    assert [table[i * base + j] for i, j in words] == [
+        atom.ref.evaluate((symbols[i], symbols[j])) for i, j in words]
+    # x5 matches its own rule before x8's; x8 then x5 matches neither
+    points = [mon.next(s).point for s in ("x5", "x8", "x5")]
+    assert points == [None, 5 / 1023, 0.5 * (5 / 1023 + 0.5)]
 
 
 class TestVerdictDigests:
