@@ -11,17 +11,22 @@ binds those names and emits the point rules of its own engine.
 :func:`compile_monitor` compiles one step twice over the same closure cells:
 as ``next(symbol)``, which returns the verdict of one event, and inside
 ``run(lines, record, emit, stride)``, the loop over a whole stream that
-writes every ``stride``-th verdict.  The step writes each of its exits
-through one hook, :func:`returned` for ``next`` and :func:`recorded` for
-``run``, so both functions run the same lines.
+writes every ``stride``-th verdict.  A step comes in two line lists.  Its
+advance lines are what every event must move: the symbol's code, ``t`` and
+the state that the next event reads.  Its verdict lines turn those cells
+into a verdict.  ``next`` runs both on every event; ``run`` runs the
+verdict lines only at the events whose verdicts it writes.  The step writes
+each early exit through one hook, :func:`returned` for ``next`` and
+:func:`recorded` for ``run``, so both functions run the same lines.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 Names = Tuple[str, str]  # the names of an interval's lo and hi
-Exit = Callable[..., list]  # returned or recorded
+Result = Union[str, Tuple[str, str, str]]  # a verdict's name, or (lo, hi, point)
+Exit = Callable[[Result], list]  # returned or recorded
 
 
 class _Unnamed(dict):
@@ -90,46 +95,57 @@ def clip(out: Names, a: Names, bounds: Names) -> list:
     return extreme(out[0], [a[0], bounds[0]], ">") + extreme(out[1], [a[1], bounds[1]], "<")
 
 
-def returned(verdict: str = "", interval: Optional[Tuple[str, str, str]] = None) -> list:
-    """An exit of ``next``: return the verdict ``verdict``, or the consistent
-    verdict of the names ``interval``, (lo, hi, point)."""
-    if interval is not None:
-        verdict = "Verdict(Interval({}, {}), {})".format(*interval)
-    return [f"return {verdict}"]
+def returned(result: Result) -> list:
+    """An exit of ``next``: return the verdict named ``result``, or the
+    consistent verdict of the names ``result``, (lo, hi, point)."""
+    if not isinstance(result, str):
+        result = "Verdict(Interval({}, {}), {})".format(*result)
+    return [f"return {result}"]
 
 
-def recorded(verdict: str = "", interval: Optional[Tuple[str, str, str]] = None) -> list:
-    """The same exit in ``run``: at a multiple of the stride, ``emit`` writes
-    the verdict ``verdict``, or ``record`` the numbers of ``interval`` after
-    the check that building its ``Interval`` makes; then the next line."""
-    if interval is None:
-        return [f"if t % stride == 0: emit(t, {verdict})", "continue"]
-    lo, hi, point = interval
-    return [f"if not {lo} <= {hi}: Interval({lo}, {hi})",
-            f"if t % stride == 0: record(t, {lo}, {hi}, {point})",
-            "continue"]
+def written(result: Result) -> list:
+    """The same exit in ``run`` at a multiple of the stride: ``emit`` writes
+    the verdict named ``result``, or ``record`` the numbers of the names
+    ``result`` after the check that building its ``Interval`` makes."""
+    if isinstance(result, str):
+        return [f"emit(t, {result})"]
+    lo, hi, point = result
+    return [f"if not {lo} <= {hi}: Interval({lo}, {hi})", f"record(t, {lo}, {hi}, {point})"]
 
 
-def compile_monitor(state: Sequence[str], step: Callable[[Exit], list], ns: dict,
-                    filename: str, extra: Sequence[Tuple[str, Sequence[str]]] = ()
+def recorded(result: Result) -> list:
+    """An exit of ``run`` before its verdict lines: write ``result`` at a
+    multiple of the stride, then the next line."""
+    return ["if t % stride == 0:", *("    " + line for line in written(result)), "continue"]
+
+
+def compile_monitor(state: Sequence[str], step: Callable[[Exit], Tuple[list, list, Result]],
+                    ns: dict, filename: str, extra: Sequence[Tuple[str, Sequence[str]]] = ()
                     ) -> Tuple[tuple, str]:
     """Compile ``make()`` and call it once.
 
     The ``state`` lines, ``name = value`` each, set the closure cells; one of
-    them is ``t``, the count of events.  ``step(exit)`` returns the lines of
-    one event, whose symbol is ``symbol``, with each exit written by
-    ``exit``.  ``next(symbol)`` and each ``(signature, body)`` of ``extra``
-    declare every cell nonlocal.
+    them is ``t``, the count of events.  ``step(exit)`` returns one event,
+    whose symbol is ``symbol``, as ``(advance, verdict, result)``: the lines
+    that every event runs, which may leave early through an exit written by
+    ``exit``; the lines that build the verdict from the cells; and the
+    verdict they build, as :func:`returned` takes it.  ``next(symbol)`` runs
+    both line lists and returns the verdict.  It and each ``(signature,
+    body)`` of ``extra`` declare every cell nonlocal.
 
     ``run(lines, record, emit, stride)`` strips each line and skips the blank
-    ones, and runs the step on the others.  It keeps the cells in fast locals
-    and writes them back when it returns or raises, so ``next`` continues
-    from where it stopped.  An ``EventError`` leaves with ``line``, the
-    1-based number of its line among ``lines``.
+    ones, and runs ``advance`` on the others; only at a multiple of the
+    stride does it run the verdict lines and write the verdict.  So the
+    verdict lines may only read the cells, or leave behind what the next run
+    of them would rebuild.  It keeps the cells in fast locals and writes
+    them back when it returns or raises, so ``next`` continues from where it
+    stopped.  An ``EventError`` leaves with ``line``, the 1-based number of
+    its line among ``lines``.
 
     Returns ``(next, run, *extra functions)`` and the source.
     """
     cells = [line.split(" = ")[0] for line in state]
+    advance, verdict, result = step(recorded)
     names = f"[{', '.join(cells)}]"
     shared = f"nonlocal {', '.join(cells)}"
     run = [f"{names} = load()",
@@ -140,13 +156,15 @@ def compile_monitor(state: Sequence[str], step: Callable[[Exit], list], ns: dict
            "        if not symbol:",
            "            blank += 1",
            "            continue",
-           *("        " + line for line in step(recorded)),
+           *("        " + line for line in advance),
+           "        if t % stride == 0:",
+           *("            " + line for line in [*verdict, *written(result)]),
            "except EventError as exc:",
            "    exc.line = t - base + blank + 1",
            "    raise",
            "finally:",
            f"    store({names})"]
-    functions = [("next(symbol)", [shared, *step(returned)]),
+    functions = [("next(symbol)", [shared, *step(returned)[0], *verdict, *returned(result)]),
                  ("load()", [f"return {names}"]),
                  ("store(cells)", [shared, f"{names} = cells"]),
                  ("run(lines, record, emit, stride)", run),

@@ -32,12 +32,20 @@ relevant ones).  Then each part's round runs inline over its occurrences in
 part draw from one Philox pool, so every draw a round needs is made in the
 order of a full post-order pass, as early as possible.  An occurrence keeps
 its outcome until the round ends and calls ``_extract`` only when its buffer
-is short, and a round waits on the last source that left one short.  The
-running mean, the half-width from :func:`~fairmon.bounds.mc_halfwidth` and
-the clip to the part's range follow.  On an event on which a part completed
-a round, ``a + b / c`` is folded with the reciprocal, corner-product, sum
-and clip lines of :mod:`fairmon.codegen`.  The state lives in closure cells
-and in the lists above; only the returned verdict is an object.
+is short and its pool holds a visit, and a round waits on the last source
+that left one short.  A completed round updates the running mean and sets
+the part's ``fresh`` flag.  These are the lines every event runs.
+
+The verdict lines rebuild each fresh part's interval, the half-width from
+:func:`~fairmon.bounds.mc_halfwidth` and the clip to the part's range, and
+clear its flag; when some part was fresh and every part has a round,
+``a + b / c`` is folded with the reciprocal, corner-product, sum and clip
+lines of :mod:`fairmon.codegen`.  ``next`` runs them on every event, so it
+computes each half-width once per round and hands back the same verdict
+object until a round completes.  ``run`` runs them only at the events whose
+verdicts it writes and leaves the flags of later rounds set; ``next`` and
+``state()`` rebuild from them before they read the verdict.  The state lives
+in closure cells and in the lists above; only the verdict is an object.
 """
 
 from __future__ import annotations
@@ -242,7 +250,8 @@ def _generate_step(mon: MCMonitor, codes: dict) -> Tuple[tuple, str]:
           "extract": mon._extract, "cnt": mon._c, "edges": mon._cij, "rows": mon._rows}
     state = ["t = 0", "prev = -1", "verdict = INCONCLUSIVE"]
     head = [*lookup(mon._codes, ns), "t += 1", "p = prev", "prev = c"]
-    counters, rounds, terms, samples = [], [], [], []  # samples: (n, mean) per part
+    counters, rounds, verdict, terms = [], [], [], []
+    samples = []  # (n, mean) per part
     split = len(mon._parts) > 1
     base = 0  # number of the part's first (part, source) counter
     for t, part in enumerate(mon._parts):
@@ -256,7 +265,8 @@ def _generate_step(mon: MCMonitor, codes: dict) -> Tuple[tuple, str]:
         ns[f"range_lo{i}"], ns[f"range_hi{i}"] = part.value_range.lo, part.value_range.hi
         ns[f"halfwidth{i}"] = part.halfwidth
         blocked, n, m, lo, hi = f"blocked{i}", f"n{i}", f"m{i}", f"lo{i}", f"hi{i}"
-        state += [f"{blocked} = None", f"{n} = 0", f"{m} = 0.0"]
+        fresh = f"fresh{i}"  # a round completed since the part's interval was built
+        state += [f"{blocked} = None", f"{n} = 0", f"{m} = 0.0", f"{fresh} = False"]
         if srcs:
             where = [-1] * (len(codes) + 1)  # the part's counter by code, -1 for none
             for s, src in enumerate(srcs):
@@ -281,7 +291,7 @@ def _generate_step(mon: MCMonitor, codes: dict) -> Tuple[tuple, str]:
             v = f"v{i}_{len(cache)}"
             cache.append(v)
             reads.extend([f"if {v} is None:",
-                          f"    if len(z{k}) < {slot}: extract({k}, {slot})",
+                          f"    if len(z{k}) < {slot} and cnt[{k}]: extract({k}, {slot})",
                           f"    if len(z{k}) >= {slot}:",
                           f"        {v} = 1.0 if z{k}[{slot - 1}] == {target} else 0.0",
                           f"    else: {blocked} = {k}"])
@@ -302,14 +312,17 @@ def _generate_step(mon: MCMonitor, codes: dict) -> Tuple[tuple, str]:
         done = [f"{n} += 1",
                 *extreme(m, [f"({m} * ({n} - 1) + {w}) / {n}", f"range_lo{i}"], ">"),
                 *extreme(m, [m, f"range_hi{i}"], "<"),
-                f"e = halfwidth{i}({n})",
-                *clip((lo, hi), (f"{m} - e", f"{m} + e"), (f"range_lo{i}", f"range_hi{i}"))]
+                f"{fresh} = True",
+                *(f"z{base + s}.clear()" for s in range(len(srcs)))]
+        interval = [f"{fresh} = False",
+                    f"e = halfwidth{i}({n})",
+                    *clip((lo, hi), (f"{m} - e", f"{m} + e"), (f"range_lo{i}", f"range_hi{i}"))]
         if split:
             state += [f"{lo} = 0.0", f"{hi} = 0.0"]
-            done += [f"if not {lo} <= {hi}: Interval({lo}, {hi})", "done = True"]
+            interval.append(f"if not {lo} <= {hi}: Interval({lo}, {hi})")
         else:
-            done.append(f"verdict = Verdict(Interval({lo}, {hi}), {m})")
-        done += [f"z{base + s}.clear()" for s in range(len(srcs))]
+            interval.append(f"verdict = Verdict(Interval({lo}, {hi}), {m})")
+        verdict += [f"if {fresh}:", *("    " + line for line in interval)]
         if cache:
             done.append(" = ".join(cache) + " = None")
         rounds += [f"if {blocked} is None:",
@@ -320,7 +333,6 @@ def _generate_step(mon: MCMonitor, codes: dict) -> Tuple[tuple, str]:
         samples.append((n, m))
         base += len(srcs)
 
-    body = list(counters)
     if split:
         # a + b / c on the parts' endpoints, clipped to the range
         (alo, ahi, ap), (blo, bhi, bp), (clo, chi, cp) = terms
@@ -331,16 +343,16 @@ def _generate_step(mon: MCMonitor, codes: dict) -> Tuple[tuple, str]:
                       f"point = {ap} + {bp} / {cp} if {cp} != 0.0 else None",
                       *clip(("lo", "hi"), ("lo", "hi"), ("range_lo", "range_hi")),
                       "verdict = Verdict(Interval(lo, hi), point)"]
-        body += ["done = False", *rounds,
-                 f"if done and {' and '.join(n for n, _ in samples)}:",
-                 *("    " + line for line in fold_lines)]
-    else:
-        body += rounds
-    reader = ["return verdict, (" + "".join(f"({n}, {m}), " for n, m in samples) + ")"]
+        verdict = [f"if {' or '.join(f'fresh{i}' for i in range(len(samples)))}:",
+                   *("    " + line for line in verdict),
+                   f"    if {' and '.join(n for n, _ in samples)}:",
+                   *("        " + line for line in fold_lines)]
+    # state() builds the verdict that run left to build, as next does
+    reader = [*verdict, "return verdict, (" + "".join(f"({n}, {m}), " for n, m in samples) + ")"]
 
     def event(exit):
-        first = exit("verdict")
-        return [*head, "if p < 0:", *("    " + line for line in first), *body, *first]
+        return [*head, "if p < 0:", *("    " + line for line in exit("verdict")),
+                *counters, *rounds], verdict, "verdict"
 
     return compile_monitor(state, event, ns, "<fairmon.mc step>", extra=[("state()", reader)])
 

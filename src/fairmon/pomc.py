@@ -21,15 +21,20 @@ keeps a rolling window word, ``w = (w * base + c) % base**n``, and an atom
 reads its value as ``table[w]`` from a list of its values on every word of
 its arity, built once; a table over ``_MAX_WORDS`` words is a ConfigError.
 
-The half-width lines come first, and they call nothing.  Atoms with the same
-(share, arity, range) share one half-width, and each such key keeps a list
-of its half-widths at ``_BLOCK`` consecutive times from ``tb``: an event
-reads ``e0 = E0[t - tb]``, and the event at which t reaches the end of the
-block refills every list with one call.  The lists come from
-:func:`fairmon.bounds.pomc_halfwidth_blocks`, the one function that
+Every event runs the lookup and the window words, then each atom's clipped
+running mean.  The verdict lines follow, which ``run`` runs only at the
+events it writes; with running intersection, which reads every interval,
+every event runs them.
+
+The verdict lines start with the half-widths, which call nothing.  Atoms
+with the same (share, arity, range) share one half-width, and each such key
+keeps a list of its half-widths at ``_BLOCK`` consecutive times from ``tb``:
+a verdict reads ``e0 = E0[t - tb]``, and the first verdict past the end of
+the block refills every list from its own t with one call.  The lists come
+from :func:`fairmon.bounds.pomc_halfwidth_blocks`, the one function that
 computes every ``pomc`` half-width, over an array of t, so every half-width
-has the same bits wherever it is computed.  The mode of the
-bound lives in these lists alone.
+has the same bits wherever it is computed.  The mode of the bound lives in
+these lists alone.
 
 The other lines keep the formulas of :class:`Interval` with the same
 operand order in every ``min`` and ``max``, each written out as the
@@ -164,7 +169,8 @@ def _generate_step(expr: Expr, delta: float, uniform: bool, tau_mix: float,
           "INCONCLUSIVE": INCONCLUSIVE, "EventError": EventError,
           "range_lo": rng.lo, "range_hi": rng.hi}
     state = ["t = 0"]
-    step = []  # lines of a warm event, after the half-widths
+    means = []  # the advance lines of a warm event, after the window words
+    verdict = []  # lines turning the means into a verdict, after the half-widths
     warmup = []  # lines of an event before the largest arity is filled
     keys: dict = {}  # (share, n, low, high) -> index of its half-width table
     arities = {n for _, (_, n, _, _) in atoms}
@@ -180,10 +186,10 @@ def _generate_step(expr: Expr, delta: float, uniform: bool, tau_mix: float,
         mean += extreme(f"m{i}", [f"m{i}", f"high{i}"], "<")
         if n < width:
             warmup += mean if n == 1 else [f"if t >= {n}:", *("    " + x for x in mean)]
-        step += [*mean,
-                 *extreme(f"lo{i}", [f"m{i} - e{k}", f"low{i}"], ">"),
-                 *extreme(f"hi{i}", [f"m{i} + e{k}", f"high{i}"], "<"),
-                 f"if not lo{i} <= hi{i}: Interval(lo{i}, hi{i})"]
+        means += mean
+        verdict += [*extreme(f"lo{i}", [f"m{i} - e{k}", f"low{i}"], ">"),
+                    *extreme(f"hi{i}", [f"m{i} + e{k}", f"high{i}"], "<"),
+                    f"if not lo{i} <= hi{i}: Interval(lo{i}, hi{i})"]
     if keys:
         # each key's half-widths at t in [tb, tb + _BLOCK); the first warm
         # event fills the first block
@@ -195,11 +201,11 @@ def _generate_step(expr: Expr, delta: float, uniform: bool, tau_mix: float,
         ns["fill"] = fill
         tables = [f"E{k}" for k in range(len(keys))]
         state += [f"tb = {-_BLOCK}", *(f"{table} = ()" for table in tables)]
-        step[:0] = ["j = t - tb",
-                    f"if j >= {_BLOCK}:",
-                    f"    tb, {', '.join(tables)} = fill(t)",
-                    "    j = 0",
-                    *(f"e{k} = {table}[j]" for k, table in enumerate(tables))]
+        verdict[:0] = ["j = t - tb",
+                       f"if j >= {_BLOCK}:",
+                       f"    tb, {', '.join(tables)} = fill(t)",
+                       "    j = 0",
+                       *(f"e{k} = {table}[j]" for k, table in enumerate(tables))]
 
     leaf_index, temp = itertools.count(), itertools.count()
 
@@ -219,15 +225,15 @@ def _generate_step(expr: Expr, delta: float, uniform: bool, tau_mix: float,
             lo, hi, p = f"lo_{j}", f"hi_{j}", f"p_{j}"
             (alo, ahi, ap), (blo, bhi, bp) = a, b
             if op == "+":
-                step.extend(interval_sum((lo, hi), (alo, ahi), (blo, bhi)))
+                verdict.extend(interval_sum((lo, hi), (alo, ahi), (blo, bhi)))
             elif op == "-":
-                step.extend(interval_difference((lo, hi), (alo, ahi), (blo, bhi)))
+                verdict.extend(interval_difference((lo, hi), (alo, ahi), (blo, bhi)))
             else:
-                step.extend(interval_product((lo, hi), (alo, ahi), (blo, bhi), f"_{j}"))
+                verdict.extend(interval_product((lo, hi), (alo, ahi), (blo, bhi), f"_{j}"))
             # a sum's, difference's or product's point is kept when it is finite
-            step.extend([f"{p} = {ap} {op} {bp}",
-                         f"if not -INF < {p} < INF: {p} = NAN",
-                         f"if not {lo} <= {hi}: Interval({lo}, {hi})"])
+            verdict.extend([f"{p} = {ap} {op} {bp}",
+                            f"if not -INF < {p} < INF: {p} = NAN",
+                            f"if not {lo} <= {hi}: Interval({lo}, {hi})"])
             return lo, hi, p
         return emit
 
@@ -235,8 +241,8 @@ def _generate_step(expr: Expr, delta: float, uniform: bool, tau_mix: float,
         j = next(temp)
         lo, hi, p = f"lo_{j}", f"hi_{j}", f"p_{j}"
         alo, ahi, ap = a
-        step.append(f"{p} = 1.0 / {ap} if {ap} else NAN")
-        step.extend(interval_reciprocal((lo, hi), (alo, ahi)))
+        verdict.append(f"{p} = 1.0 / {ap} if {ap} else NAN")
+        verdict.extend(interval_reciprocal((lo, hi), (alo, ahi)))
         return lo, hi, p
 
     root_lo, root_hi, p = fold(expr, {
@@ -244,12 +250,12 @@ def _generate_step(expr: Expr, delta: float, uniform: bool, tau_mix: float,
         Add: binary("+"), Sub: binary("-"), Mul: binary("*"), Inv: inverse,
     })
     # not the root's own name, which may be a mean cell or a namespace constant
-    step.append(f"point = None if {p} != {p} else {p}")
-    step += clip(("lo", "hi"), (root_lo, root_hi), ("range_lo", "range_hi"))
+    verdict.append(f"point = None if {p} != {p} else {p}")
+    verdict += clip(("lo", "hi"), (root_lo, root_hi), ("range_lo", "range_hi"))
     if intersect:
         state += ["running = None", "consistent = True"]
 
-    # each event: its code, then the window words, then warm-up or a verdict
+    # each event: its code, then the window words, then warm-up or the means
     head = [*lookup(codes, ns), "t += 1"]
     for n in sorted(arities - {1}):
         state.append(f"w{n} = 0")
@@ -260,17 +266,20 @@ def _generate_step(expr: Expr, delta: float, uniform: bool, tau_mix: float,
         if width > 1:
             lines += [f"if t < {width}:",
                       *("    " + line for line in warmup + exit("INCONCLUSIVE"))]
-        lines += step
-        if intersect:
-            inconsistent = exit("Verdict(interval=None, point=point, consistent=False)")
-            lines += ["if not lo <= hi: Interval(lo, hi)",
-                      "rlo, rhi = running or (lo, hi)",
-                      "consistent &= rlo <= hi and lo <= rhi",
-                      "if not consistent:",
-                      *("    " + line for line in inconsistent),
-                      "lo, hi = lo if lo > rlo else rlo, hi if hi < rhi else rhi",  # max, min
-                      "running = lo, hi"]
-        return lines + exit(interval=("lo", "hi", "point"))
+        lines += means
+        if not intersect:
+            return lines, verdict, ("lo", "hi", "point")
+        # the running intersection reads every event's interval
+        inconsistent = exit("Verdict(interval=None, point=point, consistent=False)")
+        lines += [*verdict,
+                  "if not lo <= hi: Interval(lo, hi)",
+                  "rlo, rhi = running or (lo, hi)",
+                  "consistent &= rlo <= hi and lo <= rhi",
+                  "if not consistent:",
+                  *("    " + line for line in inconsistent),
+                  "lo, hi = lo if lo > rlo else rlo, hi if hi < rhi else rhi",  # max, min
+                  "running = lo, hi"]
+        return lines, [], ("lo", "hi", "point")
 
     return compile_monitor(state, event, ns, "<fairmon.pomc step>")
 

@@ -737,28 +737,30 @@ def test_generated_step_tests_no_point_for_none():
 # and the alphabet-less entries were recorded again when every atom came to
 # read a value table over the codes of the symbols it names and one other:
 # base 4 for ``P[y | a] - P[y | b]``, and the same source with an alphabet as
-# without one
+# without one.  Every entry was recorded again when the step split into the
+# lines every event runs (the means) and the verdict lines after them, which
+# ``run`` runs only at the events it writes; every verdict digest held.
 SOURCE_DIGESTS = {
     ("conditional", "pointwise", False, True):
-        "ac69a622e0275a611da57fe12d6938871568781da856425d20b2fe5173323f22",
+        "e237856747079cc619a058613131f3168a16e9a9060b844bfc3fbc49ee82b5d3",
     ("conditional", "uniform", False, True):
-        "ac69a622e0275a611da57fe12d6938871568781da856425d20b2fe5173323f22",
+        "e237856747079cc619a058613131f3168a16e9a9060b844bfc3fbc49ee82b5d3",
     ("conditional", "uniform", True, True):
-        "3c338a8de489e962395702f6b9ef4a68c2e1e18f70b96fd0c040022b01dbb9e6",
+        "58cf2a6b53c9bf08a3b2a8ae7749a9389f53b2a5892abb554dfe0d24d8652da3",
     ("conditional", "uniform", False, False):
-        "ac69a622e0275a611da57fe12d6938871568781da856425d20b2fe5173323f22",
+        "e237856747079cc619a058613131f3168a16e9a9060b844bfc3fbc49ee82b5d3",
     ("mixed", "pointwise", False, True):
-        "e246bb7b6e18b0ca7f86f200ca1a8f34ea283290b8affdc0a90c4ab1e9eac1b8",
+        "5623c793ed5e8d440fe80140455edcf5a5ed0c435ca76dcaa0700fe0d3b5506c",
     ("mixed", "uniform", True, True):
-        "f00e4a93b57e39dcc5b57d3a599f9e81cb4db2f94f5a579ec370517b48a56145",
+        "48d926fbe528356c329dc838bdbcc4946e147aa3ff45c7dcbe2680a884c078ce",
     ("table", "pointwise", False, True):
-        "60fd2743706ec7e16920a0a34e01f48bff520931433e36ad7e3c46ab62c2c072",
+        "6ba71663fbad75aeca211af32a86c675ba49a29ea5ea3495b56a7d938e7b46c3",
     ("table", "uniform", False, True):
-        "60fd2743706ec7e16920a0a34e01f48bff520931433e36ad7e3c46ab62c2c072",
+        "6ba71663fbad75aeca211af32a86c675ba49a29ea5ea3495b56a7d938e7b46c3",
     ("table", "uniform", True, True):
-        "afc80e298b792b404d3961cb1616a101f4fbae89b85224f48502a7d51710c427",
+        "6a439501016203e0bd4b2b827b4757f0ec144e4b6463ce3adce24c1399113941",
     ("table", "uniform", True, False):
-        "afc80e298b792b404d3961cb1616a101f4fbae89b85224f48502a7d51710c427",
+        "6a439501016203e0bd4b2b827b4757f0ec144e4b6463ce3adce24c1399113941",
 }
 
 

@@ -226,3 +226,92 @@ def test_run_then_next_is_next(data):
             except EventError:
                 pass
     assert after == expected[done:]
+
+
+STRIDES = [1, 2, 7, 1000, 1023, 1024, 1025, 2500, 5000, 5001]
+LONG = 5000
+
+
+def long_stream(spec):
+    """``LONG`` stationary events of the spec's engine's lending model, one a line."""
+    engine, _, _ = SPECS[spec]
+    model = lending_pomc() if engine == "pomc" else lending_mc()
+    text = "".join(s + "\n" for s in simulate(model, LONG, 13, start="stationary"))
+    if spec == "arities":
+        text = text.replace("s", "a").replace("y", "b").replace("n", "c")
+    return text
+
+
+def variants(spec):
+    """(mode, tau or seed, intersect) of each monitor of ``spec`` that the
+    strided tests build: both modes, and ``--intersect`` for uniform ``pomc``."""
+    if SPECS[spec][0] == "mc":
+        return [("pointwise", 2, False), ("uniform", 2, False)]
+    return [("pointwise", 1.0, False), ("uniform", 1.0, False), ("uniform", 1.0, True)]
+
+
+LONG_CASES = [(spec, flags) for spec in sorted(SPECS) for flags in variants(spec)]
+
+
+@pytest.mark.parametrize("spec, flags", LONG_CASES)
+def test_strided_run_writes_what_the_per_event_loop_writes(spec_files, spec, flags):
+    """At every stride, about one half-width block up to past the stream's
+    end, ``run`` writes the bytes of one ``next`` per event: the verdict
+    lines it runs only at written events rebuild what ``next`` would hold."""
+    engine, _, _ = SPECS[spec]
+    mode, value, intersect = flags
+    text = long_stream(spec)
+    for stride in STRIDES:
+        args = ["--mode", mode, "--stride", str(stride)]
+        if engine == "pomc":
+            args += ["--tau-mix", str(value)] + ["--intersect"] * intersect
+        else:
+            args += ["--seed", str(value)]
+        got = monitor_cli(spec_files / f"{spec}.spec", engine, args, text, oracle=False)
+        assert got == monitor_cli(spec_files / f"{spec}.spec", engine, args, text, oracle=True)
+        assert got[0] == 0 and got[1].count("\n") == LONG // stride
+
+
+@pytest.mark.parametrize("spec, flags", LONG_CASES)
+def test_strided_runs_then_next_are_next(spec, flags):
+    """Two strided ``run`` calls over slices of a long stream, then ``next``
+    on the rest, give the verdicts of ``next`` alone.  After a strided
+    ``run`` an ``mc`` monitor counts the rounds, holds the mean and reads
+    the state of the ``next``-only monitor, and two ``next`` calls between
+    which no round completes return one verdict object."""
+    engine, _, _ = SPECS[spec]
+    lines = long_stream(spec).splitlines()
+    whole = build(spec, flags, True)
+    expected = [key(t, whole.next(s)) for t, s in enumerate(lines, 1)]
+    for stride in STRIDES:
+        cut = (len(lines) // 3, 2 * len(lines) // 3 + 1)
+        mon = build(spec, flags, True)
+        written = []
+
+        def emit(t, verdict):
+            written.append(key(t, verdict))
+
+        def record(t, lo, hi, point):
+            emit(t, Verdict(Interval(lo, hi), point))
+
+        mon.run(lines[:cut[0]], record, emit, stride)
+        mon.run(lines[cut[0]:cut[1]], record, emit, stride)
+        assert written == [expected[t - 1] for t in range(stride, cut[1] + 1, stride)]
+        if engine == "mc":
+            oracle = build(spec, flags, True)
+            for symbol in lines[:cut[1]]:
+                oracle.next(symbol)
+            assert mon.n_samples == oracle.n_samples
+            if spec == "difference":
+                assert mon.mean == oracle.mean
+            assert mon._state() == oracle._state()
+        parts = mon._state()[1] if engine == "mc" else None
+        before = None
+        for t, symbol in enumerate(lines[cut[1]:], cut[1] + 1):
+            verdict = mon.next(symbol)
+            assert key(t, verdict) == expected[t - 1]
+            if engine == "mc":
+                now = mon._state()[1]
+                if before is not None and now == parts:
+                    assert verdict is before
+                parts, before = now, verdict
